@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -28,89 +30,76 @@ __all__ = [
 #: zeros this close to the unit circle make the Jensen quadrature near-singular
 UNIMODULAR_TOL = 1e-9
 
+#: cap on Newton steps per radius; a certified start needs about 4
+_MAX_NEWTON = 100
+#: ln of the largest double, so that x and 1/x stay finite and nonzero
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+# one table per power of two, so the cache never holds more than ~60
+@functools.lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(k + 1) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only ln k! for k = 0..n at least, in power-of-two sized tables."""
+    return _log_factorial_table(1 << max(n, 1).bit_length())
+
 
 def _log_comb(n: int, k: int) -> float:
     if k < 0 or k > n:
         raise DomainError(f"binomial ({n}, {k}) out of range")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    lf = _log_factorials(n)
+    return float(lf[n] - lf[k] - lf[n - k])
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = float(np.max(a))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(a - m))))
+def _outer_radius(b: np.ndarray, m: int) -> float:
+    """Positive root x of b_n x^n = sum_{j<m} C(n-j-1, m-j-1) b_j x^j.
 
+    ``b`` holds coefficient magnitudes and 1 <= m <= n, or m = n = 0. The
+    root is +inf when b_n = 0 and 0 when no b_j with j < m is positive.
+    In u = ln x the root solves psi(u) = 0 with
 
-def _solve_log_equation(log_lhs: float, p: float, log_coeffs: np.ndarray,
-                        powers: np.ndarray) -> float:
-    """Positive root of lhs * x**p = sum_j exp(log_coeffs[j]) * x**powers[j].
+        psi(u) = logsumexp_j(a_j + j u) - ln b_n - n u,  a_j = ln(C b_j),
 
-    Solved for u = ln x as the root of
-        psi(u) = logsumexp(log_coeffs + powers*u) - log_lhs - p*u,
-    which is strictly monotone whenever p is strictly above or below every
-    power, the only cases used here. Bisection brackets to 1e-3, then
-    safeguarded Newton polishes to relative 1e-12 in x.
+    which is convex and strictly decreasing. Each term alone balances the
+    left side at u_j = (a_j - ln b_n) / (n - j), so psi >= 0 there; the
+    largest u_j is a certified start on the left of the root, and plain
+    Newton from it climbs monotonically onto the root without overshooting.
+    One max-shifted ``exp`` per step gives both psi and psi'. Stops once a
+    step falls below 1e-14 relative to max(1, |u|), leaving about 1e-13 in
+    ln x; a root outside double range raises ConvergenceError.
     """
-    log_coeffs = np.asarray(log_coeffs, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-
-    def psi(u: float) -> float:
-        return _logsumexp(log_coeffs + powers * u) - log_lhs - p * u
-
-    def psi_prime(u: float) -> float:
-        a = log_coeffs + powers * u
-        w = np.exp(a - np.max(a))
-        return float(np.dot(w, powers) / np.sum(w)) - p
-
-    increasing = psi_prime(0.0) > 0
-    u0 = 0.0
-    f0 = psi(u0)
-    if f0 == 0.0:
-        return 1.0
-    # expand a bracket in the downhill direction
-    direction = -1.0 if (f0 > 0) == increasing else 1.0
-    step = 1.0
-    ua, fa = u0, f0
-    while True:
-        ub = ua + direction * step
-        fb = psi(ub)
-        if fa * fb <= 0:
+    n = len(b) - 1
+    if b[n] == 0:
+        return math.inf
+    js = np.flatnonzero(b[:m])
+    if len(js) == 0:
+        return 0.0
+    lf = _log_factorials(n)
+    a = np.log(b[js]) + lf[n - 1 - js] - lf[m - 1 - js] - lf[n - m]
+    log_lhs = math.log(b[n])
+    u = float(np.max((a - log_lhs) / (n - js)))
+    for _ in range(_MAX_NEWTON):
+        t = a + js * u
+        top = float(np.max(t))
+        w = np.exp(t - top)
+        s = float(np.sum(w))
+        psi = top + math.log(s) - log_lhs - n * u
+        step = psi / (n - float(np.dot(w, js)) / s)
+        u += step
+        if step <= 1e-14 * max(1.0, abs(u)):
             break
-        ua, fa = ub, fb
-        step *= 2.0
-        if abs(ub) > 1400:
-            raise ConvergenceError("bound equation root exceeds double range",
-                                   residual=abs(fb))
-    lo, hi = (ua, ub) if ua < ub else (ub, ua)
-    flo = psi(lo)
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        fm = psi(mid)
-        if fm == 0.0:
-            return math.exp(mid)
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    for _ in range(100):
-        f = psi(u)
-        if f == 0.0:
-            break
-        if (f > 0) == (flo > 0):
-            lo = u
-        else:
-            hi = u
-        d = psi_prime(u)
-        un = u - f / d if d != 0 else math.inf
-        if not lo < un < hi:
-            un = 0.5 * (lo + hi)
-        if abs(un - u) <= 1e-13 * max(1.0, abs(un)):
-            u = un
-            break
-        u = un
+    if abs(u) > _LOG_MAX:
+        raise ConvergenceError("bound equation root exceeds double range")
     return math.exp(u)
+
+
+def _reciprocal(x: float) -> float:
+    return math.inf if x == 0 else 1.0 / x
 
 
 def _abs_coeffs(P: Polynomial) -> np.ndarray:
@@ -122,57 +111,47 @@ def cauchy_bound(P: Polynomial) -> float:
 
     Unique positive root of |b_n| x^n = sum_{k<n} |b_k| x^k; +inf when the
     leading coefficient vanishes, 0 when no lower coefficient survives.
+    Solved by certified-start Newton in ln x, accurate to about 1e-13.
     """
     c = _abs_coeffs(P)
-    n = P.formal_degree
     if not np.any(c > 0):
         raise DomainError("zero polynomial has no Cauchy bound")
-    if c[n] == 0:
-        return math.inf
-    js = np.nonzero(c[:n] > 0)[0]
-    if len(js) == 0:
-        return 0.0
-    return _solve_log_equation(math.log(c[n]), float(n), np.log(c[js]), js)
+    return _outer_radius(c, P.formal_degree)
 
 
 def inner_cauchy_bound(P: Polynomial) -> float:
     """Radius c with every zero of P in |w| >= c.
 
-    Unique positive root of |b_0| = sum_{k>=1} |b_k| y^k. A constant
-    polynomial has no finite zeros, so every radius works: returns +inf.
+    Unique positive root of |b_0| = sum_{k>=1} |b_k| y^k: the reciprocal of
+    the Cauchy bound of the reversed coefficients, solved the same way. A
+    constant polynomial has no finite zeros, so every radius works: returns
+    +inf.
     """
     c = _abs_coeffs(P)
     if c[0] == 0:
         raise DomainError("constant coefficient is zero; deflate origin zeros first")
-    ks = np.nonzero(c[1:] > 0)[0] + 1
-    if len(ks) == 0:
-        return math.inf
-    return _solve_log_equation(math.log(c[0]), 0.0, np.log(c[ks]), ks)
+    return _reciprocal(_outer_radius(c[::-1], P.formal_degree))
 
 
 def van_vleck_bound(P: Polynomial, m: int) -> float:
     """Radius V with at least m zeros of P in |w| <= V.
 
     Unique positive root of |b_n| x^n = sum_{j<m} C(n-j-1, m-j-1) |b_j| x^j;
-    m = n recovers the Cauchy bound.
+    m = n recovers the Cauchy bound. Solved by certified-start Newton in
+    ln x, accurate to about 1e-13.
     """
-    c = _abs_coeffs(P)
     n = P.formal_degree
     if not 1 <= m <= n:
         raise DomainError(f"m must lie in [1, {n}]")
-    if c[n] == 0:
-        return math.inf
-    js = np.nonzero(c[:m] > 0)[0]
-    if len(js) == 0:
-        return 0.0
-    logs = np.array([_log_comb(n - j - 1, m - j - 1) + math.log(c[j]) for j in js])
-    return _solve_log_equation(math.log(c[n]), float(n), logs, js)
+    return _outer_radius(_abs_coeffs(P), m)
 
 
 def inner_van_vleck_bound(P: Polynomial, m: int, return_slack: bool = False):
     """Radius v with at least m zeros of P in |w| >= v.
 
-    Unique positive root of |b_0| = sum_{k=n-m+1}^{n} C(k-1, k-(n-m)-1) |b_k| y^k.
+    Unique positive root of |b_0| = sum_{k=n-m+1}^{n} C(k-1, k-(n-m)-1) |b_k| y^k,
+    the reciprocal of the van Vleck radius of the reversed coefficients,
+    solved the same way; +inf when every b_k in that range vanishes.
     With ``return_slack`` also returns the log-slack of the audit inequality
     ln|b_0| <= ln C(n, m-1) + max ln|b_k| + n ln max(1, v), which must be >= 0.
     """
@@ -182,21 +161,13 @@ def inner_van_vleck_bound(P: Polynomial, m: int, return_slack: bool = False):
         raise DomainError(f"m must lie in [1, {n}]")
     if c[0] == 0:
         raise DomainError("constant coefficient is zero; deflate origin zeros first")
-    ks = np.arange(n - m + 1, n + 1)
-    ks = ks[c[ks] > 0]
-    if len(ks) == 0:
-        v = math.inf
-    else:
-        logs = np.array(
-            [_log_comb(k - 1, k - (n - m) - 1) + math.log(c[k]) for k in ks]
-        )
-        v = _solve_log_equation(math.log(c[0]), 0.0, logs, ks)
+    v = _reciprocal(_outer_radius(c[::-1], m))
     if not return_slack:
         return v
-    if len(ks) == 0:
+    max_bk = float(np.max(c[n - m + 1:]))
+    if max_bk == 0:
         return v, math.inf
-    max_log_bk = float(np.max(np.log(c[ks])))
-    slack = (_log_comb(n, m - 1) + max_log_bk + n * max(0.0, math.log(v))
+    slack = (_log_comb(n, m - 1) + math.log(max_bk) + n * max(0.0, math.log(v))
              - math.log(c[0]))
     return v, slack
 

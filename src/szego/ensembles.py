@@ -10,9 +10,9 @@ across worker counts.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,10 +226,15 @@ def check_conditions(E: Ensemble) -> ConditionFlags:
     )
 
 
+def _usable(coeffs: np.ndarray) -> bool:
+    """A sampled section can be solved: finite and not identically zero."""
+    return bool(np.any(coeffs)) and bool(np.all(np.isfinite(coeffs)))
+
+
 def _trial_cdf(args):
     E, n, seed, trial, t_grid, tol, weyl_orders = args
     coeffs = sample_coeffs(E, n, seed, trial)
-    if not np.any(coeffs):
+    if not _usable(coeffs):
         return trial, None, None
     P = Polynomial(coeffs, n)
     try:
@@ -283,8 +288,9 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
                     keep_raw: bool = False) -> MCReport:
     """Average the section zero counting function over independent trials.
 
-    Trials whose section is identically zero or whose root solve does not
-    converge are counted as failures and excluded from the average. Results
+    Trials whose section is identically zero or not finite, or whose root
+    solve does not converge, are counted as failures and excluded from the
+    average. ``workers`` must be at least 1. Results
     are byte-identical for any worker count: trial outputs are reduced in
     trial order regardless of completion order.
     """
@@ -293,6 +299,8 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
         raise DomainError("need at least 10 trials")
     if n < 1:
         raise DomainError("section index n must be at least 1")
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.isnan(t_grid)):
         raise DomainError("t grid must be nonnegative")
@@ -300,7 +308,8 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     jobs = [(E, n, seed, trial, t_grid, tol, weyl_orders)
             for trial in range(trials)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # attribute access loads the pool machinery (multiprocessing) only here
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_cdf, jobs, chunksize=4))
     else:
         results = [_trial_cdf(j) for j in jobs]
@@ -369,7 +378,7 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
     failures = 0
     for trial in range(trials):
         coeffs = sample_coeffs(E, n, seed, trial)
-        if not np.any(coeffs):
+        if not _usable(coeffs):
             failures += 1
             continue
         try:

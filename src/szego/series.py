@@ -54,6 +54,8 @@ class Polynomial:
                 f"formal_degree {self.formal_degree} does not match "
                 f"{len(c)} coefficients"
             )
+        if not np.all(np.isfinite(c)):
+            raise DomainError("coefficients must be finite (no NaN or inf)")
 
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or arrays."""

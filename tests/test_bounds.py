@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from szego import (DomainError, Polynomial, VerificationError, bounds_report,
-                   cauchy_bound, entropy, find_zeros, inner_cauchy_bound,
+from szego import (ConvergenceError, DomainError, Polynomial, VerificationError,
+                   bounds_report, cauchy_bound, entropy, find_zeros,
+                   inner_cauchy_bound,
                    inner_van_vleck_bound, jensen_identity, reversed_companion,
                    van_vleck_bound, viete_checks, weak_jensen_check)
 
@@ -126,6 +127,134 @@ def test_van_vleck_counts_zeros():
             assert np.sum(ms >= v * (1 - 1e-9)) >= m
         # the full-count radii agree with the global bounds
         assert van_vleck_bound(P, deg) <= cauchy_bound(P) * (1 + 1e-12)
+
+
+def _log_comb(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _equation_residual(log_lhs, p, terms, x):
+    # |ln(sum_j w_j x^j) - ln(lhs x^p)| for terms [(ln w_j, j), ...]
+    u = math.log(x)
+    a = [lw + j * u for lw, j in terms]
+    top = max(a)
+    return abs(top + math.log(math.fsum(math.exp(t - top) for t in a))
+               - log_lhs - p * u)
+
+
+def _radius_residuals(c):
+    """Residuals of all four radius families in their defining equations."""
+    la = [math.log(abs(x)) for x in c]
+    n = len(c) - 1
+    P = Polynomial(c, n)
+    out = [_equation_residual(la[n], n, [(la[j], j) for j in range(n)],
+                              cauchy_bound(P)),
+           _equation_residual(la[0], 0, [(la[k], k) for k in range(1, n + 1)],
+                              inner_cauchy_bound(P))]
+    for m in range(1, n + 1):
+        outer = [(_log_comb(n - j - 1, m - j - 1) + la[j], j) for j in range(m)]
+        out.append(_equation_residual(la[n], n, outer, van_vleck_bound(P, m)))
+        inner = [(_log_comb(k - 1, k - (n - m) - 1) + la[k], k)
+                 for k in range(n - m + 1, n + 1)]
+        out.append(_equation_residual(la[0], 0, inner,
+                                      inner_van_vleck_bound(P, m)))
+    return out
+
+
+def test_radii_solve_their_equations():
+    # a radius that is too large still passes containment; the defining
+    # equation pins it down
+    rng = np.random.default_rng(43)
+    degrees = [2, 3, 5, 8, 13, 21, 34, 55, 89, 128]
+    for deg in degrees:
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        assert max(_radius_residuals(c)) <= 1e-12
+
+
+def test_radius_identities():
+    rng = np.random.default_rng(47)
+    for deg in (1, 2, 7, 30, 128):
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        P = Polynomial(c, deg)
+        R = reversed_companion(P)
+        assert van_vleck_bound(P, deg) == pytest.approx(cauchy_bound(P),
+                                                        rel=1e-13)
+        assert inner_cauchy_bound(P) * cauchy_bound(R) == pytest.approx(
+            1.0, rel=1e-13)
+        for m in range(1, deg + 1):
+            assert inner_van_vleck_bound(P, m) * van_vleck_bound(R, m) == \
+                pytest.approx(1.0, rel=1e-13)
+
+
+def test_single_lower_term_closed_form():
+    # 2 z^3 + 5 z^7: one term on each side of every equation
+    c = np.zeros(8, dtype=complex)
+    c[3], c[7] = 2.0, 5.0j
+    P = Polynomial(c, 7)
+    assert cauchy_bound(P) == pytest.approx((2 / 5) ** (1 / 4), rel=1e-14)
+    for m in range(1, 4):
+        assert van_vleck_bound(P, m) == 0.0  # the triple zero at the origin
+    for m in range(4, 8):
+        closed = (math.comb(3, m - 4) * 2 / 5) ** (1 / 4)
+        assert van_vleck_bound(P, m) == pytest.approx(closed, rel=1e-14)
+    # 3 - 4 z^5 mirrored: |b_0| = |b_5| y^5
+    Q = Polynomial(np.array([3.0, 0, 0, 0, 0, -4.0]), 5)
+    assert inner_cauchy_bound(Q) == pytest.approx((3 / 4) ** (1 / 5), rel=1e-14)
+    assert inner_van_vleck_bound(Q, 1) == pytest.approx((3 / 4) ** (1 / 5),
+                                                        rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 64])
+def test_van_vleck_on_one_plus_z_power(n):
+    # 1 + z^n: V_1 = V_n = 1 but V_2 = (n - 1)^(1/n), so V_m is not monotone
+    c = np.zeros(n + 1)
+    c[0] = c[n] = 1.0
+    P = Polynomial(c, n)
+    assert van_vleck_bound(P, 1) == pytest.approx(1.0, rel=1e-14)
+    assert van_vleck_bound(P, n) == pytest.approx(1.0, rel=1e-14)
+    assert van_vleck_bound(P, 2) == pytest.approx((n - 1) ** (1 / n), rel=1e-14)
+
+
+def test_radii_across_huge_dynamic_range():
+    # b_k = 1e200 * (1e-100)^k spans 1e200 .. 1e-200; substituting z = 1e100 w
+    # turns it into the all-ones quartic, so every radius scales by 1e100
+    c = np.array([10.0 ** (200 - 100 * k) for k in range(5)])
+    P, ones = Polynomial(c, 4), Polynomial(np.ones(5), 4)
+    assert cauchy_bound(P) == pytest.approx(1e100 * cauchy_bound(ones),
+                                            rel=1e-12)
+    assert inner_cauchy_bound(P) == pytest.approx(
+        1e100 * inner_cauchy_bound(ones), rel=1e-12)
+    for m in range(1, 5):
+        assert van_vleck_bound(P, m) == pytest.approx(
+            1e100 * van_vleck_bound(ones, m), rel=1e-12)
+        assert inner_van_vleck_bound(P, m) == pytest.approx(
+            1e100 * inner_van_vleck_bound(ones, m), rel=1e-12)
+
+
+def test_radius_special_values():
+    # vanishing leading coefficient: a zero at infinity, no finite bound
+    P = Polynomial(np.array([1.0, 2.0, 0.0]), 2)
+    assert cauchy_bound(P) == math.inf
+    assert van_vleck_bound(P, 1) == van_vleck_bound(P, 2) == math.inf
+    # vanishing constant coefficient: the inner radii are undefined
+    Q = Polynomial(np.array([0.0, 1.0, 1.0]), 2)
+    with pytest.raises(DomainError):
+        inner_cauchy_bound(Q)
+    with pytest.raises(DomainError):
+        inner_van_vleck_bound(Q, 1)
+    # no upper terms in the inner equation: every radius works
+    R = Polynomial(np.array([1.0, 1.0, 0.0]), 2)
+    assert inner_van_vleck_bound(R, 1) == math.inf
+    assert inner_van_vleck_bound(R, 1, return_slack=True) == (math.inf,
+                                                              math.inf)
+    assert inner_cauchy_bound(Polynomial(np.array([3.0, 0.0, 0.0]), 2)) == \
+        math.inf
+    # a radius outside double range is reported, not rounded to inf or 0
+    S = Polynomial(np.array([1e300, 1e-300]), 1)
+    with pytest.raises(ConvergenceError):
+        cauchy_bound(S)
+    with pytest.raises(ConvergenceError):
+        inner_cauchy_bound(S)
 
 
 def test_inner_van_vleck_slack_is_nonnegative():

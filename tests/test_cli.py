@@ -157,3 +157,27 @@ def test_exit_codes(capsys):
                  "--trials", "5"]) == 1  # too few trials
     assert main(["universal", "--targets", '[["1000"]]']) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["bounds", "zeros"])
+@pytest.mark.parametrize("family", ["explicit:1,nan,1", "explicit:1,inf,1"])
+def test_non_finite_coefficients_exit_1(capsys, command, family):
+    rc = main([command, "--family", family, "--n", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_random_rejects_worker_count_below_one(capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    rc = main(["random", "--ensemble", "gaussian_complex", "--n", "8",
+               "--trials", "10", "--workers", workers])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -149,6 +149,36 @@ def test_mc_degenerate_trials_counted():
     assert rep.trials_used > 0
 
 
+def test_mc_rejects_worker_count_below_one(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    for workers in (0, -5):
+        with pytest.raises(DomainError):
+            mc_expected_cdf(gaussian_complex(), 8, [1.0], trials=10, seed=0,
+                            workers=workers)
+
+
+def test_non_finite_samples_count_as_failed_trials(monkeypatch):
+    import szego.ensembles as ens
+
+    real = ens.sample_coeffs
+
+    def poisoned(E, n, seed, trial=0):
+        c = real(E, n, seed, trial)
+        if trial % 3 == 0:
+            c[1] = np.nan if trial % 2 else np.inf
+        return c
+
+    monkeypatch.setattr(ens, "sample_coeffs", poisoned)
+    rep = mc_expected_cdf(gaussian_complex(), 12, [1.0], trials=12, seed=5)
+    assert (rep.trials_used, rep.failures) == (8, 4)
+    sym = reversal_symmetry_check(gaussian_complex(), 12, 0.9, trials=12,
+                                  seed=5)
+    assert (sym.trials_used, sym.failures) == (8, 4)
+
+
 def test_reversal_symmetry():
     rep = reversal_symmetry_check(gaussian_complex(), 24, 0.8,
                                   trials=60, seed=41)

@@ -31,6 +31,14 @@ def test_polynomial_formal_degree_must_match():
         Polynomial(np.ones(3), 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+def test_polynomial_rejects_non_finite_coefficients(bad):
+    with pytest.raises(DomainError):
+        Polynomial(np.array([1.0, bad, 1.0]), 2)
+    with pytest.raises(DomainError):
+        section(explicit([1.0, bad, 1.0]), 2)
+
+
 def test_polynomial_padding():
     P = Polynomial(np.array([1.0, 2.0]), 1)
     Q = P.padded(4)
