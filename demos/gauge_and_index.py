@@ -10,9 +10,9 @@ index, and the two-parameter sparse family below hits any prescribed
 pair. No zeros are computed anywhere in this script; that is the point.
 """
 
-from szego import (carlson, coeff_root_range, factorial_gaps,
-                   gauge_and_index, gauge_coverage_bound, geometric,
-                   infinite_gap_diagnostic, lacunary, window_root_liminf)
+from szego import (Carlson, FactorialGaps, Geometric, Lacunary,
+                   coeff_root_range, gauge_and_index, gauge_coverage_bound,
+                   window_liminf_from_logs)
 
 
 def show(name, stream, N=2048):
@@ -25,29 +25,30 @@ def show(name, stream, N=2048):
     print(f"  window curve {row}")
 
 
-show("geometric", geometric())
-show("lacunary base 2", lacunary(2), N=4096)
-show("lacunary base 3", lacunary(3), N=4096)
+show("geometric", Geometric())
+show("lacunary base 2", Lacunary(2), N=4096)
+show("lacunary base 3", Lacunary(3), N=4096)
 
 # The sparse two-parameter family: index lands at the first argument,
 # gauge at the second.
 for t, g in ((0.3, 0.6), (0.5, 0.5)):
-    show(f"sparse({t}, {g})", carlson(t, g), N=1024)
-    est = window_root_liminf(carlson(t, g), t / 2, 1024)
+    show(f"sparse({t}, {g})", Carlson(t, g), N=1024)
+    est = window_liminf_from_logs(Carlson(t, g).log_abs(1024), t / 2, 1024)
     print(f"  mid-window estimate {est:.4f} vs g^(1-gamma) "
           f"{g ** (1 - t / 2):.4f}")
 
 # n-th roots of the coefficients themselves bracket the window values.
-lo, hi = coeff_root_range(carlson(0.5, 0.5), 1024)
+lo, hi = coeff_root_range(Carlson(0.5, 0.5), 1024)
 print(f"sparse(0.5, 0.5) coefficient root range [{lo:.4f}, {hi:.4f}]")
 
 # Factorial-index support is an extreme gap structure: near-full
 # windows still catch a coefficient at this horizon, but a window at
 # gamma = 0.8 goes empty between consecutive factorials.
+factorial_logs = FactorialGaps().log_abs(720)
 print(f"factorial support, near-full windows: "
-      f"{infinite_gap_diagnostic(factorial_gaps(), 720):.3f}")
+      f"{window_liminf_from_logs(factorial_logs, 0.99, 720):.3f}")
 print(f"factorial support, gamma=0.8 windows: "
-      f"{window_root_liminf(factorial_gaps(), 0.8, 720):.3f}")
+      f"{window_liminf_from_logs(factorial_logs, 0.8, 720):.3f}")
 
 # With gauge G and a radius T > 1/G, a coverage fraction of the zeros
 # must stay within radius T in the limit.

@@ -14,9 +14,9 @@ Run it directly:
 
 import numpy as np
 
-from szego import (counting_fn, find_zeros, geometric, lacunary,
-                   levy_distance, point_mass, radial_projection, rational,
-                   section, uniform_on_radii)
+from szego import (Geometric, Lacunary, Rational, counting_fn, find_zeros,
+                   levy_distance, point_mass, radial_projection, section,
+                   uniform_on_radii)
 
 
 def describe(name, stream, n):
@@ -37,16 +37,16 @@ def describe(name, stream, n):
 # The geometric series is the cleanest case: the section's zeros are
 # exactly the roots of unity with z = 1 removed, so everything sits on
 # the unit circle from the start.
-describe("geometric", geometric(), 60)
+describe("geometric", Geometric(), 60)
 
 # Gappy coefficients change the picture. Only half the formal degree is
 # realized, so half the measure sits at infinity no matter how far out
 # we truncate.
-describe("lacunary base 2", lacunary(2), 127)
+describe("lacunary base 2", Lacunary(2), 127)
 
 # A rational stream: the series of (1+z)/(1-z) has bounded coefficients
 # and unimodular denominator zeros.
-describe("(1+z)/(1-z)", rational([1, 1], [1, -1]), 80)
+describe("(1+z)/(1-z)", Rational([1, 1], [1, -1]), 80)
 
 # Measures are first-class: compare two explicit radial laws directly.
 a = uniform_on_radii([0.5, 1.0, 2.0])
@@ -55,7 +55,7 @@ print(f"uniform on three radii vs unit radius: levy {levy_distance(a, b):.4f}")
 
 # Zeros at the origin and at infinity are both handled by convention,
 # which keeps measures comparable across sections of different ranks.
-spread = rational([0, 0, 1], [1])  # the series of z^2
+spread = Rational([0, 0, 1], [1])  # the series of z^2
 Z = find_zeros(section(spread, 6))
 mu = radial_projection(Z)
 print(f"z^2 viewed at rank 6: origin mass {mu.cdf(0.0):.3f}, "

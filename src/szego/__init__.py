@@ -13,36 +13,17 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .exceptions import (CoefficientOverflowError, ConvergenceError,
-                         DomainError, SzegoError, VerificationError)
-from .series import (Polynomial, Series, carlson, carlson_coeff,
-                     carlson_indices, explicit, factorial_gaps, geometric,
-                     inverse_one_minus_zN, lacunary, load_explicit_csv,
-                     parse_family, random_series, rational, reversed_companion,
-                     section, series_from_descriptor, zero_one)
-from .roots import ZeroSet, find_zeros, sorted_moduli
-from .measures import (RadialMeasure, compactify, counting_fn,
-                       distribution_function, inverse_power_sum,
-                       levy_distance, point_mass, radial_projection,
-                       uniform_on_radii, weyl_sum)
-from .bounds import (BoundsReport, VieteReport, bounds_report, cauchy_bound,
-                     entropy, inner_cauchy_bound, inner_van_vleck_bound,
-                     jensen_identity, van_vleck_bound, viete_checks,
-                     weak_jensen_check)
-from .gauge import (DEFAULT_GAMMA_GRID, GaugeReport, coeff_root_range,
-                    gauge_and_index, gauge_coverage_bound,
-                    infinite_gap_diagnostic, window_liminf_from_logs,
-                    window_max, window_root_liminf)
-from .ensembles import (Ensemble, MCReport, SymmetryReport, as_ensemble,
-                        bernoulli, bernoulli_inv_n, check_conditions,
-                        dyadic_empty_window_probe, gaussian_complex,
-                        gaussian_real, log_heavy_tail, mc_expected_cdf,
-                        path_root_limsup, path_window_liminf,
-                        reversal_symmetry_check, sample_coeffs,
-                        sample_log_abs, uniform_disk)
-from .universal import (BuildState, StepRecord, StepReport, TargetMeasure,
-                        build_universal, choose_M, choose_N, cycle_targets,
-                        initial_state, log_disk_sup, parse_targets, step,
-                        tau, verify_step)
+from . import (bounds, ensembles, exceptions, gauge, measures, roots, series,
+               universal)
+from .exceptions import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .roots import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .bounds import *  # noqa: F401,F403
+from .gauge import *  # noqa: F401,F403
+from .ensembles import *  # noqa: F401,F403
+from .universal import *  # noqa: F401,F403
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for module in (exceptions, series, roots, measures, bounds,
+                               gauge, ensembles, universal)
+           for name in module.__all__]

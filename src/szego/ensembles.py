@@ -13,12 +13,11 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .gauge import window_liminf_from_logs
 from .measures import counting_fn, weyl_sum
 from .roots import find_zeros
 from .series import Polynomial
@@ -29,12 +28,6 @@ __all__ = [
     "ConditionFlags",
     "MCReport",
     "SymmetryReport",
-    "gaussian_complex",
-    "gaussian_real",
-    "uniform_disk",
-    "bernoulli",
-    "bernoulli_inv_n",
-    "log_heavy_tail",
     "as_ensemble",
     "sample_coeffs",
     "sample_log_abs",
@@ -42,7 +35,6 @@ __all__ = [
     "mc_expected_cdf",
     "reversal_symmetry_check",
     "path_root_limsup",
-    "path_window_liminf",
     "dyadic_empty_window_probe",
 ]
 
@@ -64,6 +56,22 @@ _KINDS = {
 
 @dataclass(frozen=True)
 class Ensemble:
+    """A coefficient law: its kind, plus a parameter for two of the kinds.
+
+    - ``gaussian_complex``, ``gaussian_real``, ``uniform_disk``: iid
+      standard complex or real normals, or uniform on the unit disk.
+    - ``bernoulli`` (p): iid 0/1 coefficients with P(a_k = 1) = p.
+    - ``bernoulli_inv_n``: independent 0/1 coefficients with
+      P(a_k = 1) = 1/k (and a_0 = 1). Not identically distributed and not
+      uniformly non-null: the success probabilities decay, yet their
+      divergent sum still forces infinitely many nonzero coefficients
+      along almost every path.
+    - ``log_heavy_tail`` (alpha): |a_k| = exp(V) with V Pareto(alpha),
+      uniform phase. E[ln^+ |a_k|] = E[V] is finite only for alpha > 1; at
+      or below 1 the log moment diverges and root clustering at the unit
+      circle may fail.
+    """
+
     kind: str
     param: float | None = None
 
@@ -100,41 +108,6 @@ class Ensemble:
         return f"{self.kind}({self.param:g})"
 
 
-def gaussian_complex() -> Ensemble:
-    return Ensemble("gaussian_complex")
-
-
-def gaussian_real() -> Ensemble:
-    return Ensemble("gaussian_real")
-
-
-def uniform_disk() -> Ensemble:
-    return Ensemble("uniform_disk")
-
-
-def bernoulli(p: float) -> Ensemble:
-    return Ensemble("bernoulli", float(p))
-
-
-def bernoulli_inv_n() -> Ensemble:
-    """Independent 0/1 coefficients with P(a_k = 1) = 1/k (and a_0 = 1).
-
-    Not identically distributed and not uniformly non-null: the success
-    probabilities decay, yet their divergent sum still forces infinitely
-    many nonzero coefficients along almost every path.
-    """
-    return Ensemble("bernoulli_inv_n")
-
-
-def log_heavy_tail(alpha: float) -> Ensemble:
-    """|a_k| = exp(V) with V Pareto(alpha), uniform phase.
-
-    E[ln^+ |a_k|] = E[V] is finite only for alpha > 1; at or below 1 the
-    log moment diverges and root clustering at the unit circle may fail.
-    """
-    return Ensemble("log_heavy_tail", float(alpha))
-
-
 _ENSEMBLE_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
 
 
@@ -146,7 +119,11 @@ def as_ensemble(source) -> Ensemble:
     if not m:
         raise DomainError(f"cannot parse ensemble descriptor {source!r}")
     kind, arg = m.group(1), m.group(2)
-    return Ensemble(kind, float(arg) if arg not in (None, "") else None)
+    try:
+        param = float(arg) if arg not in (None, "") else None
+    except ValueError:
+        raise DomainError(f"bad ensemble parameter in {source!r}") from None
+    return Ensemble(kind, param)
 
 
 def _block_generator(seed: int, trial: int, block: int) -> np.random.Generator:
@@ -262,7 +239,6 @@ class MCReport:
     weyl_orders: tuple[int, ...] = ()
     weyl_mean_abs: tuple[float, ...] = ()
     weyl_abs_mean: tuple[float, ...] = ()
-    raw: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         d = {
@@ -284,8 +260,8 @@ class MCReport:
 
 
 def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
-                    tol: float = 1e-10, weyl_orders=(), workers: int = 1,
-                    keep_raw: bool = False) -> MCReport:
+                    tol: float = 1e-10, weyl_orders=(),
+                    workers: int = 1) -> MCReport:
     """Average the section zero counting function over independent trials.
 
     Trials whose section is identically zero or not finite, or whose root
@@ -342,7 +318,6 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
         trials=int(trials), trials_used=used, failures=failures,
         weyl_orders=weyl_orders, weyl_mean_abs=weyl_mean,
         weyl_abs_mean=weyl_abs,
-        raw=mat if keep_raw else None,
     )
 
 
@@ -359,13 +334,17 @@ class SymmetryReport:
 
 def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
                             seed: int, tol: float = 1e-10) -> SymmetryReport:
-    """Paired test of E[F_n(t)] = 1 - E[F-reversed_n(1/t)] for iid ensembles.
+    """Test of E[F_n(t)] = 1 - E[F_n((1/t)-)] for iid ensembles.
 
     Reversing the coefficient order inverts every zero through the unit
-    circle, so mass inside radius t on one side matches mass outside 1/t on
-    the other, up to atoms sitting exactly on |w| = t. The reported
-    boundary allowance is the average such atom mass; diff should be
-    explained by it plus a few standard errors.
+    circle, and for an iid ensemble the reversed section has the same law,
+    so the expected mass inside radius t matches the expected mass at or
+    beyond 1/t, zeros at infinity included. Each trial is solved once;
+    lhs is the mean of F(t), rhs is 1 - the mean fraction of zeros strictly
+    inside 1/t, and diff and stderr are the mean and standard error of the
+    per-trial differences. The reported boundary allowance is the average
+    atom mass sitting on |w| = t; diff should be explained by it plus a
+    few standard errors.
     """
     E = as_ensemble(E)
     if not E.iid:
@@ -374,7 +353,7 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
         raise DomainError("radius t must lie in (0, 1]")
     if trials < 10:
         raise DomainError("need at least 10 trials")
-    diffs, fwd, rev, boundary = [], [], [], []
+    inside, inside_inverse, boundary = [], [], []
     failures = 0
     for trial in range(trials):
         coeffs = sample_coeffs(E, n, seed, trial)
@@ -383,24 +362,20 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
             continue
         try:
             Z = find_zeros(Polynomial(coeffs, n), tol=tol)
-            Zr = find_zeros(Polynomial(coeffs[::-1].copy(), n), tol=tol)
         except ConvergenceError:
             failures += 1
             continue
-        F = float(counting_fn(Z, t))
-        G = float(counting_fn(Zr, 1.0 / t))
         moduli = np.abs(Z.finite_zeros)
+        inside.append(float(counting_fn(Z, t)))
+        inside_inverse.append(float(np.count_nonzero(moduli < 1.0 / t)) / n)
         boundary.append(float(np.count_nonzero(np.abs(moduli - t) <= 1e-9)) / n)
-        fwd.append(F)
-        rev.append(G)
-        diffs.append(F - (1.0 - G))
-    used = len(diffs)
+    used = len(inside)
     if used < 2:
         raise ConvergenceError("too few usable trials", residual=float("nan"))
-    d = np.asarray(diffs)
+    d = np.asarray(inside) + np.asarray(inside_inverse) - 1.0
     return SymmetryReport(
-        lhs=float(np.mean(fwd)),
-        rhs=float(1.0 - np.mean(rev)),
+        lhs=float(np.mean(inside)),
+        rhs=float(1.0 - np.mean(inside_inverse)),
         diff=float(np.mean(d)),
         stderr=float(np.std(d, ddof=1) / math.sqrt(used)),
         boundary_allowance=float(np.mean(boundary)),
@@ -422,14 +397,6 @@ def path_root_limsup(E: Ensemble, N: int, seed: int, trial: int = 0) -> float:
     ns = np.arange((N + 1) // 2, N + 1)
     with np.errstate(over="ignore"):
         return float(np.max(np.exp(logs[ns] / ns)))
-
-
-def path_window_liminf(E: Ensemble, gamma: float, N: int, seed: int,
-                       trial: int = 0) -> float:
-    """Window-maximum root liminf along one sampled path."""
-    E = as_ensemble(E)
-    logs = sample_log_abs(E, N, seed, trial)
-    return window_liminf_from_logs(logs, gamma, N)
 
 
 def dyadic_empty_window_probe(E: Ensemble, gamma: float, max_n: int,

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "SzegoError",
+    "DomainError",
+    "ConvergenceError",
+    "VerificationError",
+    "CoefficientOverflowError",
+]
+
 
 class SzegoError(Exception):
     """Base class for all library-specific errors."""

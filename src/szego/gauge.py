@@ -22,12 +22,10 @@ __all__ = [
     "DEFAULT_GAMMA_GRID",
     "GaugeReport",
     "window_max",
-    "window_root_liminf",
     "window_liminf_from_logs",
     "gauge_and_index",
     "coeff_root_range",
     "gauge_coverage_bound",
-    "infinite_gap_diagnostic",
 ]
 
 DEFAULT_GAMMA_GRID = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5,
@@ -64,7 +62,8 @@ def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
 
     The liminf surrogate: a sliding-window maximum over the coefficient logs
     (monotone deque, O(N)), minimized over the dyadic tail window. An all-zero
-    window gives estimate 0.
+    window gives estimate 0. At gamma = 0.99, values well below 1 flag gaps so
+    long that even near-full windows go negligible infinitely often.
     """
     gamma = _check_gamma(gamma)
     if N < 64:
@@ -87,11 +86,6 @@ def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
                 top = max(top, logs[0])
             best = min(best, top / n)
     return float(np.exp(best))
-
-
-def window_root_liminf(stream: Series, gamma: float, N: int) -> float:
-    """Liminf surrogate for the n-th root of the window maximum."""
-    return window_liminf_from_logs(stream.log_abs(N), gamma, N)
 
 
 @dataclass(frozen=True)
@@ -172,12 +166,3 @@ def gauge_coverage_bound(G: float, T: float) -> float:
     if T <= 1.0 / G or T <= 1.0:
         raise DomainError("threshold T must exceed 1/G (and 1)")
     return max(0.0, 1.0 - math.log(1.0 / G) / math.log(T))
-
-
-def infinite_gap_diagnostic(stream: Series, N: int, gamma: float = 0.99) -> float:
-    """Estimate of the near-full-window root liminf.
-
-    Values well below 1 flag coefficient gaps so long that even windows
-    covering 99 percent of the indices go negligible infinitely often.
-    """
-    return window_root_liminf(stream, gamma, N)

@@ -16,7 +16,6 @@ __all__ = [
     "uniform_on_radii",
     "point_mass",
     "counting_fn",
-    "distribution_function",
     "compactify",
     "levy_distance",
     "weyl_sum",
@@ -121,11 +120,6 @@ def counting_fn(Z: ZeroSet, t):
     out = np.searchsorted(moduli, t, side="right") / n
     out = out + np.where(np.isinf(t), Z.infinity_count / n, 0.0)
     return out if out.shape else float(out)
-
-
-def distribution_function(Z: ZeroSet, ts) -> np.ndarray:
-    """counting_fn evaluated on a grid."""
-    return np.atleast_1d(np.asarray(counting_fn(Z, ts), dtype=float))
 
 
 def _check_probability(mu: RadialMeasure, name: str) -> None:

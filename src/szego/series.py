@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,17 +17,17 @@ __all__ = [
     "Series",
     "section",
     "reversed_companion",
+    "Geometric",
+    "Lacunary",
+    "InverseOneMinusZN",
+    "FactorialGaps",
+    "Rational",
+    "ZeroOne",
+    "Carlson",
+    "Explicit",
+    "RandomSeries",
     "carlson_coeff",
     "carlson_indices",
-    "geometric",
-    "lacunary",
-    "inverse_one_minus_zN",
-    "factorial_gaps",
-    "rational",
-    "zero_one",
-    "carlson",
-    "explicit",
-    "random_series",
     "parse_family",
     "series_from_descriptor",
     "load_explicit_csv",
@@ -78,13 +80,15 @@ class Series:
     """A deterministic coefficient stream a_0, a_1, a_2, ...
 
     Two streams with identical descriptors yield identical coefficients for
-    every index. Subclasses implement one family each; construct instances
-    through the module-level factory functions.
+    every index. Subclasses implement one family each; their constructors
+    accept both Python values and the text arguments of :func:`parse_family`.
     """
 
     kind = "abstract"
     #: families declared to have radius of convergence exactly 1
     radius_one = False
+    #: parse_family passes each argument as a comma list, lists split by "|"
+    list_args = False
 
     def values(self, n: int) -> np.ndarray:
         """Coefficients a_0..a_n as complex128.
@@ -160,7 +164,7 @@ class Lacunary(_IndicatorSeries):
     radius_one = True
 
     def __init__(self, q: int):
-        q = int(q)
+        q = _integer(q)
         if q < 2:
             raise DomainError("lacunary gap ratio q must be an integer >= 2")
         self.q = q
@@ -184,7 +188,7 @@ class InverseOneMinusZN(_IndicatorSeries):
     radius_one = True
 
     def __init__(self, N: int):
-        N = int(N)
+        N = _integer(N)
         if N < 1:
             raise DomainError("N must be a positive integer")
         self.N = N
@@ -203,16 +207,7 @@ class FactorialGaps(_IndicatorSeries):
     radius_one = True
 
     def indices(self, n: int) -> np.ndarray:
-        out = []
-        m, k = 1, 1
-        while m <= n:
-            out.append(m)
-            k += 1
-            m *= k
-        return np.array(sorted(set(out)), dtype=np.intp)
-
-    def params(self) -> dict:
-        return {}
+        return carlson_indices(1.0, n)
 
 
 class Rational(Series):
@@ -224,18 +219,18 @@ class Rational(Series):
 
     kind = "rational"
     radius_one = True
+    list_args = True
 
-    def __init__(self, numerator, denominator, _skip_root_check: bool = False):
-        num = [complex(c) for c in numerator]
-        den = [complex(c) for c in denominator]
+    def __init__(self, numerator, denominator):
+        num = [_complex(c) for c in numerator]
+        den = [_complex(c) for c in denominator]
         if not den or den[0] == 0:
             raise DomainError("denominator needs a nonzero constant term")
         if not num:
             num = [0j]
         self.numerator = tuple(num)
         self.denominator = tuple(den)
-        if not _skip_root_check:
-            self._check_denominator_roots()
+        self._check_denominator_roots()
 
     def _check_denominator_roots(self):
         den = np.array(self.denominator, dtype=np.complex128)
@@ -274,9 +269,10 @@ class ZeroOne(_IndicatorSeries):
     """Ones on an explicitly listed index set."""
 
     kind = "zero_one"
+    list_args = True
 
-    def __init__(self, index_set):
-        idx = sorted({int(i) for i in index_set})
+    def __init__(self, indices):
+        idx = sorted({_integer(i) for i in indices})
         if not idx or idx[0] < 0:
             raise DomainError("index set must be nonempty with nonnegative entries")
         self.index_set = tuple(idx)
@@ -301,8 +297,8 @@ class Carlson(Series):
     radius_one = True
 
     def __init__(self, t: float, g: float):
-        t = float(t)
-        g = float(g)
+        t = float(_exact(t))
+        g = float(_exact(g))
         if not 0 < t <= 1:
             raise DomainError("t must satisfy 0 < t <= 1")
         if not 0 <= g < 1:
@@ -339,9 +335,10 @@ class Explicit(Series):
     """A finite coefficient list, implicitly zero beyond its end."""
 
     kind = "explicit"
+    list_args = True
 
     def __init__(self, coeffs):
-        cs = [complex(c) for c in coeffs]
+        cs = [_complex(c) for c in coeffs]
         if not cs:
             raise DomainError("explicit coefficient list must be nonempty")
         self.coeffs = tuple(cs)
@@ -370,7 +367,7 @@ class RandomSeries(Series):
         from .ensembles import as_ensemble
 
         self.ensemble = as_ensemble(ensemble)
-        self.seed = int(seed)
+        self.seed = _integer(seed)
 
     def values(self, n: int) -> np.ndarray:
         from .ensembles import sample_coeffs
@@ -391,40 +388,33 @@ def _check_horizon(n) -> None:
         raise DomainError("coefficient horizon must be a natural number")
 
 
-def geometric() -> Series:
-    return Geometric()
+def _exact(x) -> Fraction:
+    """A real number given as a number or as text such as ``3/2``, exactly."""
+    try:
+        return Fraction(x if isinstance(x, (str, numbers.Rational)) else float(x))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"expected a real number, got {x!r}") from None
 
 
-def lacunary(q: int) -> Series:
-    return Lacunary(q)
+def _integer(x) -> int:
+    """An integral value; 2.5 or ``"x"`` raise DomainError instead of truncating."""
+    v = _exact(x)
+    if v.denominator != 1:
+        raise DomainError(f"expected an integer, got {x!r}")
+    return int(v)
 
 
-def inverse_one_minus_zN(N: int) -> Series:
-    return InverseOneMinusZN(N)
-
-
-def factorial_gaps() -> Series:
-    return FactorialGaps()
-
-
-def rational(numerator, denominator) -> Series:
-    return Rational(numerator, denominator)
-
-
-def zero_one(index_set) -> Series:
-    return ZeroOne(index_set)
-
-
-def carlson(t: float, g: float) -> Series:
-    return Carlson(t, g)
-
-
-def explicit(coeffs) -> Series:
-    return Explicit(coeffs)
-
-
-def random_series(ensemble, seed: int) -> Series:
-    return RandomSeries(ensemble, seed)
+def _complex(x) -> complex:
+    """A coefficient given as a number, an ``[re, im]`` pair or text like ``1/2``."""
+    try:
+        if isinstance(x, str):
+            return complex(Fraction(x)) if "/" in x else complex(x)
+        if isinstance(x, (list, tuple)):
+            re_part, im_part = x
+            return complex(re_part, im_part)
+        return complex(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise DomainError(f"expected a number, got {x!r}") from None
 
 
 def carlson_indices(t: float, limit: int) -> np.ndarray:
@@ -453,16 +443,11 @@ def carlson_indices(t: float, limit: int) -> np.ndarray:
 
 def carlson_coeff(t: float, g: float, n: int) -> float:
     """Single coefficient of the carlson family: 1 on the sequence, g^n off it."""
-    t = float(t)
-    g = float(g)
-    if not 0 < t <= 1:
-        raise DomainError("t must satisfy 0 < t <= 1")
-    if not 0 <= g < 1:
-        raise DomainError("g must satisfy 0 <= g < 1")
+    s = Carlson(t, g)
     _check_horizon(n)
-    if n in carlson_indices(t, n):
+    if n in carlson_indices(s.t, n):
         return 1.0
-    return float(g) ** int(n)
+    return s.g ** int(n)
 
 
 def section(stream: Series, n: int) -> Polynomial:
@@ -476,78 +461,48 @@ def reversed_companion(P: Polynomial) -> Polynomial:
     return Polynomial(P.coeffs[::-1].copy(), P.formal_degree)
 
 
-_SIMPLE_FACTORIES = {
-    "geometric": (geometric, ()),
-    "lacunary": (lacunary, (int,)),
-    "inverse_one_minus_zN": (inverse_one_minus_zN, (int,)),
-    "factorial_gaps": (factorial_gaps, ()),
-    "carlson": (carlson, (float, float)),
-}
+_FAMILIES = {cls.kind: cls for cls in (
+    Geometric, Lacunary, InverseOneMinusZN, FactorialGaps, Rational, ZeroOne,
+    Carlson, Explicit, RandomSeries)}
 
 
-def _parse_number(text: str) -> complex:
-    text = text.strip()
-    if "/" in text:
-        return complex(Fraction(text))
-    return complex(text)
+def _family(kind) -> type[Series]:
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise DomainError(f"unknown family {kind!r}")
+    return _FAMILIES[kind]
+
+
+def _construct(cls: type[Series], *args, **kwargs) -> Series:
+    try:
+        inspect.signature(cls).bind(*args, **kwargs)
+    except TypeError as exc:
+        raise DomainError(f"family {cls.kind!r}: {exc}") from None
+    return cls(*args, **kwargs)
 
 
 def parse_family(text: str) -> Series:
     """Build a Series from a CLI descriptor like ``lacunary:2``.
 
-    Grammar: ``name`` or ``name:arg1,arg2``; the rational family separates
-    numerator and denominator lists with ``|``; the random family takes an
-    ensemble descriptor and a seed, e.g. ``random:bernoulli(0.5),7``.
+    Grammar: ``name`` or ``name:arg1,arg2``; the families that take lists
+    (zero_one, explicit, rational) read each list as comma-separated items,
+    and rational separates numerator and denominator with ``|``; the random
+    family takes an ensemble descriptor and a seed, e.g.
+    ``random:bernoulli(0.5),7``.
     """
     name, _, argtext = text.partition(":")
-    name = name.strip()
-    args = [a for a in argtext.split(",") if a.strip()] if argtext else []
-    if name in _SIMPLE_FACTORIES:
-        factory, sig = _SIMPLE_FACTORIES[name]
-        if len(args) != len(sig):
-            raise DomainError(f"family {name!r} takes {len(sig)} argument(s)")
-        return factory(*(conv(a) for conv, a in zip(sig, args)))
-    if name == "zero_one":
-        if not args:
-            raise DomainError("zero_one needs a comma-separated index list")
-        return zero_one(int(a) for a in args)
-    if name == "explicit":
-        if not args:
-            raise DomainError("explicit needs a comma-separated coefficient list")
-        return explicit(_parse_number(a) for a in args)
-    if name == "rational":
-        num_text, sep, den_text = argtext.partition("|")
-        if not sep:
-            raise DomainError("rational syntax is rational:p0,p1,...|q0,q1,...")
-        num = [_parse_number(a) for a in num_text.split(",") if a.strip()]
-        den = [_parse_number(a) for a in den_text.split(",") if a.strip()]
-        return rational(num, den)
-    if name == "random":
-        if len(args) != 2:
-            raise DomainError("random syntax is random:<ensemble>,<seed>")
-        return random_series(args[0].strip(), int(args[1]))
-    raise DomainError(f"unknown family {name!r}")
+    cls = _family(name.strip())
+    if cls.list_args:
+        args = [[a for a in part.split(",") if a.strip()]
+                for part in argtext.split("|")]
+    else:
+        args = [a for a in argtext.split(",") if a.strip()]
+    return _construct(cls, *args)
 
 
 def series_from_descriptor(d: dict) -> Series:
     """Inverse of Series.descriptor() for JSON round-trips."""
     d = dict(d)
-    kind = d.pop("kind", None)
-    if kind in _SIMPLE_FACTORIES:
-        factory, _ = _SIMPLE_FACTORIES[kind]
-        return factory(**d)
-    if kind == "zero_one":
-        return zero_one(d["indices"])
-    if kind == "explicit":
-        return explicit(complex(re, im) for re, im in d["coeffs"])
-    if kind == "rational":
-        return rational(
-            [complex(re, im) for re, im in d["numerator"]],
-            [complex(re, im) for re, im in d["denominator"]],
-        )
-    if kind == "random":
-        return random_series(d["ensemble"], d["seed"])
-    raise DomainError(f"unknown family kind {kind!r}")
+    return _construct(_family(d.pop("kind", None)), **d)
 
 
 def load_explicit_csv(path) -> Series:
@@ -567,4 +522,4 @@ def load_explicit_csv(path) -> Series:
                     continue  # tolerate a header row
                 raise DomainError(f"bad coefficient line {lineno + 1}: {line!r}")
             coeffs.append(complex(re_part, im_part))
-    return explicit(coeffs)
+    return Explicit(coeffs)

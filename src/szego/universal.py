@@ -42,10 +42,14 @@ __all__ = [
     "verify_step",
     "build_universal",
     "cycle_targets",
+    "parse_targets",
 ]
 
 #: guaranteed lower bound for |1 - (z/r)^M| on the ring-disk boundaries
 RING_MARGIN = 3.0 - math.e
+
+#: points sampled on each ring-disk boundary when auditing the margin
+_BOUNDARY_POINTS = 64
 
 
 def _as_fraction(x) -> Fraction:
@@ -272,8 +276,8 @@ class StepReport:
         }
 
 
-def verify_step(state: BuildState, phi: TargetMeasure, tol: float = 1e-10,
-                boundary_points: int = 64) -> StepReport:
+def verify_step(state: BuildState, phi: TargetMeasure,
+                tol: float = 1e-10) -> StepReport:
     """Audit the most recent step by actually finding the section's zeros.
 
     Checks, in order: the ring disks centered at r_j times each M-th root
@@ -319,7 +323,7 @@ def verify_step(state: BuildState, phi: TargetMeasure, tol: float = 1e-10,
             raise VerificationError("a zero was claimed by two ring disks")
         claimed |= hit
 
-    angles = np.exp(2j * np.pi * np.arange(boundary_points) / boundary_points)
+    angles = np.exp(2j * np.pi * np.arange(_BOUNDARY_POINTS) / _BOUNDARY_POINTS)
     min_margin = math.inf
     for r in phi.radii:
         rf = float(r)

@@ -15,16 +15,15 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from szego import (Polynomial, TargetMeasure, bernoulli, bernoulli_inv_n,
-                   carlson, cauchy_bound, counting_fn, dyadic_empty_window_probe,
-                   entropy, find_zeros, gauge_and_index, gaussian_complex,
-                   geometric, initial_state, inner_cauchy_bound,
-                   inner_van_vleck_bound, inverse_one_minus_zN,
-                   inverse_power_sum, jensen_identity, lacunary,
+from szego import (Carlson, Ensemble, Geometric, InverseOneMinusZN, Lacunary,
+                   Polynomial, TargetMeasure, cauchy_bound, counting_fn,
+                   dyadic_empty_window_probe, entropy, find_zeros,
+                   gauge_and_index, initial_state, inner_cauchy_bound,
+                   inner_van_vleck_bound, inverse_power_sum, jensen_identity,
                    levy_distance, mc_expected_cdf, radial_projection,
                    reversal_symmetry_check, section, step, van_vleck_bound,
                    verify_step, viete_checks, weak_jensen_check,
-                   window_root_liminf)
+                   window_liminf_from_logs)
 from szego.universal import RING_MARGIN
 
 
@@ -83,7 +82,7 @@ def test_criterion_01_geometric_sections():
     with criterion(1, budget=1.0) as c:
         worst = 0.0
         for n in (3, 15, 63):
-            Z = find_zeros(section(geometric(), n))
+            Z = find_zeros(section(Geometric(), n))
             ref = np.exp(2j * np.pi * np.arange(1, n + 1) / (n + 1))
             dist = _match_max_dist(Z.finite_zeros, ref)
             worst = max(worst, dist)
@@ -226,19 +225,20 @@ def test_criterion_05_inverse_power_sums():
 def test_criterion_06_gauge_and_index_estimates():
     with criterion(6, budget=30.0) as c:
         for q in (2, 3):
-            rep = gauge_and_index(lacunary(q), N=4096)
+            rep = gauge_and_index(Lacunary(q), N=4096)
             c.check(abs(rep.Gamma_hat - (1 - 1 / q)) <= 0.05,
                     f"lacunary {q}: index {rep.Gamma_hat}")
             c.check(rep.G_hat <= 0.05, f"lacunary {q}: gauge {rep.G_hat}")
             c.note(f"lac{q}: Gamma={rep.Gamma_hat:.2f} G={rep.G_hat:.3f}")
         for t, g in ((0.3, 0.6), (0.5, 0.5)):
-            rep = gauge_and_index(carlson(t, g), N=4096)
+            rep = gauge_and_index(Carlson(t, g), N=4096)
             c.check(abs(rep.Gamma_hat - t) <= 0.05,
                     f"carlson({t},{g}): index {rep.Gamma_hat}")
             c.check(abs(rep.G_hat - g) <= 0.05,
                     f"carlson({t},{g}): gauge {rep.G_hat}")
             gamma = t / 2
-            est = window_root_liminf(carlson(t, g), gamma, 4096)
+            est = window_liminf_from_logs(Carlson(t, g).log_abs(4096), gamma,
+                                          4096)
             want = g ** (1 - gamma)
             c.check(abs(est - want) <= 0.05,
                     f"carlson({t},{g}): window estimate {est:.3f} "
@@ -249,8 +249,8 @@ def test_criterion_06_gauge_and_index_estimates():
 
 def test_criterion_07_circle_clustering_and_gaps():
     with criterion(7, budget=120.0) as c:
-        for fam, name in ((geometric(), "geometric"),
-                          (inverse_one_minus_zN(3), "inv_one_minus_z3")):
+        for fam, name in ((Geometric(), "geometric"),
+                          (InverseOneMinusZN(3), "inv_one_minus_z3")):
             for n in (512, 1024):
                 Z = find_zeros(section(fam, n))
                 F = counting_fn(Z, 1.2)
@@ -258,7 +258,7 @@ def test_criterion_07_circle_clustering_and_gaps():
                 c.note(f"{name}@{n}: F(1.2)={F:.3f}")
         for k in (7, 8, 9):
             n = 2 ** k - 1
-            Z = find_zeros(section(lacunary(2), n))
+            Z = find_zeros(section(Lacunary(2), n))
             for T in (2.0, 4.0):
                 F = counting_fn(Z, T)
                 c.check(F <= 0.9,
@@ -268,8 +268,8 @@ def test_criterion_07_circle_clustering_and_gaps():
 
 def test_criterion_08_random_ensembles():
     with criterion(8, budget=300.0) as c:
-        for E, name in ((gaussian_complex(), "gauss"),
-                        (bernoulli(0.5), "bern")):
+        for E, name in ((Ensemble("gaussian_complex"), "gauss"),
+                        (Ensemble("bernoulli", 0.5), "bern")):
             rep = mc_expected_cdf(E, 256, [0.9, 1.0, 1.1], trials=100,
                                   seed=1, weyl_orders=(1,))
             c.check(rep.phi_hat[2] >= 0.85,
@@ -292,7 +292,7 @@ def test_criterion_08_random_ensembles():
                    f"sym={sym.diff:.1e}")
         empty = 0
         for seed in range(5):
-            probe = dyadic_empty_window_probe(bernoulli_inv_n(), 0.5,
+            probe = dyadic_empty_window_probe(Ensemble("bernoulli_inv_n"), 0.5,
                                               2 ** 17, seed=seed)
             empty += sum(probe.values())
         c.check(empty >= 1, "no empty half window in any dyadic probe")
@@ -373,9 +373,9 @@ def test_criterion_10_worker_determinism():
     with criterion(10, budget=60.0) as c:
         kw = dict(n=96, t_grid=[0.9, 1.1], trials=24, seed=5,
                   weyl_orders=(1, 2))
-        reports = [mc_expected_cdf(gaussian_complex(), workers=w, **kw)
-                   for w in (1, 2, 4)]
-        again = mc_expected_cdf(gaussian_complex(), workers=2, **kw)
+        E = Ensemble("gaussian_complex")
+        reports = [mc_expected_cdf(E, workers=w, **kw) for w in (1, 2, 4)]
+        again = mc_expected_cdf(E, workers=2, **kw)
         for other, label in [(reports[1], "w2"), (reports[2], "w4"),
                              (again, "w2 rerun")]:
             c.check(reports[0].phi_hat == other.phi_hat,

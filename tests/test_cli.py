@@ -169,6 +169,24 @@ def test_non_finite_coefficients_exit_1(capsys, command, family):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--n", "4", "--family", "lacunary:x"],
+    ["zeros", "--n", "4", "--family", "carlson:a,0.5"],
+    ["zeros", "--n", "4", "--family", "explicit:foo"],
+    ["zeros", "--n", "4", "--family", "explicit:1/0"],
+    ["zeros", "--n", "4", "--family", "zero_one:a"],
+    ["zeros", "--n", "4", "--family", "random:gaussian_complex,abc"],
+    ["zeros", "--n", "4", "--family", "random:bernoulli(x),1"],
+    ["random", "--ensemble", "bernoulli(x)", "--n", "8", "--trials", "10"],
+])
+def test_malformed_descriptors_exit_1(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_random_rejects_worker_count_below_one(capsys, monkeypatch, workers):
     def no_pool(*args, **kwargs):

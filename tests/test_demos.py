@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("demo", ["coefficient_bounds.py",
                                   "sections_and_measures.py",
-                                  "gauge_and_index.py"])
+                                  "gauge_and_index.py",
+                                  "random_series.py",
+                                  "universal_series.py"])
 def test_demo_runs_clean(demo):
     env = dict(os.environ)
     src = str(ROOT / "src")

@@ -7,10 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from szego import (DomainError, carlson, coeff_root_range, explicit,
-                   factorial_gaps, gauge_and_index, gauge_coverage_bound,
-                   geometric, infinite_gap_diagnostic, lacunary, window_max,
-                   window_liminf_from_logs, window_root_liminf, zero_one)
+from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
+                   Lacunary, ZeroOne, coeff_root_range, gauge_and_index,
+                   gauge_coverage_bound, window_liminf_from_logs, window_max)
 
 
 def _brute_window_liminf(logs, gamma, N):
@@ -23,21 +22,21 @@ def _brute_window_liminf(logs, gamma, N):
 
 
 def test_window_max_examples():
-    assert window_max(geometric(), 10, 0.5) == 1.0
+    assert window_max(Geometric(), 10, 0.5) == 1.0
     # window {7} of the sparse family: coefficient g^7
-    assert window_max(carlson(0.5, 0.5), 7, 0.1) == pytest.approx(0.5 ** 7)
-    assert window_max(lacunary(2), 10, 0.5) == 1.0  # 8 lies in [5, 10]
-    assert window_max(lacunary(2), 11, 0.2) == 0.0  # [9, 11] has no power of 2
+    assert window_max(Carlson(0.5, 0.5), 7, 0.1) == pytest.approx(0.5 ** 7)
+    assert window_max(Lacunary(2), 10, 0.5) == 1.0  # 8 lies in [5, 10]
+    assert window_max(Lacunary(2), 11, 0.2) == 0.0  # [9, 11] has no power of 2
     with pytest.raises(DomainError):
-        window_max(geometric(), 10, 0.0)
+        window_max(Geometric(), 10, 0.0)
     with pytest.raises(DomainError):
-        window_max(geometric(), 0, 0.5)
+        window_max(Geometric(), 0, 0.5)
 
 
 def test_window_start_integer_boundary():
     # (1 - 0.3) * 20 lands a hair above 14.0 in floats; index 14 must
     # still open the window
-    s = zero_one([0, 14])
+    s = ZeroOne([0, 14])
     assert window_max(s, 20, 0.3) == 1.0
 
 
@@ -61,15 +60,17 @@ def test_window_liminf_preconditions():
 
 
 def test_window_root_liminf_families():
-    assert window_root_liminf(geometric(), 0.5, 256) == pytest.approx(1.0)
+    assert window_liminf_from_logs(Geometric().log_abs(256), 0.5, 256) \
+        == pytest.approx(1.0)
     # windows [0.6 n, n] miss every power of 2 for n just below 256
-    assert window_root_liminf(lacunary(2), 0.4, 256) == 0.0
+    assert window_liminf_from_logs(Lacunary(2).log_abs(256), 0.4, 256) == 0.0
     # windows [n/2, n] always contain a power of 2
-    assert window_root_liminf(lacunary(2), 0.5, 256) == pytest.approx(1.0)
+    assert window_liminf_from_logs(Lacunary(2).log_abs(256), 0.5, 256) \
+        == pytest.approx(1.0)
 
 
 def test_gauge_report_geometric():
-    rep = gauge_and_index(geometric(), N=128)
+    rep = gauge_and_index(Geometric(), N=128)
     assert all(L == pytest.approx(1.0) for L in rep.L_raw)
     assert rep.G_hat == pytest.approx(1.0)
     assert rep.Gamma_hat == rep.gamma_grid[0]
@@ -77,28 +78,28 @@ def test_gauge_report_geometric():
 
 
 def test_gauge_report_lacunary():
-    rep = gauge_and_index(lacunary(2), N=4096)
+    rep = gauge_and_index(Lacunary(2), N=4096)
     assert rep.Gamma_hat == pytest.approx(0.5)
     assert rep.G_hat <= 0.05
-    rep3 = gauge_and_index(lacunary(3), N=4096)
+    rep3 = gauge_and_index(Lacunary(3), N=4096)
     assert abs(rep3.Gamma_hat - (1 - 1 / 3)) <= 0.05
     assert rep3.G_hat <= 0.05
 
 
 def test_gauge_report_carlson_pairs():
-    rep = gauge_and_index(carlson(0.3, 0.6), N=1024)
+    rep = gauge_and_index(Carlson(0.3, 0.6), N=1024)
     assert abs(rep.Gamma_hat - 0.3) <= 0.05
     assert abs(rep.G_hat - 0.6) <= 0.05
-    rep2 = gauge_and_index(carlson(0.5, 0.5), N=1024)
+    rep2 = gauge_and_index(Carlson(0.5, 0.5), N=1024)
     assert abs(rep2.Gamma_hat - 0.5) <= 0.05
     assert abs(rep2.G_hat - 0.5) <= 0.05
     # mid-window estimate tracks g^(1-gamma)
-    est = window_root_liminf(carlson(0.5, 0.5), 0.25, 1024)
+    est = window_liminf_from_logs(Carlson(0.5, 0.5).log_abs(1024), 0.25, 1024)
     assert abs(est - 0.5 ** 0.75) <= 0.05
 
 
 def test_isotonic_adjustment():
-    rep = gauge_and_index(lacunary(2), N=512)
+    rep = gauge_and_index(Lacunary(2), N=512)
     assert all(b >= a for a, b in zip(rep.L_hat, rep.L_hat[1:]))
     # raw values are retained unmodified where already monotone
     assert rep.L_hat[-1] >= rep.L_raw[-1]
@@ -106,18 +107,18 @@ def test_isotonic_adjustment():
 
 def test_gauge_grid_validation():
     with pytest.raises(DomainError):
-        gauge_and_index(geometric(), gamma_grid=[0.5, 0.2], N=128)
+        gauge_and_index(Geometric(), gamma_grid=[0.5, 0.2], N=128)
     with pytest.raises(DomainError):
-        gauge_and_index(geometric(), gamma_grid=[0.0, 0.5], N=128)
+        gauge_and_index(Geometric(), gamma_grid=[0.0, 0.5], N=128)
 
 
 def test_coeff_root_range():
-    lo, hi = coeff_root_range(geometric(), 256)
+    lo, hi = coeff_root_range(Geometric(), 256)
     assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
-    lo2, hi2 = coeff_root_range(carlson(0.5, 0.5), 1024)
+    lo2, hi2 = coeff_root_range(Carlson(0.5, 0.5), 1024)
     assert lo2 == pytest.approx(0.5, abs=0.01)
     assert hi2 == pytest.approx(1.0, abs=0.01)
-    lo3, hi3 = coeff_root_range(lacunary(2), 1024)
+    lo3, hi3 = coeff_root_range(Lacunary(2), 1024)
     assert lo3 == 0.0 and hi3 == pytest.approx(1.0)
 
 
@@ -135,15 +136,18 @@ def test_gauge_coverage_bound():
 def test_infinite_gap_diagnostic():
     # factorial gaps: every near-full window up to 720 still catches a
     # factorial index, so the diagnostic stays at 1 at this horizon
-    assert infinite_gap_diagnostic(factorial_gaps(), 720) == pytest.approx(1.0)
+    assert window_liminf_from_logs(FactorialGaps().log_abs(720), 0.99, 720) \
+        == pytest.approx(1.0)
     # the gap structure is visible at gamma = 0.8 instead: windows
     # [0.2 n, n] between consecutive factorials go empty
-    assert window_root_liminf(factorial_gaps(), 0.8, 720) == 0.0
+    assert window_liminf_from_logs(FactorialGaps().log_abs(720), 0.8,
+                                   720) == 0.0
     # geometric never gaps
-    assert infinite_gap_diagnostic(geometric(), 512) == pytest.approx(1.0)
+    assert window_liminf_from_logs(Geometric().log_abs(512), 0.99, 512) \
+        == pytest.approx(1.0)
 
 
 def test_explicit_stream_window():
-    s = explicit([1.0, 0.0, 0.0, 4.0])
+    s = Explicit([1.0, 0.0, 0.0, 4.0])
     assert window_max(s, 3, 0.5) == 4.0
     assert window_max(s, 3, 0.1) == 4.0

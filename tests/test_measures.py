@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from szego import (DomainError, Polynomial, RadialMeasure, ZeroSet, compactify,
-                   counting_fn, distribution_function, find_zeros,
+                   counting_fn, find_zeros,
                    inverse_power_sum, levy_distance, point_mass,
                    radial_projection, uniform_on_radii, weyl_sum)
 
@@ -104,7 +104,7 @@ def test_counting_fn_brute_force():
         brute = (np.sum(np.abs(zs) <= t) + (3 if np.isinf(t) else 0)) / 12
         assert counting_fn(Z, t) == pytest.approx(brute)
     grid = np.array([0.5, 1.5])
-    assert np.allclose(distribution_function(Z, grid),
+    assert np.allclose(counting_fn(Z, grid),
                        [counting_fn(Z, 0.5), counting_fn(Z, 1.5)])
     with pytest.raises(DomainError):
         counting_fn(Z, -0.5)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from szego import (ConvergenceError, DomainError, Polynomial, find_zeros,
-                   geometric, section, sorted_moduli)
+from szego import (ConvergenceError, DomainError, Geometric, Polynomial,
+                   find_zeros, section, sorted_moduli)
 
 TOL = 1e-10
 
@@ -93,7 +93,7 @@ def test_trailing_zeros_become_infinity_atoms():
 
 def test_geometric_sections_hit_roots_of_unity():
     for n in (5, 50, 200):
-        P = section(geometric(), n)
+        P = section(Geometric(), n)
         Z = find_zeros(P)
         ref = np.exp(2j * np.pi * np.arange(1, n + 1) / (n + 1))
         assert _match_max_dist(Z.finite_zeros, ref) < 1e-8
@@ -162,9 +162,9 @@ def test_degenerate_inputs():
 
 
 def test_lacunary_high_degree_residuals():
-    from szego import lacunary
+    from szego import Lacunary
 
-    P = section(lacunary(2), 300)
+    P = section(Lacunary(2), 300)
     Z = find_zeros(P)
     assert Z.infinity_count == 300 - 256
     assert len(Z.finite_zeros) == 256

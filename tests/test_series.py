@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from szego import (DomainError, Polynomial, carlson, carlson_coeff, explicit,
-                   factorial_gaps, geometric, inverse_one_minus_zN, lacunary,
-                   load_explicit_csv, parse_family, rational, reversed_companion,
-                   section, series_from_descriptor, zero_one)
+from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
+                   InverseOneMinusZN, Lacunary, Polynomial, Rational, ZeroOne,
+                   carlson_coeff, load_explicit_csv, parse_family,
+                   reversed_companion, section, series_from_descriptor)
 from szego.series import carlson_indices
 
 
@@ -36,7 +36,7 @@ def test_polynomial_rejects_non_finite_coefficients(bad):
     with pytest.raises(DomainError):
         Polynomial(np.array([1.0, bad, 1.0]), 2)
     with pytest.raises(DomainError):
-        section(explicit([1.0, bad, 1.0]), 2)
+        section(Explicit([1.0, bad, 1.0]), 2)
 
 
 def test_polynomial_padding():
@@ -49,13 +49,13 @@ def test_polynomial_padding():
 
 
 def test_geometric_values():
-    s = geometric()
+    s = Geometric()
     assert np.array_equal(s.values(6), np.ones(7, dtype=complex))
     assert np.array_equal(s.log_abs(6), np.zeros(7))
 
 
 def test_lacunary_indicator():
-    s = lacunary(2)
+    s = Lacunary(2)
     v = s.values(20)
     expected = np.zeros(21)
     for k in [1, 2, 4, 8, 16]:
@@ -64,53 +64,53 @@ def test_lacunary_indicator():
     assert np.all(v.imag == 0)
     assert v[0] == 0  # the constant term is not part of the gap sequence
     with pytest.raises(DomainError):
-        lacunary(1)
+        Lacunary(1)
 
 
 def test_inverse_one_minus_zN_indicator():
-    s = inverse_one_minus_zN(3)
+    s = InverseOneMinusZN(3)
     v = s.values(10)
     for k in range(11):
         assert v[k] == (1.0 if k % 3 == 0 else 0.0)
 
 
 def test_factorial_gaps_indicator():
-    s = factorial_gaps()
+    s = FactorialGaps()
     v = s.values(750)
     ones = {int(k) for k in np.nonzero(v.real)[0]}
     assert ones == {1, 2, 6, 24, 120, 720}
 
 
 def test_rational_reproduces_geometric():
-    s = rational([1], [1, -1])
+    s = Rational([1], [1, -1])
     assert np.allclose(s.values(12), np.ones(13))
 
 
 def test_rational_alternating_and_shifted():
-    s = rational([1], [1, 0, -1])  # 1/(1 - z^2)
+    s = Rational([1], [1, 0, -1])  # 1/(1 - z^2)
     v = s.values(9)
     assert np.allclose(v.real, [1, 0, 1, 0, 1, 0, 1, 0, 1, 0])
-    s2 = rational([1, 1], [1, -1])  # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
+    s2 = Rational([1, 1], [1, -1])  # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
     v2 = s2.values(5)
     assert np.allclose(v2.real, [1, 2, 2, 2, 2, 2])
 
 
 def test_rational_rejects_off_circle_denominator():
     with pytest.raises(DomainError):
-        rational([1], [1, -0.5])  # pole at z = 2
+        Rational([1], [1, -0.5])  # pole at z = 2
     with pytest.raises(DomainError):
-        rational([1], [0, 1])  # zero constant term
+        Rational([1], [0, 1])  # zero constant term
 
 
 def test_zero_one_family():
-    s = zero_one([0, 3, 7])
+    s = ZeroOne([0, 3, 7])
     v = s.values(10)
     assert {int(k) for k in np.nonzero(v.real)[0]} == {0, 3, 7}
     assert np.array_equal(s.values(5).real, [1, 0, 0, 1, 0, 0])
     with pytest.raises(DomainError):
-        zero_one([])
+        ZeroOne([])
     with pytest.raises(DomainError):
-        zero_one([-1, 2])
+        ZeroOne([-1, 2])
 
 
 def test_carlson_indices_hand_values():
@@ -130,7 +130,7 @@ def test_carlson_indices_properties():
 
 
 def test_carlson_stream_values():
-    s = carlson(0.5, 0.5)
+    s = Carlson(0.5, 0.5)
     v = s.values(10).real
     idx = set(carlson_indices(0.5, 10))
     for k in range(11):
@@ -156,7 +156,7 @@ def test_carlson_coeff_single():
 
 
 def test_explicit_and_section():
-    s = explicit([1, 2, 3])
+    s = Explicit([1, 2, 3])
     P = section(s, 5)
     assert P.formal_degree == 5
     assert np.array_equal(P.coeffs.real, [1, 2, 3, 0, 0, 0])
@@ -201,6 +201,15 @@ def test_parse_family_fraction_and_errors():
     for bad in ("nope", "lacunary", "lacunary:2,3", "rational:1,2", "random:x"):
         with pytest.raises(DomainError):
             parse_family(bad)
+    # constructors reject non-integral values instead of truncating them
+    for build in (lambda: Lacunary(2.9), lambda: InverseOneMinusZN(2.5),
+                  lambda: ZeroOne([0.5, 1.7]), lambda: Carlson("a", 0.5),
+                  lambda: Explicit(["1/0"])):
+        with pytest.raises(DomainError):
+            build()
+    for bad in ({"kind": "lacunary", "ratio": 2}, {"kind": ["lacunary"]}):
+        with pytest.raises(DomainError):
+            series_from_descriptor(bad)
 
 
 def test_load_explicit_csv(tmp_path):
@@ -215,9 +224,9 @@ def test_load_explicit_csv(tmp_path):
 
 
 def test_stream_equality_and_hash():
-    assert lacunary(2) == lacunary(2)
-    assert lacunary(2) != lacunary(3)
-    assert hash(carlson(0.5, 0.5)) == hash(carlson(0.5, 0.5))
+    assert Lacunary(2) == Lacunary(2)
+    assert Lacunary(2) != Lacunary(3)
+    assert hash(Carlson(0.5, 0.5)) == hash(Carlson(0.5, 0.5))
 
 
 def test_random_series_is_deterministic():
