@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, VerificationError
-from .series import Polynomial
+from .series import Polynomial, _circle_values
 
 __all__ = [
     "BoundsReport",
@@ -102,10 +102,6 @@ def _reciprocal(x: float) -> float:
     return math.inf if x == 0 else 1.0 / x
 
 
-def _abs_coeffs(P: Polynomial) -> np.ndarray:
-    return np.abs(P.coeffs)
-
-
 def cauchy_bound(P: Polynomial) -> float:
     """Radius C with every zero of P in |w| <= C.
 
@@ -113,7 +109,7 @@ def cauchy_bound(P: Polynomial) -> float:
     leading coefficient vanishes, 0 when no lower coefficient survives.
     Solved by certified-start Newton in ln x, accurate to about 1e-13.
     """
-    c = _abs_coeffs(P)
+    c = np.abs(P.coeffs)
     if not np.any(c > 0):
         raise DomainError("zero polynomial has no Cauchy bound")
     return _outer_radius(c, P.formal_degree)
@@ -127,7 +123,7 @@ def inner_cauchy_bound(P: Polynomial) -> float:
     constant polynomial has no finite zeros, so every radius works: returns
     +inf.
     """
-    c = _abs_coeffs(P)
+    c = np.abs(P.coeffs)
     if c[0] == 0:
         raise DomainError("constant coefficient is zero; deflate origin zeros first")
     return _reciprocal(_outer_radius(c[::-1], P.formal_degree))
@@ -143,7 +139,7 @@ def van_vleck_bound(P: Polynomial, m: int) -> float:
     n = P.formal_degree
     if not 1 <= m <= n:
         raise DomainError(f"m must lie in [1, {n}]")
-    return _outer_radius(_abs_coeffs(P), m)
+    return _outer_radius(np.abs(P.coeffs), m)
 
 
 def inner_van_vleck_bound(P: Polynomial, m: int, return_slack: bool = False):
@@ -155,7 +151,7 @@ def inner_van_vleck_bound(P: Polynomial, m: int, return_slack: bool = False):
     With ``return_slack`` also returns the log-slack of the audit inequality
     ln|b_0| <= ln C(n, m-1) + max ln|b_k| + n ln max(1, v), which must be >= 0.
     """
-    c = _abs_coeffs(P)
+    c = np.abs(P.coeffs)
     n = P.formal_degree
     if not 1 <= m <= n:
         raise DomainError(f"m must lie in [1, {n}]")
@@ -182,10 +178,6 @@ def entropy(x: float) -> float:
     return -(x * math.log(x) + (1 - x) * math.log(1 - x))
 
 
-def _finite_zero_moduli(Z) -> np.ndarray:
-    return np.abs(np.asarray(Z.finite_zeros, dtype=np.complex128))
-
-
 def jensen_identity(P: Polynomial, Z, quad_points: int = 4096):
     """Both sides of the circular-mean identity for log zero moduli.
 
@@ -199,15 +191,14 @@ def jensen_identity(P: Polynomial, Z, quad_points: int = 4096):
     n = P.formal_degree
     if c[0] == 0 or c[n] == 0:
         raise DomainError("identity needs nonzero first and last coefficients")
-    moduli = _finite_zero_moduli(Z)
+    moduli = np.abs(Z.finite_zeros)
     with np.errstate(divide="ignore"):
         lhs = float(np.sum(np.abs(np.log(moduli))))
     if len(moduli) and float(np.min(np.abs(moduli - 1.0))) < UNIMODULAR_TOL:
         warnings.warn(
             "zero within 1e-9 of the unit circle; quadrature accuracy degrades "
             "to about 1e-3", RuntimeWarning, stacklevel=2)
-    theta = np.linspace(0.0, 2.0 * math.pi, quad_points, endpoint=False)
-    vals = np.abs(P(np.exp(1j * theta)))
+    vals = np.abs(_circle_values(c, quad_points))
     with np.errstate(divide="ignore"):
         mean_log = float(np.mean(2.0 * np.log(vals)))
     rhs = mean_log - math.log(abs(c[0])) - math.log(abs(c[n]))
@@ -227,7 +218,7 @@ def weak_jensen_check(P: Polynomial, Z, T: float, quad_points: int = 4096):
     n = P.formal_degree
     if n < 1:
         raise DomainError("degree must be positive")
-    moduli = _finite_zero_moduli(Z)
+    moduli = np.abs(Z.finite_zeros)
     F_T = float(np.count_nonzero(moduli <= T)) / n
     F_invT = float(np.count_nonzero(moduli <= 1.0 / T)) / n
     lhs = math.log(T) * (1.0 - F_T + F_invT)
@@ -264,9 +255,9 @@ def viete_checks(P: Polynomial, Z) -> VieteReport:
     the k smallest (resp. n-k largest) zero moduli is compared against the
     binomial bound; slacks are reported in nats and must be nonnegative.
     """
-    c = _abs_coeffs(P)
+    c = np.abs(P.coeffs)
     n = P.formal_degree
-    moduli = np.sort(_finite_zero_moduli(Z))
+    moduli = np.sort(np.abs(Z.finite_zeros))
     with np.errstate(divide="ignore"):
         logm = np.log(moduli)
     logm = np.concatenate([logm, np.full(Z.infinity_count, math.inf)])

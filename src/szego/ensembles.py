@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
+from .gauge import _window_start
 from .measures import counting_fn, weyl_sum
 from .roots import find_zeros
 from .series import Polynomial
@@ -67,9 +68,9 @@ class Ensemble:
       divergent sum still forces infinitely many nonzero coefficients
       along almost every path.
     - ``log_heavy_tail`` (alpha): |a_k| = exp(V) with V Pareto(alpha),
-      uniform phase. E[ln^+ |a_k|] = E[V] is finite only for alpha > 1; at
-      or below 1 the log moment diverges and root clustering at the unit
-      circle may fail.
+      uniform phase, for finite alpha > 53/1024. E[ln^+ |a_k|] = E[V] is
+      finite only for alpha > 1; at or below 1 the log moment diverges and
+      root clustering at the unit circle may fail.
     """
 
     kind: str
@@ -85,8 +86,9 @@ class Ensemble:
             raise DomainError(f"ensemble {self.kind} takes no parameter")
         if self.kind == "bernoulli" and not 0.0 < self.param <= 1.0:
             raise DomainError("bernoulli probability must lie in (0, 1]")
-        if self.kind == "log_heavy_tail" and not self.param > 0.0:
-            raise DomainError("heavy tail exponent must be positive")
+        # 1 - u >= 2^-53, so (1 - u)^(-1/alpha) overflows once alpha <= 53/1024
+        if self.kind == "log_heavy_tail" and not 53 / 1024 < self.param < math.inf:
+            raise DomainError("heavy tail exponent must be finite and exceed 53/1024")
 
     @property
     def iid(self) -> bool:
@@ -416,7 +418,6 @@ def dyadic_empty_window_probe(E: Ensemble, gamma: float, max_n: int,
     out: dict[int, bool] = {}
     n = 2
     while n <= max_n:
-        start = max(0, math.ceil((1.0 - gamma) * n - 1e-9))
-        out[n] = bool(np.all(np.isneginf(logs[start:n + 1])))
+        out[n] = bool(np.all(np.isneginf(logs[_window_start(gamma, n):n + 1])))
         n *= 2
     return out

@@ -10,7 +10,6 @@ never underflow.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,11 @@ DEFAULT_GAMMA_GRID = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5,
 INDEX_THRESHOLD = 0.95
 
 
-def _window_start(gamma: float, n: int) -> int:
+def _window_start(gamma: float, n):
+    """First index ceil((1-gamma) n) of the window ending at n; n may be an array."""
     # the 1e-9 backoff keeps ceil stable when (1-gamma)*n is an integer
     # that binary arithmetic lands a hair above
-    return max(0, math.ceil((1.0 - gamma) * n - 1e-9))
+    return np.maximum(0, np.ceil((1.0 - gamma) * n - 1e-9)).astype(np.intp)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -60,8 +60,10 @@ def window_max(stream: Series, n: int, gamma: float) -> float:
 def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
     """min over n in [N/2, N] of (window max)^(1/n), from raw log magnitudes.
 
-    The liminf surrogate: a sliding-window maximum over the coefficient logs
-    (monotone deque, O(N)), minimized over the dyadic tail window. An all-zero
+    The liminf surrogate: the window maximum of the coefficient logs at every
+    n of the dyadic tail window, minimized over n. Each maximum is the larger
+    of two overlapping power-of-two blocks, taken from a doubling table that
+    keeps only its current level (O(N log N) work, O(N) memory). An all-zero
     window gives estimate 0. At gamma = 0.99, values well below 1 flag gaps so
     long that even near-full windows go negligible infinitely often.
     """
@@ -70,22 +72,20 @@ def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
         raise DomainError("horizon N must be at least 64")
     if len(logs) < N + 1:
         raise DomainError("need coefficient logs up to index N")
-    n_lo = (N + 1) // 2
-    best = math.inf
-    q: deque[int] = deque()
-    for n in range(1, N + 1):
-        while q and logs[q[-1]] <= logs[n]:
-            q.pop()
-        q.append(n)
-        start = _window_start(gamma, n)
-        while q[0] < start:
-            q.popleft()
-        if n >= n_lo:
-            top = logs[q[0]]
-            if start == 0:
-                top = max(top, logs[0])
-            best = min(best, top / n)
-    return float(np.exp(best))
+    ns = np.arange((N + 1) // 2, N + 1)
+    starts = _window_start(gamma, ns)
+    # floor(log2(window length)), exact for integers
+    ks = np.frexp(ns - starts + 1)[1] - 1
+    tops = np.empty(len(ns))
+    # level[i] = max(logs[i : i + 2^k])
+    level = np.asarray(logs[:N + 1], dtype=float)
+    for k in range(int(ks.max()) + 1):
+        if k:
+            h = 1 << (k - 1)
+            level = np.maximum(level[:-h], level[h:])
+        sel = ks == k
+        tops[sel] = np.maximum(level[starts[sel]], level[ns[sel] - (1 << k) + 1])
+    return float(np.exp(np.min(tops / ns)))
 
 
 @dataclass(frozen=True)

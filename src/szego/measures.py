@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .roots import ZeroSet, sorted_moduli
+from .roots import ZeroSet
 
 __all__ = [
     "RadialMeasure",

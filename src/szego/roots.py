@@ -9,12 +9,13 @@ import numpy as np
 
 from .bounds import cauchy_bound, inner_cauchy_bound
 from .exceptions import ConvergenceError, DomainError
-from .series import Polynomial
+from .series import Polynomial, _horner
 
 __all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
 
-#: coefficients at or below this magnitude (absolutely, or relative to the
-#: largest coefficient) are treated as exact zeros for degree bookkeeping
+#: coefficients at or below this magnitude relative to the largest one are
+#: treated as exact zeros for degree bookkeeping; the rule is scale-invariant,
+#: like the zeros themselves
 DROP_TOL = 1e-300
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -66,8 +67,7 @@ def find_zeros(P: Polynomial, tol: float = 1e-10) -> ZeroSet:
     cmax = float(np.max(mags))
     if cmax == 0.0:
         raise DomainError("the zero polynomial has no zero set")
-    keep = (mags > DROP_TOL) & (mags > DROP_TOL * cmax)
-    nz = np.nonzero(keep)[0]
+    nz = np.nonzero(mags > DROP_TOL * cmax)[0]
     low, deg = int(nz[0]), int(nz[-1])
     core = c[low: deg + 1] / cmax
     d = deg - low
@@ -132,17 +132,33 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _horner_with_derivative(coeffs: np.ndarray, z: np.ndarray):
-    """Value, derivative, and same-degree absolute-value sum at |z|."""
-    az = np.abs(z)
-    p = np.full(z.shape, coeffs[-1])
-    dp = np.zeros_like(p)
-    s = np.full(z.shape, abs(coeffs[-1]))
-    for ck in coeffs[-2::-1]:
-        dp = dp * z + p
-        p = p * z + ck
-        s = s * az + abs(ck)
-    return p, dp, s
+def _newton_terms(core: np.ndarray, rev: np.ndarray, w: np.ndarray):
+    """Newton step P/P', |P| and sum_k |b_k| |w|^k at each point w.
+
+    Where |w| > 1 the reversed coefficients are evaluated at 1/w instead:
+    P(w) = w^d Q(1/w), so P/P' = w Q / (d Q - v Q') with v = 1/w, and |P|
+    and the sum both come divided by |w|^d, which leaves the backward-error
+    test |P| <= tol * sum unchanged.
+    """
+    d = len(core) - 1
+    outer = np.abs(w) > 1.0
+    inner = ~outer
+    nu = np.empty(len(w), dtype=np.complex128)
+    absp = np.empty(len(w))
+    s = np.empty(len(w))
+    if np.any(inner):
+        p, dp, s[inner] = _horner(core, w[inner])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu[inner] = p / dp
+        absp[inner] = np.abs(p)
+    if np.any(outer):
+        wo = w[outer]
+        v = 1.0 / wo
+        q, dq, s[outer] = _horner(rev, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu[outer] = wo * q / (d * q - v * dq)
+        absp[outer] = np.abs(q)
+    return nu, absp, s
 
 
 def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
@@ -156,25 +172,8 @@ def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
         act = np.nonzero(~done)[0]
         if len(act) == 0:
             return w
-        wa = w[act]
-        outer = np.abs(wa) > 1.0
-        nu = np.empty(len(act), dtype=np.complex128)
-        ok = np.empty(len(act), dtype=bool)
-        if np.any(~outer):
-            zi = wa[~outer]
-            p, dp, s = _horner_with_derivative(core, zi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nu[~outer] = p / dp
-            ok[~outer] = np.abs(p) <= tol * s
-        if np.any(outer):
-            v = 1.0 / wa[outer]
-            q, dq, s = _horner_with_derivative(rev, v)
-            # P(w) = w^d Q(1/w), so P'/P = (d Q - v Q') / (w Q) and the
-            # backward-error test |P(w)| <= tol * sum |b_k||w|^k divides
-            # through by |w|^d on both sides
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nu[outer] = wa[outer] * q / (d * q - v * dq)
-            ok[outer] = np.abs(q) <= tol * s
+        nu, absp, s = _newton_terms(core, rev, w[act])
+        ok = absp <= tol * s
         newly = act[ok]
         done[newly] = True
         act = act[~ok]
@@ -193,7 +192,8 @@ def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
         if np.any(over):
             corr[over] *= cap[over] / mag[over]
         w[act] -= corr
-    worst = _residual_ratio(core, rev, w, d)
+    _, absp, s = _newton_terms(core, rev, w)
+    worst = float(np.max(absp / s))
     raise ConvergenceError(
         f"simultaneous iteration stalled at residual ratio {worst:.3e}",
         residual=worst,
@@ -213,14 +213,3 @@ def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
         out[start: start + _CHUNK] = np.sum(1.0 / diff, axis=1)
     return out
 
-
-def _residual_ratio(core, rev, w, d) -> float:
-    outer = np.abs(w) > 1.0
-    worst = 0.0
-    if np.any(~outer):
-        p, _, s = _horner_with_derivative(core, w[~outer])
-        worst = max(worst, float(np.max(np.abs(p) / s)))
-    if np.any(outer):
-        q, _, s = _horner_with_derivative(rev, 1.0 / w[outer])
-        worst = max(worst, float(np.max(np.abs(q) / s)))
-    return worst

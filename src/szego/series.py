@@ -61,10 +61,7 @@ class Polynomial:
 
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or arrays."""
-        z = np.asarray(z, dtype=np.complex128)
-        acc = np.full(z.shape, self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
+        acc = _horner(self.coeffs, np.asarray(z, dtype=np.complex128))[0]
         return acc if acc.shape else complex(acc)
 
     def padded(self, formal_degree: int) -> "Polynomial":
@@ -76,6 +73,30 @@ class Polynomial:
         return Polynomial(out, formal_degree)
 
 
+def _horner(coeffs: np.ndarray, z: np.ndarray):
+    """Value, derivative, and same-degree absolute-value sum at |z|."""
+    az = np.abs(z)
+    p = np.full(z.shape, coeffs[-1])
+    dp = np.zeros_like(p)
+    s = np.full(z.shape, abs(coeffs[-1]))
+    for ck in coeffs[-2::-1]:
+        dp = dp * z + p
+        p = p * z + ck
+        s = s * az + abs(ck)
+    return p, dp, s
+
+
+def _circle_values(coeffs: np.ndarray, nodes: int) -> np.ndarray:
+    """P(exp(-2 pi i j / nodes)) for j = 0..nodes-1 by one FFT.
+
+    Coefficients are folded modulo ``nodes`` first (z^k = z^(k mod nodes)
+    at every node), so any node count works for any degree.
+    """
+    folded = np.zeros(-(-len(coeffs) // nodes) * nodes, dtype=np.complex128)
+    folded[:len(coeffs)] = coeffs
+    return np.fft.fft(folded.reshape(-1, nodes).sum(axis=0))
+
+
 class Series:
     """A deterministic coefficient stream a_0, a_1, a_2, ...
 
@@ -85,8 +106,6 @@ class Series:
     """
 
     kind = "abstract"
-    #: families declared to have radius of convergence exactly 1
-    radius_one = False
     #: parse_family passes each argument as a comma list, lists split by "|"
     list_args = False
 
@@ -146,7 +165,6 @@ class _IndicatorSeries(Series):
 
 class Geometric(Series):
     kind = "geometric"
-    radius_one = True
 
     def values(self, n: int) -> np.ndarray:
         _check_horizon(n)
@@ -161,7 +179,6 @@ class Lacunary(_IndicatorSeries):
     """Ones at the powers q^0, q^1, q^2, ... of an integer gap ratio."""
 
     kind = "lacunary"
-    radius_one = True
 
     def __init__(self, q: int):
         q = _integer(q)
@@ -185,7 +202,6 @@ class InverseOneMinusZN(_IndicatorSeries):
     """Expansion of 1/(1 - z^N): ones at every multiple of N."""
 
     kind = "inverse_one_minus_zN"
-    radius_one = True
 
     def __init__(self, N: int):
         N = _integer(N)
@@ -204,7 +220,6 @@ class FactorialGaps(_IndicatorSeries):
     """Ones exactly at the factorials 1, 2, 6, 24, ..."""
 
     kind = "factorial_gaps"
-    radius_one = True
 
     def indices(self, n: int) -> np.ndarray:
         return carlson_indices(1.0, n)
@@ -218,7 +233,6 @@ class Rational(Series):
     """
 
     kind = "rational"
-    radius_one = True
     list_args = True
 
     def __init__(self, numerator, denominator):
@@ -294,7 +308,6 @@ class Carlson(Series):
     """
 
     kind = "carlson"
-    radius_one = True
 
     def __init__(self, t: float, g: float):
         t = float(_exact(t))

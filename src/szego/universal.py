@@ -25,7 +25,7 @@ from .exceptions import (CoefficientOverflowError, DomainError,
                          VerificationError)
 from .measures import RadialMeasure, levy_distance, radial_projection
 from .roots import find_zeros
-from .series import Polynomial
+from .series import Polynomial, _circle_values
 
 __all__ = [
     "RING_MARGIN",
@@ -53,15 +53,11 @@ _BOUNDARY_POINTS = 64
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12)
-    raise DomainError(f"cannot interpret {x!r} as an exact radius")
+    try:
+        f = Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise DomainError(f"cannot interpret {x!r} as an exact radius") from None
+    return f.limit_denominator(10**12) if isinstance(x, float) else f
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,9 @@ def log_disk_sup(P: Polynomial, radius: float) -> float:
     deg = int(np.max(np.nonzero(mags)[0]))
     nodes = max(4096, _next_pow2(16 * (deg + 1)))
     nz = mags > 0
-    scaled = np.zeros(nodes, dtype=np.complex128)
-    scaled[:len(c)][nz] = (c[nz] / mags[nz]) * np.exp(L[nz] - top)
-    vals = np.fft.fft(scaled)
+    scaled = np.zeros(len(c), dtype=np.complex128)
+    scaled[nz] = (c[nz] / mags[nz]) * np.exp(L[nz] - top)
+    vals = _circle_values(scaled, nodes)
     sampled = top + math.log(1.05 * float(np.max(np.abs(vals))))
     return min(cap, sampled)
 

@@ -178,13 +178,24 @@ def test_non_finite_coefficients_exit_1(capsys, command, family):
     ["zeros", "--n", "4", "--family", "random:gaussian_complex,abc"],
     ["zeros", "--n", "4", "--family", "random:bernoulli(x),1"],
     ["random", "--ensemble", "bernoulli(x)", "--n", "8", "--trials", "10"],
+    ["universal", "--targets", '[["abc"]]'],
+    ["universal", "--targets", '[["inf"]]'],
+    ["universal", "--targets", '[["1/0"]]'],
+    ["universal", "--targets", "[[1e400]]"],
+    ["random", "--ensemble", "log_heavy_tail(inf)", "--n", "8",
+     "--trials", "10", "--t-grid", "1.0"],
+    ["random", "--ensemble", "log_heavy_tail(1e-300)", "--n", "8",
+     "--trials", "10", "--t-grid", "1.0"],
 ])
 def test_malformed_descriptors_exit_1(capsys, argv):
+    # pyproject turns a numpy RuntimeWarning into an error, so a warning
+    # printed next to a normal result cannot pass here
     rc = main(argv)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -199,3 +210,10 @@ def test_random_rejects_worker_count_below_one(capsys, monkeypatch, workers):
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_zeros_of_tiny_coefficients(capsys):
+    rc, out = _run(capsys, ["zeros", "--family", "explicit:1e-301,1e-301",
+                            "--n", "1"])
+    assert rc == 0
+    assert out.split("\n")[1:3] == ["-1,0,1", "# infinity_count: 0"]

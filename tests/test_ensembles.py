@@ -76,6 +76,17 @@ def test_heavy_tail_channels():
     assert np.any(logs > 700.0)
 
 
+def test_heavy_tail_exponent_range():
+    # 1 - u >= 2^-53, so (1 - u)^(-1/alpha) stays finite exactly above 53/1024
+    for bad in (53 / 1024, 1e-300, np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            Ensemble("log_heavy_tail", bad)
+    E = Ensemble("log_heavy_tail", np.nextafter(53 / 1024, 1.0))
+    with np.errstate(over="raise"):
+        assert np.all(np.isfinite(sample_log_abs(E, 5000, seed=9)))
+        assert np.isfinite(np.float64(2.0 ** -53) ** (-1.0 / E.param))
+
+
 def test_bernoulli_inv_n_structure():
     E = Ensemble("bernoulli_inv_n")
     vals = sample_coeffs(E, 3000, seed=5)

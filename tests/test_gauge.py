@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
+from szego import (DEFAULT_GAMMA_GRID, Carlson, DomainError, Explicit, FactorialGaps, Geometric,
                    Lacunary, ZeroOne, coeff_root_range, gauge_and_index,
                    gauge_coverage_bound, window_liminf_from_logs, window_max)
 
@@ -49,6 +50,33 @@ def test_window_liminf_matches_brute_force():
             fast = window_liminf_from_logs(logs, gamma, 256)
             slow = _brute_window_liminf(logs, gamma, 256)
             assert fast == pytest.approx(slow, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [64, 100, 257, 1000])
+def test_window_liminf_equals_brute_force_exactly(N):
+    rng = np.random.default_rng(N)
+    logs = rng.normal(size=N + 1)
+    logs[rng.random(N + 1) < 0.3] = -np.inf
+    # the largest log sits at index 0, read only by windows that open there
+    logs[0] = 50.0
+    # 0.3 hits the 1e-9 ceil boundary; 1 - 1e-12 opens windows at index 0
+    for gamma in (0.1, 0.3, 0.5, 0.99, 1 - 1e-12):
+        assert window_liminf_from_logs(logs, gamma, N) \
+            == _brute_window_liminf(logs, gamma, N)
+
+
+def test_window_liminf_memory_is_linear():
+    N = 2 ** 16
+    logs = np.random.default_rng(3).normal(size=N + 1)
+    for gamma in DEFAULT_GAMMA_GRID:
+        tracemalloc.start()
+        try:
+            window_liminf_from_logs(logs, gamma, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full doubling table would hold about 16 copies of the logs
+        assert peak < 6 * logs.nbytes
 
 
 def test_window_liminf_preconditions():

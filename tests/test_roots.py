@@ -7,6 +7,7 @@ import pytest
 
 from szego import (ConvergenceError, DomainError, Geometric, Polynomial,
                    find_zeros, section, sorted_moduli)
+from szego import roots
 
 TOL = 1e-10
 
@@ -148,6 +149,66 @@ def test_tiny_leading_coefficient_is_dropped():
     Z2 = find_zeros(P2)
     assert Z2.infinity_count == 1
     assert np.allclose(Z2.finite_zeros, [-1.0])
+
+
+def test_drop_rule_is_scale_invariant():
+    rng = np.random.default_rng(31)
+    c = rng.normal(size=21) + 1j * rng.normal(size=21)
+    Z = find_zeros(Polynomial(c, 20))
+    # a power-of-two scale is exact, so every step sees the same numbers
+    Zs = find_zeros(Polynomial(c * 2.0 ** -1000, 20))
+    assert np.array_equal(Z.finite_zeros, Zs.finite_zeros)
+    assert Z.infinity_count == Zs.infinity_count == 0
+    tiny = find_zeros(Polynomial([1e-301, 1e-301], 1))
+    assert tiny.infinity_count == 0
+    assert np.array_equal(tiny.finite_zeros, [-1.0])
+
+
+def test_rescaled_fallback_matches_numpy(monkeypatch):
+    original = roots._aberth
+    calls = []
+
+    def fail_first(core, tol):
+        calls.append(len(core))
+        if len(calls) == 1:
+            raise ConvergenceError("forced", residual=1.0)
+        return original(core, tol)
+
+    monkeypatch.setattr(roots, "_aberth", fail_first)
+    rng = np.random.default_rng(8)
+    c = rng.normal(size=25) + 1j * rng.normal(size=25)
+    c[-1] += 2.0
+    P = Polynomial(c, 24)
+    Z = find_zeros(P)
+    assert calls == [25, 25]
+    assert Z.infinity_count == 0
+    assert _match_max_dist(Z.finite_zeros, np.roots(c[::-1])) < 1e-8
+    assert _residual_ok(P, Z.finite_zeros)
+
+
+def test_stalled_iteration_reports_its_residual(monkeypatch):
+    monkeypatch.setattr(roots, "_MAX_ITERS", 1)
+    # zeros at radii 1/2 and 2, so the iterates lie on both sides of the
+    # unit circle and both evaluation branches feed the residual
+    ws = np.concatenate([0.5 * np.exp(2j * np.pi * np.arange(6) / 6 + 0.1),
+                         2.0 * np.exp(2j * np.pi * np.arange(6) / 6 + 0.3)])
+    c = np.poly(ws)[::-1]
+    with pytest.raises(ConvergenceError) as direct:
+        roots._aberth(c, TOL)
+    with pytest.raises(ConvergenceError) as via_fallback:
+        find_zeros(Polynomial(c, 12))
+    for exc in (direct.value, via_fallback.value):
+        assert np.isfinite(exc.residual)
+        assert exc.residual > TOL
+    # with no sweep at all the residual is the worst backward error of the
+    # start points, recomputed here without the reversal split
+    monkeypatch.setattr(roots, "_MAX_ITERS", 0)
+    with pytest.raises(ConvergenceError) as unmoved:
+        roots._aberth(c, TOL)
+    w0 = roots._initial_guesses(c / np.max(np.abs(c)))
+    worst = np.max(np.abs(np.polyval(c[::-1], w0))
+                   / np.polyval(np.abs(c[::-1]), np.abs(w0)))
+    assert unmoved.value.residual == pytest.approx(worst, rel=1e-9)
 
 
 def test_degenerate_inputs():

@@ -9,7 +9,7 @@ from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
                    InverseOneMinusZN, Lacunary, Polynomial, Rational, ZeroOne,
                    carlson_coeff, load_explicit_csv, parse_family,
                    reversed_companion, section, series_from_descriptor)
-from szego.series import carlson_indices
+from szego.series import _circle_values, carlson_indices
 
 
 def test_polynomial_evaluation_matches_polyval():
@@ -24,6 +24,18 @@ def test_polynomial_evaluation_matches_polyval():
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
         z0 = complex(zs[0])
         assert isinstance(P(z0), complex)
+
+
+@pytest.mark.parametrize("nodes", [7, 16, 41, 64, 256])
+def test_circle_values_match_horner(nodes):
+    # degree 40: 7 and 16 nodes fold the coefficients, 41 and more do not
+    rng = np.random.default_rng(nodes)
+    c = rng.normal(size=41) + 1j * rng.normal(size=41)
+    P = Polynomial(c, 40)
+    expect = P(np.exp(-2j * np.pi * np.arange(nodes) / nodes))
+    got = _circle_values(c, nodes)
+    assert got.shape == (nodes,)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
 def test_polynomial_formal_degree_must_match():

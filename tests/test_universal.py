@@ -65,6 +65,11 @@ def test_target_measure_validation():
         TargetMeasure.of("2", "2")
     with pytest.raises(DomainError):
         TargetMeasure.of()
+    for bad in ("abc", "inf", "1/0", float("inf"), float("nan"), None):
+        with pytest.raises(DomainError):
+            TargetMeasure.of(bad)
+    assert TargetMeasure.of(1.5, Fraction(9, 4), 7).radii == (
+        Fraction(3, 2), Fraction(9, 4), Fraction(7))
 
 
 def test_tau_values():
