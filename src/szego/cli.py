@@ -31,6 +31,11 @@ from .series import parse_family, section
 from .universal import build_universal, cycle_targets, parse_targets
 
 
+#: upper limits on the size options, checked before any work starts; each
+#: sits far above every size in the README, the demos and the tests
+_LIMITS = {"n": 2 ** 16, "horizon": 2 ** 22, "trials": 10 ** 5}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; route through DomainError
     # so the documented exit code mapping holds
@@ -66,6 +71,13 @@ def _default_workers() -> int:
         return max(1, int(os.environ.get("SZEGO_WORKERS", "1")))
     except ValueError:
         return 1
+
+
+def _check_limits(args) -> None:
+    for name, limit in _LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > limit:
+            raise DomainError(f"--{name} {value} exceeds the limit {limit}")
 
 
 def _cmd_zeros(args) -> None:
@@ -232,6 +244,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_limits(args)
         args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

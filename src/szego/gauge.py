@@ -4,7 +4,8 @@ The window maximum A_n(gamma) = max |a_k| over k in [(1-gamma) n, n], its
 n-th root, and the liminf-style summaries derived from it: the gauge (small
 windows) and the index (smallest window fraction whose maxima stay near 1).
 All computations run in log space so lacunary and rapidly decaying families
-never underflow.
+never underflow; a result past the float range (heavy-tailed random paths)
+saturates to inf.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def window_max(stream: Series, n: int, gamma: float) -> float:
     if n < 1:
         raise DomainError("n must be at least 1")
     logs = stream.log_abs(n)
-    return float(np.exp(np.max(logs[_window_start(gamma, n):n + 1])))
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.max(logs[_window_start(gamma, n):n + 1])))
 
 
 def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
@@ -85,7 +87,8 @@ def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
             level = np.maximum(level[:-h], level[h:])
         sel = ks == k
         tops[sel] = np.maximum(level[starts[sel]], level[ns[sel] - (1 << k) + 1])
-    return float(np.exp(np.min(tops / ns)))
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.min(tops / ns)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,8 @@ def coeff_root_range(stream: Series, N: int) -> tuple[float, float]:
         raise DomainError("horizon N must be at least 64")
     logs = stream.log_abs(N)
     ns = np.arange((N + 1) // 2, N + 1)
-    vals = np.exp(logs[ns] / ns)
+    with np.errstate(over="ignore"):
+        vals = np.exp(logs[ns] / ns)
     return float(np.min(vals)), float(np.max(vals))
 
 

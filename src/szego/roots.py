@@ -201,15 +201,23 @@ def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_j 1/(w_i - w_j) for i in rows, j over all other roots, in blocks."""
+    """sum_j 1/(w_i - w_j) for i in rows, j over all other roots, in blocks.
+
+    A row whose sum comes out non-finite (two coincident points) is summed
+    again with each exact zero difference nudged to 1e-12.
+    """
     out = np.empty(len(rows), dtype=np.complex128)
     for start in range(0, len(rows), _CHUNK):
         idx = rows[start: start + _CHUNK]
-        diff = w[idx, None] - w[None, :]
+        diff = np.subtract.outer(w[idx], w)
         diff[np.arange(len(idx)), idx] = np.inf
-        tiny = diff == 0
-        if np.any(tiny):
-            diff[tiny] = 1e-12
-        out[start: start + _CHUNK] = np.sum(1.0 / diff, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sums = np.reciprocal(diff, out=diff).sum(axis=1)
+            for i in np.nonzero(~np.isfinite(sums))[0]:
+                row = w[idx[i]] - w
+                row[idx[i]] = np.inf
+                row[row == 0] = 1e-12
+                sums[i] = np.sum(1.0 / row)
+        out[start: start + _CHUNK] = sums
     return out
 

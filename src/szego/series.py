@@ -74,16 +74,42 @@ class Polynomial:
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray):
-    """Value, derivative, and same-degree absolute-value sum at |z|."""
-    az = np.abs(z)
-    p = np.full(z.shape, coeffs[-1])
-    dp = np.zeros_like(p)
-    s = np.full(z.shape, abs(coeffs[-1]))
-    for ck in coeffs[-2::-1]:
-        dp = dp * z + p
-        p = p * z + ck
-        s = s * az + abs(ck)
-    return p, dp, s
+    """Value, derivative, and same-degree absolute-value sum at |z|.
+
+    Blocked Horner: the d + 1 coefficients are cut into blocks of
+    k = floor(sqrt(d + 1)), every block is evaluated at every point at once
+    against the powers z^0..z^(k-1), and Horner then runs in y = z^k over
+    the blocks, about 2 sqrt(d) Python steps instead of d + 1. The block
+    sums use ``np.einsum`` without ``optimize``, so no BLAS call is made
+    and the result does not depend on any thread count.
+    """
+    shape = z.shape
+    z = z.reshape(-1)
+    n = len(coeffs)
+    k = math.isqrt(n)
+    blocks = np.zeros((-(-n // k), k), dtype=np.complex128)
+    blocks.reshape(-1)[:n] = coeffs
+    zk = np.empty((len(z), k), dtype=np.complex128)
+    zk[:, 0] = 1.0
+    zk[:, 1:] = z[:, None]
+    np.cumprod(zk, axis=1, out=zk)
+    # row b of each table: block b of P, of P' and of the |.|-sum at z
+    vals = np.einsum("mk,bk->bm", zk, blocks)
+    ders = np.einsum("mk,bk->bm", zk[:, :-1], blocks[:, 1:] * np.arange(1, k))
+    sums = np.einsum("mk,bk->bm", np.abs(zk), np.abs(blocks))
+    y = zk[:, -1] * z
+    dy = k * zk[:, -1]
+    ay = np.abs(y)
+    p, dp, s = vals[-1], ders[-1], sums[-1]
+    for b in range(len(blocks) - 2, -1, -1):
+        dp *= y
+        dp += p * dy
+        dp += ders[b]
+        p *= y
+        p += vals[b]
+        s *= ay
+        s += sums[b]
+    return p.reshape(shape), dp.reshape(shape), s.reshape(shape)
 
 
 def _circle_values(coeffs: np.ndarray, nodes: int) -> np.ndarray:

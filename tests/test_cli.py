@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+from szego import cli
 from szego.cli import main
 
 
@@ -217,3 +219,49 @@ def test_zeros_of_tiny_coefficients(capsys):
                             "--n", "1"])
     assert rc == 0
     assert out.split("\n")[1:3] == ["-1,0,1", "# infinity_count: 0"]
+
+
+def test_gauge_overflow_saturates_to_infinity(capsys):
+    # heavy-tailed window maxima pass e^709; under the RuntimeWarning
+    # filter an overflow warning would fail this test
+    rc = main(["gauge", "--family", "random:log_heavy_tail(0.2),3",
+               "--horizon", "256"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    tail = [L for g, L in zip(doc["gamma_grid"], doc["L_raw"]) if g >= 0.2]
+    assert tail and all(L == math.inf for L in tail)
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("n", ["zeros", "--family", "geometric", "--n"]),
+    ("n", ["measure", "--family", "geometric", "--n"]),
+    ("n", ["bounds", "--family", "geometric", "--n"]),
+    ("horizon", ["gauge", "--family", "geometric", "--horizon"]),
+    ("n", ["random", "--ensemble", "gaussian_complex", "--trials", "10",
+           "--n"]),
+    ("trials", ["random", "--ensemble", "gaussian_complex", "--n", "8",
+                "--trials"]),
+])
+def test_size_limits_stop_before_any_work(capsys, monkeypatch, option, argv):
+    def started(*args, **kwargs):
+        raise _WorkStarted
+
+    for name in ("parse_family", "section", "find_zeros", "bounds_report",
+                 "gauge_and_index", "as_ensemble", "mc_expected_cdf"):
+        monkeypatch.setattr(cli, name, started)
+    limit = cli._LIMITS[option]
+    rc = main(argv + [str(limit + 1)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    # at the limit itself the command goes on to its work
+    with pytest.raises(_WorkStarted):
+        main(argv + [str(limit)])

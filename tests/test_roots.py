@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import szego
 from szego import (ConvergenceError, DomainError, Geometric, Polynomial,
-                   find_zeros, section, sorted_moduli)
+                   RandomSeries, find_zeros, section, sorted_moduli)
 from szego import roots
 
 TOL = 1e-10
@@ -237,3 +242,36 @@ def test_zero_set_count_validation():
 
     with pytest.raises(DomainError):
         ZeroSet(np.array([1.0 + 0j]), 1, 3)  # 1 + 1 != 3 + ... mismatch
+
+
+def test_pair_sums_match_double_loop():
+    # 300 points span two row chunks; points 5 and 17 coincide exactly,
+    # so their rows take the nudged recomputation
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=300) + 1j * rng.normal(size=300)
+    w[17] = w[5]
+    rows = np.array([0, 5, 17, 100, 255, 256, 299])
+    got = roots._pair_sums(w, rows)
+    for r, g in zip(rows, got):
+        terms = [1.0 / (1e-12 if w[r] == w[j] else complex(w[r] - w[j]))
+                 for j in range(len(w)) if j != r]
+        expect = sum(terms)
+        assert abs(g - expect) <= 1e-13 * sum(abs(t) for t in terms)
+    assert abs(got[1] - 1e12) < 1e-3 * 1e12
+    assert np.array_equal(roots._pair_sums(w, rows[::-1]), got[::-1])
+
+
+def test_zeros_do_not_depend_on_blas_threads():
+    # neither kernel calls BLAS, so a single-threaded BLAS must reproduce
+    # the zeros bit for bit
+    P = section(RandomSeries("gaussian_complex", 11), 256)
+    here = find_zeros(P).finite_zeros
+    src = os.path.dirname(os.path.dirname(szego.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    code = ("import sys; from szego import RandomSeries, find_zeros, section; "
+            "P = section(RandomSeries('gaussian_complex', 11), 256); "
+            "sys.stdout.write(find_zeros(P).finite_zeros.tobytes().hex())")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert len(here) == 256
+    assert bytes.fromhex(out) == here.tobytes()

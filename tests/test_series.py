@@ -9,7 +9,7 @@ from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
                    InverseOneMinusZN, Lacunary, Polynomial, Rational, ZeroOne,
                    carlson_coeff, load_explicit_csv, parse_family,
                    reversed_companion, section, series_from_descriptor)
-from szego.series import _circle_values, carlson_indices
+from szego.series import _circle_values, _horner, carlson_indices
 
 
 def test_polynomial_evaluation_matches_polyval():
@@ -24,6 +24,48 @@ def test_polynomial_evaluation_matches_polyval():
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
         z0 = complex(zs[0])
         assert isinstance(P(z0), complex)
+
+
+def _horner_reference(coeffs, z):
+    """Plain Horner in Python complex: value, derivative, |.|-sum at |z|."""
+    p = dp = 0j
+    s = 0.0
+    for c in coeffs[::-1]:
+        dp = dp * z + p
+        p = p * z + c
+        s = s * abs(z) + abs(c)
+    return p, dp, s
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 3, 15, 16, 17, 255, 256, 257, 4611])
+def test_horner_matches_plain_horner(deg):
+    # degrees on both sides of perfect squares move the block length and
+    # leave the last block full or padded
+    rng = np.random.default_rng(deg)
+    c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+    zs = np.array([r * np.exp(1j * a) for r in (0.5, 0.97, 1.0, 1.03, 1.1)
+                   for a in (0.1, 1.3, 2.9, -2.2)])
+    p, dp, s = _horner(c, zs)
+    eps = np.finfo(float).eps
+    ks = np.arange(1, deg + 1)
+    for i, z in enumerate(zs):
+        p_ref, dp_ref, s_ref = _horner_reference(c, complex(z))
+        # P' is measured against its own rounding scale sum k |c_k| |z|^(k-1)
+        ds = float(np.sum(ks * np.abs(c[1:]) * abs(z) ** (ks - 1)))
+        assert abs(p[i] - p_ref) <= 4 * (deg + 1) * eps * s_ref
+        assert abs(dp[i] - dp_ref) <= 4 * (deg + 1) * eps * ds
+        assert abs(s[i] - s_ref) <= 4 * (deg + 1) * eps * s_ref
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4), (0,), (2, 0)])
+def test_horner_keeps_the_shape_of_z(shape):
+    c = np.arange(1, 19) + 0.5j
+    z = np.full(shape, 0.3 - 0.8j)
+    for out in _horner(c, z):
+        assert out.shape == shape
+    expect = _horner_reference(c, 0.3 - 0.8j)[0]
+    assert np.allclose(Polynomial(c, 17)(z), expect, rtol=1e-14)
+    assert isinstance(Polynomial(c, 17)(0.3 - 0.8j), complex)
 
 
 @pytest.mark.parametrize("nodes", [7, 16, 41, 64, 256])
