@@ -66,11 +66,19 @@ def _json_doc(config: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _default_workers() -> int:
+def _workers(args) -> int:
+    """``--workers`` if given, else ``SZEGO_WORKERS``, else 1."""
+    if args.workers is not None:
+        return args.workers
+    raw = os.environ.get("SZEGO_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("SZEGO_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise DomainError(
+            f"SZEGO_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _check_limits(args) -> None:
@@ -141,9 +149,10 @@ def _cmd_gauge(args) -> None:
 def _cmd_random(args) -> None:
     E = as_ensemble(args.ensemble)
     ts = _floats(args.t_grid) if args.t_grid else [0.5, 0.9, 0.99, 1.01, 1.1, 2.0]
-    orders = [int(x) for x in _floats(args.weyl_orders)] if args.weyl_orders else []
+    orders = _floats(args.weyl_orders) if args.weyl_orders else []
+    workers = _workers(args)
     report = mc_expected_cdf(E, args.n, ts, args.trials, args.seed,
-                             weyl_orders=orders, workers=args.workers)
+                             weyl_orders=orders, workers=workers)
     flags = check_conditions(E)
     payload = report.to_dict()
     payload["conditions"] = {
@@ -154,7 +163,7 @@ def _cmd_random(args) -> None:
     }
     config = {"command": "random", "ensemble": E.descriptor(), "n": args.n,
               "trials": args.trials, "seed": args.seed,
-              "workers": args.workers}
+              "workers": workers}
     if args.format == "csv":
         lines = ["t,phi_hat,stderr"]
         for t, p, s in zip(report.t_grid, report.phi_hat, report.stderr):
@@ -225,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--t-grid", default=None)
     sp.add_argument("--weyl-orders", default=None)
-    sp.add_argument("--workers", type=int, default=_default_workers())
+    sp.add_argument("--workers", type=int, default=None,
+                    help="worker processes (default: SZEGO_WORKERS, else 1)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_random)
 

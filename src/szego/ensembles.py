@@ -20,8 +20,8 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError
 from .gauge import _window_start
 from .measures import counting_fn, weyl_sum
-from .roots import find_zeros
-from .series import Polynomial
+from .roots import _check_tol, find_zeros
+from .series import Polynomial, _integer
 
 __all__ = [
     "BLOCK",
@@ -279,10 +279,13 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
         raise DomainError("section index n must be at least 1")
     if workers < 1:
         raise DomainError("workers must be at least 1")
+    _check_tol(tol)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.isnan(t_grid)):
         raise DomainError("t grid must be nonnegative")
-    weyl_orders = tuple(int(m) for m in weyl_orders)
+    weyl_orders = tuple(_integer(m) for m in weyl_orders)
+    if any(m < 1 for m in weyl_orders):
+        raise DomainError("weyl orders must be positive integers")
     jobs = [(E, n, seed, trial, t_grid, tol, weyl_orders)
             for trial in range(trials)]
     if workers > 1:
@@ -355,6 +358,7 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
         raise DomainError("radius t must lie in (0, 1]")
     if trials < 10:
         raise DomainError("need at least 10 trials")
+    _check_tol(tol)
     inside, inside_inverse, boundary = [], [], []
     failures = 0
     for trial in range(trials):

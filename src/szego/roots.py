@@ -9,7 +9,7 @@ import numpy as np
 
 from .bounds import cauchy_bound, inner_cauchy_bound
 from .exceptions import ConvergenceError, DomainError
-from .series import Polynomial, _horner
+from .series import Polynomial, _horner, _horner_layout
 
 __all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
 
@@ -59,8 +59,7 @@ def find_zeros(P: Polynomial, tol: float = 1e-10) -> ZeroSet:
     iteration and satisfy the backward-error bound
     |P(w)| <= tol * sum_k |b_k| |w|^k.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     c = P.coeffs
     n = P.formal_degree
     mags = np.abs(c)
@@ -83,6 +82,13 @@ def find_zeros(P: Polynomial, tol: float = 1e-10) -> ZeroSet:
     finite = np.concatenate([np.zeros(low, dtype=np.complex128), roots])
     finite = np.sort_complex(finite)
     return ZeroSet(finite, n - deg, n)
+
+
+def _check_tol(tol: float) -> None:
+    # at tol >= 1 the backward-error test holds at every point, so the
+    # unconverged start points would come back as zeros
+    if not 0 < tol < 1:
+        raise DomainError(f"tol must lie strictly between 0 and 1, got {tol!r}")
 
 
 def _aberth_rescaled(core: np.ndarray, tol: float) -> np.ndarray:
@@ -132,22 +138,22 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _newton_terms(core: np.ndarray, rev: np.ndarray, w: np.ndarray):
+def _newton_terms(fwd, rev, d: int, w: np.ndarray):
     """Newton step P/P', |P| and sum_k |b_k| |w|^k at each point w.
 
-    Where |w| > 1 the reversed coefficients are evaluated at 1/w instead:
-    P(w) = w^d Q(1/w), so P/P' = w Q / (d Q - v Q') with v = 1/w, and |P|
-    and the sum both come divided by |w|^d, which leaves the backward-error
-    test |P| <= tol * sum unchanged.
+    ``fwd`` and ``rev`` are the Horner layouts of the degree-d coefficients
+    and of their reversal. Where |w| > 1 the reversed coefficients are
+    evaluated at 1/w instead: P(w) = w^d Q(1/w), so P/P' = w Q / (d Q - v Q')
+    with v = 1/w, and |P| and the sum both come divided by |w|^d, which
+    leaves the backward-error test |P| <= tol * sum unchanged.
     """
-    d = len(core) - 1
     outer = np.abs(w) > 1.0
     inner = ~outer
     nu = np.empty(len(w), dtype=np.complex128)
     absp = np.empty(len(w))
     s = np.empty(len(w))
     if np.any(inner):
-        p, dp, s[inner] = _horner(core, w[inner])
+        p, dp, s[inner] = _horner(fwd, w[inner])
         with np.errstate(divide="ignore", invalid="ignore"):
             nu[inner] = p / dp
         absp[inner] = np.abs(p)
@@ -165,14 +171,15 @@ def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
     """Simultaneous iteration on a polynomial with nonzero end coefficients."""
     core = core / np.max(np.abs(core))
     d = len(core) - 1
-    rev = core[::-1].copy()
+    # built once per solve, not once per sweep
+    fwd, rev = _horner_layout(core), _horner_layout(core[::-1])
     w = _initial_guesses(core)
     done = np.zeros(d, dtype=bool)
     for _ in range(_MAX_ITERS):
         act = np.nonzero(~done)[0]
         if len(act) == 0:
             return w
-        nu, absp, s = _newton_terms(core, rev, w[act])
+        nu, absp, s = _newton_terms(fwd, rev, d, w[act])
         ok = absp <= tol * s
         newly = act[ok]
         done[newly] = True
@@ -192,7 +199,7 @@ def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
         if np.any(over):
             corr[over] *= cap[over] / mag[over]
         w[act] -= corr
-    _, absp, s = _newton_terms(core, rev, w)
+    _, absp, s = _newton_terms(fwd, rev, d, w)
     worst = float(np.max(absp / s))
     raise ConvergenceError(
         f"simultaneous iteration stalled at residual ratio {worst:.3e}",

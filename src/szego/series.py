@@ -61,7 +61,8 @@ class Polynomial:
 
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or arrays."""
-        acc = _horner(self.coeffs, np.asarray(z, dtype=np.complex128))[0]
+        acc = _horner(_horner_layout(self.coeffs),
+                      np.asarray(z, dtype=np.complex128))[0]
         return acc if acc.shape else complex(acc)
 
     def padded(self, formal_degree: int) -> "Polynomial":
@@ -73,42 +74,78 @@ class Polynomial:
         return Polynomial(out, formal_degree)
 
 
-def _horner(coeffs: np.ndarray, z: np.ndarray):
-    """Value, derivative, and same-degree absolute-value sum at |z|.
+@dataclass(frozen=True, eq=False)
+class _HornerLayout:
+    """One coefficient vector cut into blocks for `_horner`.
 
-    Blocked Horner: the d + 1 coefficients are cut into blocks of
-    k = floor(sqrt(d + 1)), every block is evaluated at every point at once
-    against the powers z^0..z^(k-1), and Horner then runs in y = z^k over
-    the blocks, about 2 sqrt(d) Python steps instead of d + 1. The block
-    sums use ``np.einsum`` without ``optimize``, so no BLAS call is made
-    and the result does not depend on any thread count.
+    Block b holds coefficients b k .. b k + k - 1, with k = floor(sqrt(d + 1))
+    and zero padding at the end. Only the live blocks, those holding a
+    nonzero coefficient, are stored; the last block always counts as live
+    because Horner starts from it.
     """
-    shape = z.shape
-    z = z.reshape(-1)
+
+    k: int
+    #: live[b] tells whether block b is stored
+    live: tuple[bool, ...]
+    #: the live blocks, in order
+    vals: np.ndarray
+    #: the live blocks times the derivative weights 1..k-1, first column dropped
+    ders: np.ndarray
+    #: |.| of the live blocks
+    mags: np.ndarray
+
+
+def _horner_layout(coeffs: np.ndarray) -> _HornerLayout:
     n = len(coeffs)
     k = math.isqrt(n)
     blocks = np.zeros((-(-n // k), k), dtype=np.complex128)
     blocks.reshape(-1)[:n] = coeffs
+    live = np.any(blocks != 0, axis=1)
+    live[-1] = True
+    blocks = blocks[live]
+    return _HornerLayout(k, tuple(live.tolist()), blocks,
+                         blocks[:, 1:] * np.arange(1, k), np.abs(blocks))
+
+
+def _horner(layout: _HornerLayout, z: np.ndarray):
+    """Value, derivative, and same-degree absolute-value sum at |z|.
+
+    Blocked Horner over a `_horner_layout`: every live block is evaluated at
+    every point at once against the powers z^0..z^(k-1), and Horner then
+    runs in y = z^k over all the blocks, about 2 sqrt(d) Python steps
+    instead of d + 1. An empty block adds exact zeros, so it is skipped, and
+    the einsum work scales with the number of blocks that hold a nonzero
+    coefficient: a sparse section such as a universal step costs a fraction
+    of a dense one. The block sums use ``np.einsum`` without ``optimize``,
+    so no BLAS call is made and the result does not depend on any thread
+    count.
+    """
+    shape = z.shape
+    z = z.reshape(-1)
+    k = layout.k
     zk = np.empty((len(z), k), dtype=np.complex128)
     zk[:, 0] = 1.0
     zk[:, 1:] = z[:, None]
     np.cumprod(zk, axis=1, out=zk)
-    # row b of each table: block b of P, of P' and of the |.|-sum at z
-    vals = np.einsum("mk,bk->bm", zk, blocks)
-    ders = np.einsum("mk,bk->bm", zk[:, :-1], blocks[:, 1:] * np.arange(1, k))
-    sums = np.einsum("mk,bk->bm", np.abs(zk), np.abs(blocks))
+    # row r of each table: live block r of P, of P' and of the |.|-sum at z
+    vals = np.einsum("mk,bk->bm", zk, layout.vals)
+    ders = np.einsum("mk,bk->bm", zk[:, :-1], layout.ders)
+    sums = np.einsum("mk,bk->bm", np.abs(zk), layout.mags)
     y = zk[:, -1] * z
     dy = k * zk[:, -1]
     ay = np.abs(y)
-    p, dp, s = vals[-1], ders[-1], sums[-1]
-    for b in range(len(blocks) - 2, -1, -1):
+    r = len(vals) - 1
+    p, dp, s = vals[r], ders[r], sums[r]
+    for b in range(len(layout.live) - 2, -1, -1):
         dp *= y
         dp += p * dy
-        dp += ders[b]
         p *= y
-        p += vals[b]
         s *= ay
-        s += sums[b]
+        if layout.live[b]:
+            r -= 1
+            dp += ders[r]
+            p += vals[r]
+            s += sums[r]
     return p.reshape(shape), dp.reshape(shape), s.reshape(shape)
 
 

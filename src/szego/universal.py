@@ -303,18 +303,19 @@ def verify_step(state: BuildState, phi: TargetMeasure,
     zeros = Z.finite_zeros
     eta = np.exp(2j * np.pi * np.arange(M) / M)
     slack = 1.0 + 1e-9
+    # a zero inside disk j lies within arcsin(slack / M) < pi / M of its
+    # center's angle 2 pi j / M, so the disk with the nearest center angle
+    # is the only one that can hold it: one distance per zero and ring
+    nearest = np.rint(np.angle(zeros) * (M / (2 * np.pi))).astype(np.intp) % M
     claimed = np.zeros(len(zeros), dtype=bool)
     for r in phi.radii:
         rf = float(r)
-        centers = rf * eta
-        dist = np.abs(zeros[:, None] - centers[None, :])
-        inside = dist <= (rf / M) * slack
-        per_disk = inside.sum(axis=0)
+        hit = np.abs(zeros - rf * eta[nearest]) <= (rf / M) * slack
+        per_disk = np.bincount(nearest[hit], minlength=M)
         if not np.all(per_disk == 1):
             raise VerificationError(
                 f"expected one zero per ring disk at radius {r}, got counts "
                 f"{sorted(set(int(x) for x in per_disk))}")
-        hit = inside.any(axis=1)
         if np.any(claimed & hit):
             raise VerificationError("a zero was claimed by two ring disks")
         claimed |= hit

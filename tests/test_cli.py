@@ -265,3 +265,63 @@ def test_size_limits_stop_before_any_work(capsys, monkeypatch, option, argv):
     # at the limit itself the command goes on to its work
     with pytest.raises(_WorkStarted):
         main(argv + [str(limit)])
+
+
+def _one_error_line(capsys, rc):
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("command", ["zeros", "measure"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "1", "0"])
+def test_tol_outside_unit_interval_exits_1(capsys, command, tol):
+    rc = main([command, "--family", "geometric", "--n", "64", "--tol", tol])
+    assert "tol" in _one_error_line(capsys, rc)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+_RANDOM = ["random", "--ensemble", "gaussian_complex", "--n", "8",
+           "--trials", "10"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_random_rejects_a_bad_szego_workers(capsys, monkeypatch, value):
+    monkeypatch.setenv("SZEGO_WORKERS", value)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+    assert "SZEGO_WORKERS" in _one_error_line(capsys, main(_RANDOM))
+
+
+def test_szego_workers_is_read_by_random_only(capsys, monkeypatch):
+    monkeypatch.setenv("SZEGO_WORKERS", "abc")
+    assert _run(capsys, ["zeros", "--family", "geometric", "--n", "3"])[0] == 0
+    # an explicit --workers wins over the environment
+    rc, out = _run(capsys, _RANDOM + ["--workers", "1"])
+    assert rc == 0
+    assert json.loads(out)["config"]["workers"] == 1
+    monkeypatch.setenv("SZEGO_WORKERS", "3")
+    real = cli.mc_expected_cdf
+    seen = []
+
+    def spy(*args, workers, **kwargs):
+        seen.append(workers)
+        return real(*args, workers=1, **kwargs)
+
+    monkeypatch.setattr(cli, "mc_expected_cdf", spy)
+    rc, out = _run(capsys, _RANDOM)
+    assert rc == 0
+    assert seen == [3]
+    assert json.loads(out)["config"]["workers"] == 3
+
+
+@pytest.mark.parametrize("orders", ["1.5", "1,2.5", "0", "1,-1"])
+def test_random_rejects_non_integer_weyl_orders(capsys, monkeypatch, orders):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+    rc = main(_RANDOM + ["--workers", "2", "--weyl-orders", orders])
+    _one_error_line(capsys, rc)

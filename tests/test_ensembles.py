@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,31 @@ def test_mc_rejects_worker_count_below_one(monkeypatch):
         with pytest.raises(DomainError):
             mc_expected_cdf(GAUSS, 8, [1.0], trials=10, seed=0,
                             workers=workers)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": 0.0}, {"tol": 1.0}, {"tol": math.inf}, {"tol": math.nan},
+    {"weyl_orders": (1.5,)}, {"weyl_orders": (1, 0)},
+])
+def test_mc_rejects_bad_tol_and_weyl_orders_before_any_pool(monkeypatch, bad):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    with pytest.raises(DomainError):
+        mc_expected_cdf(GAUSS, 8, [1.0], trials=10, seed=0, workers=2, **bad)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, math.nan])
+def test_symmetry_check_rejects_bad_tol_before_sampling(monkeypatch, tol):
+    import szego.ensembles as ens
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a trial was sampled")
+
+    monkeypatch.setattr(ens, "sample_coeffs", no_sampling)
+    with pytest.raises(DomainError):
+        reversal_symmetry_check(GAUSS, 12, 0.9, trials=12, seed=0, tol=tol)
 
 
 def test_non_finite_samples_count_as_failed_trials(monkeypatch):

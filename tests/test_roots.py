@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -225,6 +226,30 @@ def test_degenerate_inputs():
     assert len(Z.finite_zeros) == 0 and Z.infinity_count == 0
     Z1 = find_zeros(Polynomial(np.array([3.0, 2.0]), 1))
     assert np.allclose(Z1.finite_zeros, [-1.5])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 1e300, math.inf, math.nan])
+def test_tol_outside_unit_interval_is_rejected(tol):
+    # at tol >= 1 every start point passes the backward-error test, and a
+    # NaN tol never passes it
+    with pytest.raises(DomainError):
+        find_zeros(Polynomial(np.array([1.0, 0.5, 2.0]), 2), tol=tol)
+
+
+def test_each_solve_builds_two_horner_layouts(monkeypatch):
+    # one layout for the coefficients and one for their reversal per solve,
+    # not one per sweep
+    real = roots._horner_layout
+    sizes = []
+
+    def counted(coeffs):
+        sizes.append(len(coeffs))
+        return real(coeffs)
+
+    monkeypatch.setattr(roots, "_horner_layout", counted)
+    Z = find_zeros(section(RandomSeries("gaussian_complex", 3), 256))
+    assert len(Z.finite_zeros) == 256
+    assert sizes == [257, 257]
 
 
 def test_lacunary_high_degree_residuals():

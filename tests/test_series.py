@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
-                   InverseOneMinusZN, Lacunary, Polynomial, Rational, ZeroOne,
-                   carlson_coeff, load_explicit_csv, parse_family,
-                   reversed_companion, section, series_from_descriptor)
-from szego.series import _circle_values, _horner, carlson_indices
+                   InverseOneMinusZN, Lacunary, Polynomial, Rational,
+                   TargetMeasure, ZeroOne, carlson_coeff, initial_state,
+                   load_explicit_csv, parse_family, reversed_companion,
+                   section, series_from_descriptor, step)
+from szego.series import (_circle_values, _horner, _horner_layout,
+                          carlson_indices)
 
 
 def test_polynomial_evaluation_matches_polyval():
@@ -45,7 +49,7 @@ def test_horner_matches_plain_horner(deg):
     c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
     zs = np.array([r * np.exp(1j * a) for r in (0.5, 0.97, 1.0, 1.03, 1.1)
                    for a in (0.1, 1.3, 2.9, -2.2)])
-    p, dp, s = _horner(c, zs)
+    p, dp, s = _horner(_horner_layout(c), zs)
     eps = np.finfo(float).eps
     ks = np.arange(1, deg + 1)
     for i, z in enumerate(zs):
@@ -61,11 +65,93 @@ def test_horner_matches_plain_horner(deg):
 def test_horner_keeps_the_shape_of_z(shape):
     c = np.arange(1, 19) + 0.5j
     z = np.full(shape, 0.3 - 0.8j)
-    for out in _horner(c, z):
+    for out in _horner(_horner_layout(c), z):
         assert out.shape == shape
     expect = _horner_reference(c, 0.3 - 0.8j)[0]
     assert np.allclose(Polynomial(c, 17)(z), expect, rtol=1e-14)
     assert isinstance(Polynomial(c, 17)(0.3 - 0.8j), complex)
+
+
+def _horner_all_blocks(coeffs, z):
+    """The blocked kernel summing every block, empty or not, as a reference."""
+    n = len(coeffs)
+    k = math.isqrt(n)
+    blocks = np.zeros((-(-n // k), k), dtype=np.complex128)
+    blocks.reshape(-1)[:n] = coeffs
+    zk = np.empty((len(z), k), dtype=np.complex128)
+    zk[:, 0] = 1.0
+    zk[:, 1:] = z[:, None]
+    np.cumprod(zk, axis=1, out=zk)
+    vals = np.einsum("mk,bk->bm", zk, blocks)
+    ders = np.einsum("mk,bk->bm", zk[:, :-1], blocks[:, 1:] * np.arange(1, k))
+    sums = np.einsum("mk,bk->bm", np.abs(zk), np.abs(blocks))
+    y = zk[:, -1] * z
+    dy = k * zk[:, -1]
+    p, dp, s = vals[-1], ders[-1], sums[-1]
+    for b in range(len(blocks) - 2, -1, -1):
+        dp = dp * y + p * dy + ders[b]
+        p = p * y + vals[b]
+        s = s * np.abs(y) + sums[b]
+    return p, dp, s
+
+
+# moduli on both sides of 1, plus 3, where the powers of the longer
+# vectors overflow
+_SKIP_POINTS = np.array([r * np.exp(1j * a)
+                         for r in (0.5, 0.97, 1.0, 1.03, 1.1, 3.0)
+                         for a in (0.1, 1.3, 2.9, -2.2)])
+
+
+def _universal_step4_coeffs():
+    state = initial_state()
+    for i, r in enumerate(("3", "4", "3", "6/5"), start=1):
+        state = step(state, TargetMeasure.of(r), i)
+    return state.P.coeffs
+
+
+def _sparse_vectors():
+    rng = np.random.default_rng(5)
+    dense = rng.normal(size=501) + 1j * rng.normal(size=501)
+    ends = np.zeros(1000, dtype=complex)
+    ends[0], ends[-1] = 1.0, 2.0 - 1.0j
+    leading = rng.normal(size=601) + 1j * rng.normal(size=601)
+    leading[:300] = 0.0
+    return {
+        "lacunary_1088": lambda: section(Lacunary(2), 1088).coeffs,
+        "universal_step4": _universal_step4_coeffs,
+        "ends_only": lambda: ends,
+        "leading_zero_blocks": lambda: leading,
+        "dense": lambda: dense,
+    }
+
+
+@pytest.mark.parametrize("name", list(_sparse_vectors()))
+def test_horner_skips_only_empty_blocks(name):
+    # skipping a block of zeros drops exact zeros, so every output is
+    # bit-equal to summing all blocks wherever that sum is finite; past the
+    # float range an empty block's 0 * inf would make the reference NaN
+    c = _sparse_vectors()[name]()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _horner(_horner_layout(c), _SKIP_POINTS)
+        ref = _horner_all_blocks(c, _SKIP_POINTS)
+    for g, r in zip(got, ref):
+        finite = np.isfinite(r)
+        assert np.count_nonzero(finite) >= 20
+        assert np.all(g[finite] == r[finite])
+
+
+def test_horner_on_trailing_zero_blocks():
+    # the padding leaves the last blocks empty; Horner starts from the last
+    # one all the same, so the powers of z still reach the degree
+    rng = np.random.default_rng(6)
+    P = Polynomial(rng.normal(size=101) + 1j * rng.normal(size=101), 100)
+    Q = P.padded(700)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = Q(_SKIP_POINTS)
+        ref = _horner_all_blocks(Q.coeffs, _SKIP_POINTS)[0]
+    assert np.all(np.isfinite(ref))
+    assert np.all(got == ref)
+    assert np.allclose(got, P(_SKIP_POINTS), rtol=1e-12)
 
 
 @pytest.mark.parametrize("nodes", [7, 16, 41, 64, 256])

@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import szego
 from szego import (CoefficientOverflowError, DomainError, Polynomial,
-                   TargetMeasure, VerificationError, build_universal,
-                   choose_M, choose_N, cycle_targets, initial_state,
-                   levy_distance, log_disk_sup, parse_targets, point_mass,
-                   step, tau, verify_step)
+                   TargetMeasure, VerificationError, ZeroSet, build_universal,
+                   choose_M, choose_N, cycle_targets, find_zeros,
+                   initial_state, levy_distance, log_disk_sup, parse_targets,
+                   point_mass, step, tau, verify_step)
+from szego import universal
 from szego.universal import RING_MARGIN, _block_coeffs
 
 
@@ -232,3 +238,133 @@ def test_levy_to_target_uses_compact_radii():
     phi = TargetMeasure.of("2")
     d = levy_distance(phi.to_radial_measure(), point_mass(math.inf))
     assert 0.3 < d <= 1.0
+
+
+# acceptance 9's step and the two target lists the CLI benchmark builds
+_AUDIT_CASES = {
+    "acceptance_9": [("3/2", "2")],
+    "two_step": [("3/2", "2"), ("3",)],
+    "cycle": [("3",), ("4",), ("3",), ("6/5",)],
+}
+_CYCLE = '[["3"],["4"],["3"],["6/5"]]'
+_SLACK = 1.0 + 1e-9
+
+
+@pytest.fixture(scope="module")
+def audited_steps():
+    """(state, target, zero set) after every step of every audit case."""
+    out = {}
+    for name, radii in _AUDIT_CASES.items():
+        state = initial_state()
+        for k, r in enumerate(radii, start=1):
+            phi = TargetMeasure.of(*r)
+            state = step(state, phi, k)
+            out[name, k] = (state, phi, find_zeros(state.P))
+    return out
+
+
+def _ring_audit_oracle(zeros, phi, M):
+    """The ring verdict from every zero-to-center distance, in row chunks."""
+    eta = np.exp(2j * np.pi * np.arange(M) / M)
+    claimed = np.zeros(len(zeros), dtype=bool)
+    for r in phi.radii:
+        rf = float(r)
+        per_disk = np.zeros(M, dtype=np.intp)
+        hit = np.zeros(len(zeros), dtype=bool)
+        for start in range(0, len(zeros), 256):
+            rows = slice(start, start + 256)
+            dist = np.abs(zeros[rows, None] - (rf * eta)[None, :])
+            inside = dist <= (rf / M) * _SLACK
+            per_disk += inside.sum(axis=0)
+            hit[rows] = inside.any(axis=1)
+        if not np.all(per_disk == 1):
+            return (f"expected one zero per ring disk at radius {r}, got "
+                    f"counts {sorted(set(per_disk.tolist()))}")
+        if np.any(claimed & hit):
+            return "a zero was claimed by two ring disks"
+        claimed |= hit
+    return None
+
+
+def _audit(monkeypatch, state, phi, Z):
+    """verify_step on a given zero set: None on success, else the message."""
+    monkeypatch.setattr(universal, "find_zeros", lambda P, tol: Z)
+    try:
+        verify_step(state, phi)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("key", [
+    (name, k) for name, radii in _AUDIT_CASES.items()
+    for k in range(1, len(radii) + 1)])
+def test_ring_audit_matches_distance_matrix(monkeypatch, audited_steps, key):
+    state, phi, Z = audited_steps[key]
+    assert _ring_audit_oracle(Z.finite_zeros, phi, state.records[-1].M) is None
+    assert _audit(monkeypatch, state, phi, Z) is None
+
+
+def _perturbed(zeros, phi, M, how):
+    zeros = zeros.copy()
+    eta = np.exp(2j * np.pi * np.arange(M) / M)
+    rf = float(phi.radii[-1])
+    if how == "moved":
+        # the last disk, so a count vector cut short there reads all ones
+        i = np.argmin(np.abs(zeros - rf * eta[-1]))
+        zeros[i] *= 1 + 3 / M
+    elif how == "duplicated":
+        # a junk zero, far from every ring, lands on the center of disk 0
+        far = np.min(np.abs(np.abs(zeros)[:, None]
+                            - np.array([float(r) for r in phi.radii])), axis=1)
+        zeros[np.argmax(far)] = rf
+    else:
+        # the zero of disk 1 goes to its slack boundary, sideways, where
+        # its angle is furthest from the center's
+        i = np.argmin(np.abs(zeros - rf * eta[1]))
+        zeros[i] = rf * eta[1] * (1 + 1j * _SLACK / M)
+    return zeros
+
+
+@pytest.mark.parametrize("how", ["moved", "duplicated", "boundary"])
+@pytest.mark.parametrize("key", [("acceptance_9", 1), ("cycle", 4)])
+def test_ring_audit_matches_distance_matrix_on_perturbed_zeros(
+        monkeypatch, audited_steps, key, how):
+    state, phi, Z = audited_steps[key]
+    M = state.records[-1].M
+    zeros = _perturbed(Z.finite_zeros, phi, M, how)
+    expect = _ring_audit_oracle(zeros, phi, M)
+    if how != "boundary":
+        assert expect is not None
+    bad = ZeroSet(zeros, Z.infinity_count, Z.formal_degree)
+    assert _audit(monkeypatch, state, phi, bad) == expect
+
+
+def test_ring_audit_memory_is_linear_in_the_degree(monkeypatch, audited_steps):
+    # d = 4611 zeros against M = 3689 centers: a distance matrix would take
+    # over 200 MB, one distance per zero about 75 kB
+    state, phi, Z = audited_steps["cycle", 4]
+    assert (state.d, state.records[-1].M) == (4611, 3689)
+    monkeypatch.setattr(universal, "find_zeros", lambda P, tol: Z)
+    tracemalloc.start()
+    try:
+        verify_step(state, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_universal_cycle_command_stays_below_200_mb():
+    src = os.path.dirname(os.path.dirname(szego.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import os, resource, sys; from szego.cli import main; "
+            f"rc = main(['universal', '--targets', '{_CYCLE}', "
+            "'--out', os.devnull]); "
+            "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "print(rc, kb / 1024 if sys.platform != 'darwin' else kb / 2**20)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    rc, mb = out.split()
+    assert rc == "0"
+    assert float(mb) < 200
