@@ -45,9 +45,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise DomainError(f"expected comma separated numbers, got {text!r}")
+    return values
 
 
 def _emit(text: str, out: str | None) -> None:

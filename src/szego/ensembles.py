@@ -167,9 +167,17 @@ def _draw_block(E: Ensemble, seed: int, trial: int, block: int):
     return vals, logs
 
 
+def _check_seed(seed: int, trial: int = 0) -> None:
+    # numpy's SeedSequence takes nonnegative integers only
+    if seed < 0 or trial < 0:
+        raise DomainError(f"seed and trial index must be nonnegative, "
+                          f"got seed {seed} and trial {trial}")
+
+
 def _sample(E: Ensemble, n: int, seed: int, trial: int):
     if n < 0:
         raise DomainError("n must be nonnegative")
+    _check_seed(seed, trial)
     blocks = [_draw_block(E, seed, trial, b) for b in range(n // BLOCK + 1)]
     vals = np.concatenate([v for v, _ in blocks])[:n + 1]
     logs = np.concatenate([l for _, l in blocks])[:n + 1]
@@ -280,6 +288,7 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     if workers < 1:
         raise DomainError("workers must be at least 1")
     _check_tol(tol)
+    _check_seed(seed)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.isnan(t_grid)):
         raise DomainError("t grid must be nonnegative")
@@ -359,6 +368,7 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
     if trials < 10:
         raise DomainError("need at least 10 trials")
     _check_tol(tol)
+    _check_seed(seed)
     inside, inside_inverse, boundary = [], [], []
     failures = 0
     for trial in range(trials):

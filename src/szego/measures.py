@@ -111,8 +111,8 @@ def counting_fn(Z: ZeroSet, t):
     reaches 1.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("radius t must be nonnegative")
+    if np.any(t < 0) or np.any(np.isnan(t)):
+        raise DomainError("radius t must be a nonnegative number")
     n = Z.formal_degree
     if n < 1:
         raise DomainError("counting function needs formal degree >= 1")

@@ -20,7 +20,7 @@ DROP_TOL = 1e-300
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _MAX_ITERS = 600
-_CHUNK = 256
+_CHUNK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,23 +208,71 @@ def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_j 1/(w_i - w_j) for i in rows, j over all other roots, in blocks.
+    """sum_j 1/(w_i - w_j) for i in rows, j over all other roots.
 
-    A row whose sum comes out non-finite (two coincident points) is summed
-    again with each exact zero difference nudged to 1e-12.
+    Up to _CHUNK rows are one block against every point. More rows go
+    through ``_triangle_sums``, which forms each pair with an active end
+    once. A row whose sum comes out non-finite (two coincident points, in
+    one block or in two) is summed again with each exact zero difference
+    nudged to 1e-12.
     """
-    out = np.empty(len(rows), dtype=np.complex128)
-    for start in range(0, len(rows), _CHUNK):
-        idx = rows[start: start + _CHUNK]
-        diff = np.subtract.outer(w[idx], w)
-        diff[np.arange(len(idx)), idx] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sums = np.reciprocal(diff, out=diff).sum(axis=1)
-            for i in np.nonzero(~np.isfinite(sums))[0]:
-                row = w[idx[i]] - w
-                row[idx[i]] = np.inf
-                row[row == 0] = 1e-12
-                sums[i] = np.sum(1.0 / row)
-        out[start: start + _CHUNK] = sums
+    m, N = len(rows), len(w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if m <= _CHUNK:
+            # no later block takes column sums, so the sort would not pay
+            diff = np.subtract.outer(w[rows], w)
+            diff[np.arange(m), rows] = np.inf
+            out = np.reciprocal(diff, out=diff).sum(axis=1)
+        else:
+            out = _triangle_sums(w, rows)
+        for i in np.nonzero(~np.isfinite(out))[0]:
+            out[i] = _nudged_sum(w, rows[i])
     return out
+
+
+def _nudged_sum(w: np.ndarray, i: int) -> complex:
+    """sum_j 1/(w_i - w_j) with each exact zero difference nudged to 1e-12."""
+    row = w[i] - w
+    row[i] = np.inf
+    row[row == 0] = 1e-12
+    return np.sum(1.0 / row)
+
+
+def _triangle_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_pair_sums`` with each pair that has an active end formed once.
+
+    fl(a - b) = -fl(b - a) exactly, so 1/(w_j - w_i) is the negated
+    1/(w_i - w_j). The points are ordered active rows first, then the rest,
+    each group by angle with ties broken by modulus, then index; the order
+    depends on the points and the set of rows only, so shuffling ``rows``
+    only permutes the results. A block of _CHUNK active rows meets
+    itself and every point after it: its row sums go to its own rows, and
+    its column sums over later active rows go to those rows with the sign
+    flipped. About m N - m^2/2 differences are formed instead of m N. The
+    angle order keeps numpy's complex reciprocal, which branches on
+    |Re| >= |Im|, on one branch along long runs of a row; on a d = 4190
+    solver state, [rows, rest] index order made this 1.5 times as slow.
+    Every block is written into one buffer allocated per call.
+    """
+    m, N = len(rows), len(w)
+    active = np.zeros(N, dtype=bool)
+    active[rows] = True
+    by_angle = np.lexsort((np.abs(w), np.angle(w)))
+    order = np.concatenate([by_angle[active[by_angle]],
+                            by_angle[~active[by_angle]]])
+    v = w[order]
+    sums = np.zeros(m, dtype=np.complex128)
+    buf = np.empty(_CHUNK * N, dtype=np.complex128)
+    for start in range(0, m, _CHUNK):
+        stop = min(start + _CHUNK, m)
+        b = stop - start
+        diff = buf[: b * (N - start)].reshape(b, N - start)
+        np.subtract.outer(v[start:stop], v[start:], out=diff)
+        diff[np.arange(b), np.arange(b)] = np.inf
+        np.reciprocal(diff, out=diff)
+        sums[start:stop] += diff.sum(axis=1)
+        sums[stop:] -= diff[:, b: m - start].sum(axis=0)
+    pos = np.empty(N, dtype=np.intp)
+    pos[order] = np.arange(N)
+    return sums[pos[rows]]
 

@@ -325,3 +325,38 @@ def test_random_rejects_non_integer_weyl_orders(capsys, monkeypatch, orders):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
     rc = main(_RANDOM + ["--workers", "2", "--weyl-orders", orders])
     _one_error_line(capsys, rc)
+
+
+@pytest.mark.parametrize("argv", [
+    _RANDOM + ["--t-grid", "1", "--seed", "-1"],
+    _RANDOM + ["--t-grid", "1", "--seed", "-1", "--workers", "2"],
+    ["gauge", "--family", "random:gaussian_complex,-3", "--horizon", "64"],
+    ["zeros", "--family", "random:gaussian_complex,-3", "--n", "8"],
+])
+def test_negative_seed_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+    assert "seed" in _one_error_line(capsys, main(argv))
+
+
+@pytest.mark.parametrize("grid", ["nan", "0.5,nan", ",,", " , "])
+def test_measure_rejects_a_nan_or_empty_t_grid(capsys, grid):
+    rc = main(["measure", "--family", "geometric", "--n", "8",
+               "--t-grid", grid])
+    _one_error_line(capsys, rc)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--t-grid", ",,"), ("--weyl-orders", ","),
+])
+def test_random_rejects_a_grid_with_no_numbers(capsys, monkeypatch, option,
+                                               value):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+    rc = main(_RANDOM + ["--workers", "2", option, value])
+    _one_error_line(capsys, rc)
+
+
+def test_gauge_rejects_a_grid_with_no_numbers(capsys):
+    # an empty gamma grid used to end in an IndexError traceback
+    rc = main(["gauge", "--family", "lacunary:2", "--horizon", "64",
+               "--grid", ",,"])
+    _one_error_line(capsys, rc)

@@ -200,6 +200,32 @@ def test_symmetry_check_rejects_bad_tol_before_sampling(monkeypatch, tol):
         reversal_symmetry_check(GAUSS, 12, 0.9, trials=12, seed=0, tol=tol)
 
 
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (-3, 2)])
+def test_sampling_rejects_a_negative_seed_or_trial(seed, trial):
+    for draw in (sample_coeffs, sample_log_abs):
+        with pytest.raises(DomainError):
+            draw(GAUSS, 8, seed, trial)
+
+
+def test_negative_seed_is_rejected_before_any_pool_or_sampling(monkeypatch):
+    import szego.ensembles as ens
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a trial was sampled")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(ens, "sample_coeffs", no_sampling)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    with pytest.raises(DomainError):
+        mc_expected_cdf(GAUSS, 8, [1.0], trials=10, seed=-1, workers=2)
+    with pytest.raises(DomainError):
+        mc_expected_cdf(GAUSS, 8, [1.0], trials=10, seed=-1)
+    with pytest.raises(DomainError):
+        reversal_symmetry_check(GAUSS, 12, 0.9, trials=12, seed=-1)
+
+
 def test_non_finite_samples_count_as_failed_trials(monkeypatch):
     import szego.ensembles as ens
 

@@ -110,6 +110,14 @@ def test_counting_fn_brute_force():
         counting_fn(Z, -0.5)
 
 
+@pytest.mark.parametrize("t", [np.nan, [0.5, np.nan]])
+def test_counting_fn_rejects_nan(t):
+    # searchsorted puts NaN after every modulus, so it would count them all
+    Z = ZeroSet(np.array([0.5 + 0j, 2.0 + 0j]), 0, 2)
+    with pytest.raises(DomainError):
+        counting_fn(Z, t)
+
+
 def test_levy_pinned_values():
     d1 = point_mass(1.0)
     assert levy_distance(d1, d1) == 0.0

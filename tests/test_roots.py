@@ -12,7 +12,8 @@ import pytest
 
 import szego
 from szego import (ConvergenceError, DomainError, Geometric, Polynomial,
-                   RandomSeries, find_zeros, section, sorted_moduli)
+                   RandomSeries, find_zeros, parse_family, section,
+                   sorted_moduli)
 from szego import roots
 
 TOL = 1e-10
@@ -269,21 +270,150 @@ def test_zero_set_count_validation():
         ZeroSet(np.array([1.0 + 0j]), 1, 3)  # 1 + 1 != 3 + ... mismatch
 
 
+def _double_loop_sums(w, rows):
+    """Reference pair sums in Python complex arithmetic, each term listed."""
+    out = []
+    for r in rows:
+        terms = [1.0 / (1e-12 if w[r] == w[j] else complex(w[r] - w[j]))
+                 for j in range(len(w)) if j != r]
+        out.append((sum(terms), sum(abs(t) for t in terms)))
+    return out
+
+
 def test_pair_sums_match_double_loop():
-    # 300 points span two row chunks; points 5 and 17 coincide exactly,
-    # so their rows take the nudged recomputation
+    # 7 rows are one block against all 300 points; points 5 and 17
+    # coincide exactly, so their rows take the nudged recomputation
     rng = np.random.default_rng(12)
     w = rng.normal(size=300) + 1j * rng.normal(size=300)
     w[17] = w[5]
     rows = np.array([0, 5, 17, 100, 255, 256, 299])
     got = roots._pair_sums(w, rows)
-    for r, g in zip(rows, got):
-        terms = [1.0 / (1e-12 if w[r] == w[j] else complex(w[r] - w[j]))
-                 for j in range(len(w)) if j != r]
-        expect = sum(terms)
-        assert abs(g - expect) <= 1e-13 * sum(abs(t) for t in terms)
+    for g, (expect, scale) in zip(got, _double_loop_sums(w, rows)):
+        assert abs(g - expect) <= 1e-13 * scale
     assert abs(got[1] - 1e12) < 1e-3 * 1e12
     assert np.array_equal(roots._pair_sums(w, rows[::-1]), got[::-1])
+
+
+def _angle_positions(w, rows):
+    # the order the triangle scheme gives the active rows: by angle, ties
+    # by modulus, then index
+    order = rows[np.lexsort((np.abs(w[rows]), np.angle(w[rows])))]
+    pos = np.empty(len(w), dtype=int)
+    pos[order] = np.arange(len(rows))
+    return pos
+
+
+def _triangle_case(name):
+    """(points, active rows, rows that must take the nudged recomputation)."""
+    chunk = roots._CHUNK
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=400) + 1j * rng.normal(size=400)
+    # 320 active rows, more than two blocks, with a done point after every
+    # four active ones
+    rows = np.array([i for i in range(400) if i % 5 != 2])
+    nudged = set()
+    if name == "coincident":
+        w[30] = w[6]        # both active: adjacent in angle order
+        w[12] = w[11]       # active 11 meets done 12
+        pos = _angle_positions(w, rows)
+        assert pos[6] // chunk == pos[30] // chunk
+        order = np.argsort(pos[rows])
+        a, b = rows[order[chunk - 1]], rows[order[chunk]]
+        w[a] = w[b]         # the last row of block 0 meets the first of block 1
+        pos = _angle_positions(w, rows)
+        assert {pos[a], pos[b]} == {chunk - 1, chunk}
+        nudged = {6, 30, 11, int(a), int(b)}
+    elif name == "equal_angle":
+        # exact power-of-two scalings keep the angle and change the modulus
+        w[rows[200:260]] = 0.5 * w[rows[:60]]
+        w[rows[260:300]] = 4.0 * w[rows[:40]]
+        w[np.arange(2, 400, 5)[:20]] = 2.0 * w[rows[:20]]
+        assert len(set(np.angle(w[rows]))) < len(rows) - 80
+    return w, rows, nudged
+
+
+@pytest.mark.parametrize("case", ["interleaved", "coincident", "equal_angle"])
+def test_triangle_pair_sums_match_double_loop(monkeypatch, case):
+    w, rows, nudged = _triangle_case(case)
+    real = roots._nudged_sum
+    recomputed = []
+
+    def spy(w, i):
+        recomputed.append(int(i))
+        return real(w, i)
+
+    monkeypatch.setattr(roots, "_nudged_sum", spy)
+    got = roots._pair_sums(w, rows)
+    # exactly the rows of coincident points are summed again
+    assert set(recomputed) == nudged and len(recomputed) == len(nudged)
+    for g, (expect, scale) in zip(got, _double_loop_sums(w, rows)):
+        assert abs(g - expect) <= 1e-13 * scale
+    # the order of the rows changes nothing but the order of the results
+    perm = np.random.default_rng(5).permutation(len(rows))
+    assert np.array_equal(roots._pair_sums(w, rows[perm]), got[perm])
+    assert np.array_equal(roots._pair_sums(w, rows[::-1]), got[::-1])
+
+
+def _count_differences(monkeypatch):
+    """Count the differences roots forms through np.subtract.outer."""
+    formed = []
+
+    class Subtract:
+        @staticmethod
+        def outer(a, b, **kwargs):
+            formed.append(np.size(a) * np.size(b))
+            return np.subtract.outer(a, b, **kwargs)
+
+    class Numpy:
+        subtract = Subtract
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(roots, "np", Numpy())
+    return formed
+
+
+def test_pair_sums_form_each_active_pair_once(monkeypatch):
+    # machine-independent work gate: a full square of differences is N^2
+    chunk = roots._CHUNK
+    rng = np.random.default_rng(3)
+    N = 1000
+    w = rng.normal(size=N) + 1j * rng.normal(size=N)
+    formed = _count_differences(monkeypatch)
+    roots._pair_sums(w, np.arange(N))
+    assert sum(formed) <= N * N / 2 + chunk * N
+    for m in (1, chunk, chunk + 1, 3 * chunk, N - 1):
+        formed.clear()
+        roots._pair_sums(w, np.sort(rng.choice(N, m, replace=False)))
+        assert 0 < sum(formed) <= m * N
+
+
+def test_pair_sums_memory_is_one_block_buffer():
+    import tracemalloc
+
+    N = 4190
+    rng = np.random.default_rng(4)
+    w = np.exp(2j * np.pi * rng.random(N)) * (1.0 + 0.1 * rng.random(N))
+    tracemalloc.start()
+    try:
+        roots._pair_sums(w, np.arange(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * roots._CHUNK * N * 16
+
+
+def _zeros_in_fresh_process(expr):
+    """finite_zeros of ``expr`` solved in a child with single-threaded BLAS."""
+    src = os.path.dirname(os.path.dirname(szego.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    code = ("import sys; from szego import *; "
+            f"P = {expr}; "
+            "sys.stdout.write(find_zeros(P).finite_zeros.tobytes().hex())")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return bytes.fromhex(out)
 
 
 def test_zeros_do_not_depend_on_blas_threads():
@@ -291,12 +421,14 @@ def test_zeros_do_not_depend_on_blas_threads():
     # the zeros bit for bit
     P = section(RandomSeries("gaussian_complex", 11), 256)
     here = find_zeros(P).finite_zeros
-    src = os.path.dirname(os.path.dirname(szego.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-    code = ("import sys; from szego import RandomSeries, find_zeros, section; "
-            "P = section(RandomSeries('gaussian_complex', 11), 256); "
-            "sys.stdout.write(find_zeros(P).finite_zeros.tobytes().hex())")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    expr = "section(RandomSeries('gaussian_complex', 11), 256)"
     assert len(here) == 256
-    assert bytes.fromhex(out) == here.tobytes()
+    assert _zeros_in_fresh_process(expr) == here.tobytes()
+
+
+def test_multi_block_zeros_do_not_depend_on_blas_threads():
+    # 640 active rows are five blocks of the triangle pair sums
+    expr = "section(parse_family('rational:1,1|1,-1'), 640)"
+    here = find_zeros(section(parse_family("rational:1,1|1,-1"), 640))
+    assert len(here.finite_zeros) == 640 > 4 * roots._CHUNK
+    assert _zeros_in_fresh_process(expr) == here.finite_zeros.tobytes()
