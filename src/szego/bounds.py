@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, VerificationError
-from .series import Polynomial, _circle_values
+from .series import Polynomial, _circle_values, _integer
 
 __all__ = [
     "BoundsReport",
@@ -63,15 +63,17 @@ def _outer_radius(b: np.ndarray, m: int) -> float:
     root is +inf when b_n = 0 and 0 when no b_j with j < m is positive.
     In u = ln x the root solves psi(u) = 0 with
 
-        psi(u) = logsumexp_j(a_j + j u) - ln b_n - n u,  a_j = ln(C b_j),
+        psi(u) = ln sum_j exp(a_j - g_j u),
+        a_j = ln(C b_j / b_n),  g_j = n - j,
 
     which is convex and strictly decreasing. Each term alone balances the
-    left side at u_j = (a_j - ln b_n) / (n - j), so psi >= 0 there; the
-    largest u_j is a certified start on the left of the root, and plain
-    Newton from it climbs monotonically onto the root without overshooting.
-    One max-shifted ``exp`` per step gives both psi and psi'. Stops once a
-    step falls below 1e-14 relative to max(1, |u|), leaving about 1e-13 in
-    ln x; a root outside double range raises ConvergenceError.
+    left side at u_j = a_j / g_j; the largest u_j is a certified start on
+    the left of the root, and plain Newton from it climbs monotonically
+    onto the root without overshooting. So every exponent a_j - g_j u stays
+    <= 0 and the sum s = e^psi >= 1: one unshifted ``exp`` per step gives
+    both psi and psi' without overflow or underflow of s. Stops once a step
+    falls below 1e-14 relative to max(1, |u|), leaving about 1e-13 in ln x;
+    a root outside double range raises ConvergenceError.
     """
     n = len(b) - 1
     if b[n] == 0:
@@ -80,16 +82,14 @@ def _outer_radius(b: np.ndarray, m: int) -> float:
     if len(js) == 0:
         return 0.0
     lf = _log_factorials(n)
-    a = np.log(b[js]) + lf[n - 1 - js] - lf[m - 1 - js] - lf[n - m]
-    log_lhs = math.log(b[n])
-    u = float(np.max((a - log_lhs) / (n - js)))
+    a = (np.log(b[js]) + lf[n - 1 - js] - lf[m - 1 - js] - lf[n - m]
+         - math.log(b[n]))
+    g = float(n) - js
+    u = float((a / g).max())
     for _ in range(_MAX_NEWTON):
-        t = a + js * u
-        top = float(np.max(t))
-        w = np.exp(t - top)
-        s = float(np.sum(w))
-        psi = top + math.log(s) - log_lhs - n * u
-        step = psi / (n - float(np.dot(w, js)) / s)
+        w = np.exp(a - g * u)
+        s = float(w.sum())
+        step = math.log(s) * s / float(w.dot(g))
         u += step
         if step <= 1e-14 * max(1.0, abs(u)):
             break
@@ -136,6 +136,7 @@ def van_vleck_bound(P: Polynomial, m: int) -> float:
     m = n recovers the Cauchy bound. Solved by certified-start Newton in
     ln x, accurate to about 1e-13.
     """
+    m = _integer(m)
     n = P.formal_degree
     if not 1 <= m <= n:
         raise DomainError(f"m must lie in [1, {n}]")
@@ -151,6 +152,7 @@ def inner_van_vleck_bound(P: Polynomial, m: int, return_slack: bool = False):
     With ``return_slack`` also returns the log-slack of the audit inequality
     ln|b_0| <= ln C(n, m-1) + max ln|b_k| + n ln max(1, v), which must be >= 0.
     """
+    m = _integer(m)
     c = np.abs(P.coeffs)
     n = P.formal_degree
     if not 1 <= m <= n:
@@ -318,7 +320,7 @@ def bounds_report(P: Polynomial, m_values=None) -> BoundsReport:
     n = P.formal_degree
     if m_values is None:
         m_values = range(1, min(n, 12) + 1)
-    m_values = [int(m) for m in m_values]
+    m_values = [_integer(m) for m in m_values]
     for m in m_values:
         if not 1 <= m <= n:
             raise DomainError(f"m={m} out of range [1, {n}]")

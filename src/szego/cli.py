@@ -27,7 +27,7 @@ from .exceptions import (CoefficientOverflowError, ConvergenceError,
 from .gauge import gauge_and_index
 from .measures import counting_fn, radial_projection
 from .roots import find_zeros
-from .series import parse_family, section
+from .series import _integer, parse_family, section
 from .universal import build_universal, cycle_targets, parse_targets
 
 
@@ -43,9 +43,11 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _floats(text: str) -> list[float]:
+def _numbers(text: str, parse=float) -> list:
     try:
-        values = [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [parse(x) for x in text.split(",") if x.strip() != ""]
+    except DomainError:
+        raise
     except ValueError:
         values = []
     if not values:
@@ -124,7 +126,7 @@ def _cmd_measure(args) -> None:
         "infinity_mass": mu.infinity_mass,
     }
     if args.t_grid:
-        ts = _floats(args.t_grid)
+        ts = _numbers(args.t_grid)
         payload["t_grid"] = ts
         payload["counting_fn"] = [float(counting_fn(Z, t)) for t in ts]
     config = {"command": "measure", "family": args.family, "n": args.n,
@@ -142,7 +144,7 @@ def _cmd_bounds(args) -> None:
 
 def _cmd_gauge(args) -> None:
     stream = parse_family(args.family)
-    grid = _floats(args.grid) if args.grid else None
+    grid = _numbers(args.grid) if args.grid else None
     report = gauge_and_index(stream, gamma_grid=grid, N=args.horizon)
     config = {"command": "gauge", "family": args.family,
               "horizon": args.horizon}
@@ -151,8 +153,8 @@ def _cmd_gauge(args) -> None:
 
 def _cmd_random(args) -> None:
     E = as_ensemble(args.ensemble)
-    ts = _floats(args.t_grid) if args.t_grid else [0.5, 0.9, 0.99, 1.01, 1.1, 2.0]
-    orders = _floats(args.weyl_orders) if args.weyl_orders else []
+    ts = _numbers(args.t_grid) if args.t_grid else [0.5, 0.9, 0.99, 1.01, 1.1, 2.0]
+    orders = _numbers(args.weyl_orders, _integer) if args.weyl_orders else []
     workers = _workers(args)
     report = mc_expected_cdf(E, args.n, ts, args.trials, args.seed,
                              weyl_orders=orders, workers=workers)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
 from .gauge import _window_start
-from .measures import counting_fn, weyl_sum
+from .measures import _weyl_order, counting_fn, weyl_sum
 from .roots import _check_tol, find_zeros
-from .series import Polynomial, _integer
+from .series import Polynomial
 
 __all__ = [
     "BLOCK",
@@ -292,9 +292,7 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.isnan(t_grid)):
         raise DomainError("t grid must be nonnegative")
-    weyl_orders = tuple(_integer(m) for m in weyl_orders)
-    if any(m < 1 for m in weyl_orders):
-        raise DomainError("weyl orders must be positive integers")
+    weyl_orders = tuple(_weyl_order(m) for m in weyl_orders)
     jobs = [(E, n, seed, trial, t_grid, tol, weyl_orders)
             for trial in range(trials)]
     if workers > 1:

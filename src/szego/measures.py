@@ -9,6 +9,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .roots import ZeroSet
+from .series import _integer
 
 __all__ = [
     "RadialMeasure",
@@ -170,14 +171,21 @@ def levy_distance(mu: RadialMeasure, nu: RadialMeasure) -> float:
     return max(a, b)
 
 
+def _weyl_order(m) -> int:
+    m = _integer(m)
+    if not 1 <= m < 2 ** 63:
+        raise DomainError(f"weyl order must be an integer in [1, 2^63), got {m}")
+    return m
+
+
 def weyl_sum(Z: ZeroSet, m: int) -> complex:
     """Normalized sum of e^{-i m theta(w)} over finite nonzero zeros.
 
     Zeros at the origin have no argument and contribute 0; so do the zeros at
-    infinity. Decay in n certifies angular equidistribution.
+    infinity. Decay in n certifies angular equidistribution. The order must
+    be an integer in [1, 2^63), the range of numpy's int64 exponents.
     """
-    if int(m) != m or m < 1:
-        raise DomainError("order m must be a positive integer")
+    m = _weyl_order(m)
     n = Z.formal_degree
     if n < 1:
         raise DomainError("weyl sum needs formal degree >= 1")
@@ -186,7 +194,7 @@ def weyl_sum(Z: ZeroSet, m: int) -> complex:
     if len(w) == 0:
         return 0j
     u = np.conj(w) / np.abs(w)
-    return complex(np.sum(u ** int(m)) / n)
+    return complex(np.sum(u ** m) / n)
 
 
 def inverse_power_sum(coeffs, m: int) -> complex:

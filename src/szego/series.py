@@ -474,6 +474,8 @@ def _exact(x) -> Fraction:
 
 def _integer(x) -> int:
     """An integral value; 2.5 or ``"x"`` raise DomainError instead of truncating."""
+    if type(x) is int:  # skips the Fraction: each radius solve passes m here
+        return x
     v = _exact(x)
     if v.denominator != 1:
         raise DomainError(f"expected an integer, got {x!r}")

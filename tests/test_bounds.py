@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from szego import (ConvergenceError, DomainError, Polynomial, VerificationError,
-                   bounds_report, cauchy_bound, entropy, find_zeros,
+                   bounds, bounds_report, cauchy_bound, entropy, find_zeros,
                    inner_cauchy_bound,
                    inner_van_vleck_bound, jensen_identity, reversed_companion,
                    van_vleck_bound, viete_checks, weak_jensen_check)
@@ -133,31 +134,37 @@ def _log_comb(n, k):
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _equation_residual(log_lhs, p, terms, x):
-    # |ln(sum_j w_j x^j) - ln(lhs x^p)| for terms [(ln w_j, j), ...]
+def _equation_residual(log_lhs, p, terms, x, relative=False):
+    # |ln(sum_j w_j x^j) - ln(lhs x^p)| for terms [(ln w_j, j), ...];
+    # relative divides by the largest exponent, max(1, |ln(lhs x^p)|, ...)
     u = math.log(x)
     a = [lw + j * u for lw, j in terms]
     top = max(a)
-    return abs(top + math.log(math.fsum(math.exp(t - top) for t in a))
-               - log_lhs - p * u)
+    res = abs(top + math.log(math.fsum(math.exp(t - top) for t in a))
+              - log_lhs - p * u)
+    if relative:
+        res /= max([1.0, abs(log_lhs + p * u)] + [abs(t) for t in a])
+    return res
 
 
-def _radius_residuals(c):
+def _radius_residuals(c, relative=False):
     """Residuals of all four radius families in their defining equations."""
     la = [math.log(abs(x)) for x in c]
     n = len(c) - 1
     P = Polynomial(c, n)
-    out = [_equation_residual(la[n], n, [(la[j], j) for j in range(n)],
-                              cauchy_bound(P)),
-           _equation_residual(la[0], 0, [(la[k], k) for k in range(1, n + 1)],
-                              inner_cauchy_bound(P))]
+
+    def res(log_lhs, p, terms, x):
+        return _equation_residual(log_lhs, p, terms, x, relative)
+
+    out = [res(la[n], n, [(la[j], j) for j in range(n)], cauchy_bound(P)),
+           res(la[0], 0, [(la[k], k) for k in range(1, n + 1)],
+               inner_cauchy_bound(P))]
     for m in range(1, n + 1):
         outer = [(_log_comb(n - j - 1, m - j - 1) + la[j], j) for j in range(m)]
-        out.append(_equation_residual(la[n], n, outer, van_vleck_bound(P, m)))
+        out.append(res(la[n], n, outer, van_vleck_bound(P, m)))
         inner = [(_log_comb(k - 1, k - (n - m) - 1) + la[k], k)
                  for k in range(n - m + 1, n + 1)]
-        out.append(_equation_residual(la[0], 0, inner,
-                                      inner_van_vleck_bound(P, m)))
+        out.append(res(la[0], 0, inner, inner_van_vleck_bound(P, m)))
     return out
 
 
@@ -169,6 +176,36 @@ def test_radii_solve_their_equations():
     for deg in degrees:
         c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         assert max(_radius_residuals(c)) <= 1e-12
+
+
+def test_radius_solves_take_few_newton_steps(monkeypatch):
+    # a work gate that does not depend on the machine: np.exp calls per
+    # solve, over the draws of test_radii_solve_their_equations
+    counts = []
+    real_exp, real_solve = np.exp, bounds._outer_radius
+
+    def exp(x):
+        counts[-1] += 1
+        return real_exp(x)
+
+    def solve(b, m):
+        counts.append(0)
+        return real_solve(b, m)
+
+    monkeypatch.setattr(bounds.np, "exp", exp)
+    monkeypatch.setattr(bounds, "_outer_radius", solve)
+    rng = np.random.default_rng(43)
+    for deg in [2, 3, 5, 8, 13, 21, 34, 55, 89, 128]:
+        c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        P = Polynomial(c, deg)
+        cauchy_bound(P)
+        inner_cauchy_bound(P)
+        for m in range(1, deg + 1):
+            van_vleck_bound(P, m)
+            inner_van_vleck_bound(P, m)
+    assert len(counts) == 2 * (358 + 10)
+    assert np.mean(counts) <= 4.5
+    assert max(counts) <= 8
 
 
 def test_radius_identities():
@@ -229,6 +266,29 @@ def test_radii_across_huge_dynamic_range():
             1e100 * van_vleck_bound(ones, m), rel=1e-12)
         assert inner_van_vleck_bound(P, m) == pytest.approx(
             1e100 * inner_van_vleck_bound(ones, m), rel=1e-12)
+
+
+def test_radii_at_full_degree_across_huge_dynamic_range():
+    # ln|b_k| spread over [-600, 600] at degree 128: any exponent left
+    # unshifted, or a start left of the largest single-term root, overflows
+    rng = np.random.default_rng(2)
+    la = rng.uniform(-600.0, 600.0, size=129)
+    c = np.exp(la) * np.exp(2j * np.pi * rng.random(129))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert max(_radius_residuals(c, relative=True)) <= 1e-14
+
+
+@pytest.mark.parametrize("radius", [
+    van_vleck_bound, inner_van_vleck_bound,
+    lambda P, m: bounds_report(P, [m]).van_vleck[m],
+], ids=["van_vleck_bound", "inner_van_vleck_bound", "bounds_report"])
+def test_radius_order_must_be_an_integer(radius):
+    P = Polynomial(np.array([1.0, 2.0, 3.0, 4.0]), 3)
+    assert radius(P, 2.0) == radius(P, 2)
+    for m in (2.5, "x", math.nan):
+        with pytest.raises(DomainError):
+            radius(P, m)
 
 
 def test_radius_special_values():

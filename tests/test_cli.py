@@ -320,11 +320,20 @@ def test_szego_workers_is_read_by_random_only(capsys, monkeypatch):
     assert json.loads(out)["config"]["workers"] == 3
 
 
-@pytest.mark.parametrize("orders", ["1.5", "1,2.5", "0", "1,-1"])
+@pytest.mark.parametrize("orders", ["1.5", "1,2.5", "0", "1,-1", "1e19",
+                                    "9223372036854775808"])
 def test_random_rejects_non_integer_weyl_orders(capsys, monkeypatch, orders):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
     rc = main(_RANDOM + ["--workers", "2", "--weyl-orders", orders])
     _one_error_line(capsys, rc)
+
+
+def test_random_reports_the_exact_weyl_order(capsys):
+    # 2^53 + 1 has no float of its own
+    rc = main(_RANDOM + ["--weyl-orders", "9007199254740993"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert json.loads(captured.out)["weyl_orders"] == [9007199254740993]
 
 
 @pytest.mark.parametrize("argv", [

@@ -178,6 +178,7 @@ def test_mc_rejects_worker_count_below_one(monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"tol": 0.0}, {"tol": 1.0}, {"tol": math.inf}, {"tol": math.nan},
     {"weyl_orders": (1.5,)}, {"weyl_orders": (1, 0)},
+    {"weyl_orders": (2 ** 63,)},
 ])
 def test_mc_rejects_bad_tol_and_weyl_orders_before_any_pool(monkeypatch, bad):
     def no_pool(*args, **kwargs):

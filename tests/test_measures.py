@@ -161,8 +161,10 @@ def test_weyl_sum_direct():
     for m in (1, 2, 3):
         direct = sum((np.conj(w) / abs(w)) ** m for w in zs) / 6
         assert weyl_sum(Z, m) == pytest.approx(direct)
-    with pytest.raises(DomainError):
-        weyl_sum(Z, 0)
+    assert weyl_sum(Z, 2.0) == weyl_sum(Z, 2)
+    for bad in (0, 2.5, "x", 2 ** 63):
+        with pytest.raises(DomainError):
+            weyl_sum(Z, bad)
 
 
 def test_weyl_sum_roots_of_unity_cancel():
