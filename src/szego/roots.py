@@ -107,34 +107,46 @@ def _aberth_rescaled(core: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _initial_guesses(core: np.ndarray) -> np.ndarray:
-    """Start points on coefficient-polygon circles, spread by the golden angle.
+    """Start points on coefficient-polygon circles.
 
     The radii come from the upper convex hull of (k, ln|b_k|): each hull edge
-    of horizontal extent q contributes q start radii exp(-slope), clipped into
+    from i to j contributes q = j - i start radii exp(-slope), clipped into
     [inner, outer] Cauchy radii so no guess starts absurdly far from the zeros.
+    An edge with no nonzero coefficient strictly between its ends is the
+    binomial b_i z^i + b_j z^j, and its q starts sit at that binomial's
+    zeros, at angles (arg(-b_i/b_j) + 2 pi l)/q: the sections of the
+    universal series, built from factors 1 - (z/r)^M, have their zeros
+    almost exactly there. Every other edge spreads its starts by one global
+    golden angle. That includes flat edges with interior coefficients on the
+    hull line (geometric, rational sections): their zeros are nearly
+    symmetric too, and starts placed symmetrically on the circle stall the
+    iteration there (geometric n = 2048 took 33 sweeps instead of 16).
     """
     d = len(core) - 1
     mags = np.abs(core)
-    ks = np.nonzero(mags > 0)[0]
-    ls = np.log(mags[ks])
-    hull: list[tuple[float, float]] = []
-    for x, y in zip(ks.astype(float), ls):
+    ks = np.nonzero(mags > 0)[0].tolist()
+    ls = np.log(mags[ks]).tolist()
+    # positions in ks of the hull vertices
+    hull: list[int] = []
+    for t, (x, y) in enumerate(zip(ks, ls)):
         while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) >= 0:
+            o, a = hull[-2], hull[-1]
+            if ((ks[a] - ks[o]) * (y - ls[o])
+                    - (ls[a] - ls[o]) * (x - ks[o])) >= 0:
                 hull.pop()
             else:
                 break
-        hull.append((x, y))
+        hull.append(t)
     radii = np.empty(d)
-    pos = 0
-    for (x1, y1), (x2, y2) in zip(hull[:-1], hull[1:]):
-        q = int(round(x2 - x1))
-        radii[pos: pos + q] = math.exp(-(y2 - y1) / (x2 - x1))
-        pos += q
+    angles = _GOLDEN_ANGLE * np.arange(d) + 0.4
+    for a, b in zip(hull[:-1], hull[1:]):
+        i, j = ks[a], ks[b]
+        radii[i:j] = math.exp(-(ls[b] - ls[a]) / (j - i))
+        if b == a + 1:
+            phase = np.angle(-core[i] / core[j])
+            angles[i:j] = (phase + 2.0 * math.pi * np.arange(j - i)) / (j - i)
     poly = Polynomial(core, d)
     radii = np.clip(radii, inner_cauchy_bound(poly), cauchy_bound(poly))
-    angles = _GOLDEN_ANGLE * np.arange(d) + 0.4
     return radii * np.exp(1j * angles)
 
 

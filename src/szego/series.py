@@ -459,9 +459,11 @@ class RandomSeries(Series):
         return {"ensemble": self.ensemble.descriptor(), "seed": self.seed}
 
 
-def _check_horizon(n) -> None:
-    if int(n) != n or n < 0:
+def _check_horizon(n) -> int:
+    n = _integer(n)
+    if n < 0:
         raise DomainError("coefficient horizon must be a natural number")
+    return n
 
 
 def _exact(x) -> Fraction:
@@ -530,8 +532,8 @@ def carlson_coeff(t: float, g: float, n: int) -> float:
 
 def section(stream: Series, n: int) -> Polynomial:
     """The degree-n formal section: coefficients a_0..a_n of the stream."""
-    _check_horizon(n)
-    return Polynomial(stream.values(n), int(n))
+    n = _check_horizon(n)
+    return Polynomial(stream.values(n), n)
 
 
 def reversed_companion(P: Polynomial) -> Polynomial:

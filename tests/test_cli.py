@@ -336,6 +336,19 @@ def test_random_reports_the_exact_weyl_order(capsys):
     assert json.loads(captured.out)["weyl_orders"] == [9007199254740993]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_random_accepts_the_largest_weyl_order(capsys):
+    rc = main(_RANDOM + ["--weyl-orders", "9223372036854775807"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    doc = json.loads(captured.out, parse_constant=_reject_constant)
+    assert doc["weyl_orders"] == [2 ** 63 - 1]
+    assert max(doc["weyl_mean_abs"][0], doc["weyl_abs_mean"][0]) <= 1
+
+
 @pytest.mark.parametrize("argv", [
     _RANDOM + ["--t-grid", "1", "--seed", "-1"],
     _RANDOM + ["--t-grid", "1", "--seed", "-1", "--workers", "2"],

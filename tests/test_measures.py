@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,19 @@ def test_weyl_sum_direct():
             weyl_sum(Z, bad)
 
 
+@pytest.mark.parametrize("m", [10 ** 18, 2 ** 63 - 1])
+def test_weyl_sum_stays_in_the_unit_disk_at_huge_orders(m):
+    # float powers of conj(w)/|w| gave |sum| = 5.6e94 here at 10^18 and
+    # overflowed at 2^63 - 1
+    rng = np.random.default_rng(63)
+    zs = rng.normal(size=40) + 1j * rng.normal(size=40)
+    Z = ZeroSet(np.sort_complex(zs), 0, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = weyl_sum(Z, m)
+    assert np.isfinite(s) and abs(s) <= 1.0
+
+
 def test_weyl_sum_roots_of_unity_cancel():
     # full sets of roots of unity average to zero for m not divisible by n
     n = 8
@@ -209,6 +224,17 @@ def test_inverse_power_sum_preconditions():
         inverse_power_sum(np.array([0.0, 1.0]), 1)  # constant term zero
     with pytest.raises(DomainError):
         inverse_power_sum(np.array([1.0, 1.0]), 2)  # m exceeds degree data
+
+
+@pytest.mark.parametrize("m", ["x", np.nan, np.inf, 2.5, 0])
+def test_inverse_power_sum_order_must_be_a_positive_integer(m):
+    with pytest.raises(DomainError):
+        inverse_power_sum([1, 2, 3, 4], m)
+
+
+def test_inverse_power_sum_takes_an_integral_float_order():
+    assert inverse_power_sum([1, 2, 3, 4], 2.0) == inverse_power_sum(
+        [1, 2, 3, 4], 2)
 
 
 def test_compactify():

@@ -6,14 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import szego
 from szego import (ConvergenceError, DomainError, Geometric, Polynomial,
-                   RandomSeries, find_zeros, parse_family, section,
-                   sorted_moduli)
+                   RandomSeries, TargetMeasure, find_zeros, initial_state,
+                   parse_family, section, sorted_moduli, step)
 from szego import roots
 
 TOL = 1e-10
@@ -261,6 +262,74 @@ def test_lacunary_high_degree_residuals():
     assert Z.infinity_count == 300 - 256
     assert len(Z.finite_zeros) == 256
     assert _residual_ok(P, Z.finite_zeros)
+
+
+def _sweep_sizes(monkeypatch):
+    """Points evaluated per sweep: the solver calls _newton_terms once each."""
+    real = roots._newton_terms
+    sizes = []
+
+    def counted(fwd, rev, d, w):
+        sizes.append(len(w))
+        return real(fwd, rev, d, w)
+
+    monkeypatch.setattr(roots, "_newton_terms", counted)
+    return sizes
+
+
+def _binomial(M, phi, r):
+    """1 - e^{i phi} (z/r)^M: zeros r e^{-i phi/M} times the M-th roots of 1."""
+    c = np.zeros(M + 1, dtype=complex)
+    c[0] = 1.0
+    c[M] = -np.exp(1j * phi) / r ** M
+    return Polynomial(c, M)
+
+
+@pytest.mark.parametrize("M", [64, 2000])
+@pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
+def test_binomial_edge_starts_converge_in_one_sweep(monkeypatch, M, phi):
+    # a two-term hull edge starts at the binomial's zeros, phase included;
+    # without the phase 1 + z^64 and 1 + z^2000 stalled and failed
+    sizes = _sweep_sizes(monkeypatch)
+    Z = find_zeros(_binomial(M, phi, 0.9))
+    assert sizes == [M]
+    assert len(Z.finite_zeros) == M and Z.infinity_count == 0
+    assert np.max(np.abs(np.abs(Z.finite_zeros) - 0.9)) <= 1e-13
+
+
+def test_cycle_section_solve_evaluates_at_most_2d_points(monkeypatch):
+    # every hull edge of a universal section is a binomial; from golden-angle
+    # starts this d = 4190 solve took 18 sweeps and 24,595 evaluations
+    state = initial_state()
+    for k, r in enumerate(["3", "4", "3", "6/5"], start=1):
+        state = step(state, TargetMeasure.of(r), k)
+    sizes = _sweep_sizes(monkeypatch)
+    Z = find_zeros(state.P)
+    d = int(np.count_nonzero(Z.finite_zeros))
+    assert d == 4190
+    assert sum(sizes) <= 2 * d
+
+
+@pytest.mark.parametrize("family, n", [("geometric", 2048),
+                                       ("rational:1,1|1,-1", 640)])
+def test_flat_edges_keep_few_sweeps(monkeypatch, family, n):
+    # these hull edges have interior coefficients on the hull line and keep
+    # the golden spread (16 and 14 sweeps); uniform starts took 33 and 32
+    sizes = _sweep_sizes(monkeypatch)
+    Z = find_zeros(section(parse_family(family), n))
+    assert len(Z.finite_zeros) == n
+    assert len(sizes) <= 20
+
+
+def test_near_unit_binomial_of_degree_4000():
+    # from golden-angle starts this solve stalled for 1202 sweeps over both
+    # passes, printed numpy overflow warnings and raised ConvergenceError
+    r = 1 / 0.999
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z = find_zeros(_binomial(4000, 2.0, r))
+    assert len(Z.finite_zeros) == 4000 and Z.infinity_count == 0
+    assert np.max(np.abs(np.abs(Z.finite_zeros) - r)) <= 1e-12
 
 
 def test_zero_set_count_validation():

@@ -306,6 +306,18 @@ def test_explicit_and_section():
         section(s, -1)
 
 
+@pytest.mark.parametrize("n", ["x", math.nan, math.inf, 2.5, -1])
+def test_section_horizon_must_be_a_natural_number(n):
+    with pytest.raises(DomainError):
+        section(parse_family("geometric"), n)
+
+
+def test_section_takes_an_integral_float_horizon():
+    P = section(parse_family("geometric"), 2.0)
+    assert P.formal_degree == 2 and type(P.formal_degree) is int
+    assert np.array_equal(P.coeffs, np.ones(3))
+
+
 def test_reversed_companion():
     P = Polynomial(np.array([1.0, 2.0, 3.0]), 2)
     Q = reversed_companion(P)
