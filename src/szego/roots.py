@@ -92,7 +92,11 @@ def _check_tol(tol: float) -> None:
 
 
 def _aberth_rescaled(core: np.ndarray, tol: float) -> np.ndarray:
-    """Retry after the substitution z = C u with C the outer Cauchy radius."""
+    """Retry after the substitution z = C u with C the outer Cauchy radius.
+
+    The retry starts every edge from the golden-angle spread, since
+    binomial-edge starts can be trapped (see ``_initial_guesses``).
+    """
     d = len(core) - 1
     C = cauchy_bound(Polynomial(core, d))
     logs = np.full(d + 1, -np.inf)
@@ -103,24 +107,33 @@ def _aberth_rescaled(core: np.ndarray, tol: float) -> np.ndarray:
     scaled[nz] = core[nz] / np.abs(core[nz]) * np.exp(logs[nz] - shift)
     if abs(scaled[0]) == 0 or abs(scaled[d]) == 0:
         raise ConvergenceError("rescaled polynomial lost its end coefficients")
-    return C * _aberth(scaled, tol)
+    return C * _aberth(scaled, tol, binomial=False)
 
 
-def _initial_guesses(core: np.ndarray) -> np.ndarray:
+def _initial_guesses(core: np.ndarray, binomial: bool = True) -> np.ndarray:
     """Start points on coefficient-polygon circles.
 
     The radii come from the upper convex hull of (k, ln|b_k|): each hull edge
     from i to j contributes q = j - i start radii exp(-slope), clipped into
     [inner, outer] Cauchy radii so no guess starts absurdly far from the zeros.
-    An edge with no nonzero coefficient strictly between its ends is the
-    binomial b_i z^i + b_j z^j, and its q starts sit at that binomial's
-    zeros, at angles (arg(-b_i/b_j) + 2 pi l)/q: the sections of the
-    universal series, built from factors 1 - (z/r)^M, have their zeros
-    almost exactly there. Every other edge spreads its starts by one global
-    golden angle. That includes flat edges with interior coefficients on the
-    hull line (geometric, rational sections): their zeros are nearly
-    symmetric too, and starts placed symmetrically on the circle stall the
-    iteration there (geometric n = 2048 took 33 sweeps instead of 16).
+    With ``binomial``, an edge that skips at least one coefficient and has
+    no nonzero coefficient strictly between its ends is the binomial
+    b_i z^i + b_j z^j, and its q starts sit at that binomial's zeros, at
+    angles (arg(-b_i/b_j) + 2 pi l)/q: the sections of the universal series,
+    built from factors 1 - (z/r)^M, have their zeros almost exactly there.
+    Every other edge spreads its starts by one global golden angle. That
+    includes flat edges with interior coefficients on the hull line
+    (geometric, rational sections), whose zeros are nearly symmetric too:
+    starts placed symmetrically on the circle stall the iteration there.
+
+    Symmetric starts can also be trapped. With real coefficients every
+    binomial phase is 0 or pi, and the iteration keeps a real point real
+    while the whole start set is symmetric about the real axis, which
+    happens when every edge is a binomial; such a point never reaches a
+    complex zero. One-step edges (q = 1) keep the golden angle, so dense
+    real polynomials such as 1 - 1.5 z + z^2 (binomial starts 2/3 and 3/2,
+    zeros 0.75 +- 0.66i) never start there. For the sparse cases left, the
+    retry in ``_aberth_rescaled`` passes ``binomial=False``.
     """
     d = len(core) - 1
     mags = np.abs(core)
@@ -142,7 +155,7 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
     for a, b in zip(hull[:-1], hull[1:]):
         i, j = ks[a], ks[b]
         radii[i:j] = math.exp(-(ls[b] - ls[a]) / (j - i))
-        if b == a + 1:
+        if binomial and b == a + 1 and j > i + 1:
             phase = np.angle(-core[i] / core[j])
             angles[i:j] = (phase + 2.0 * math.pi * np.arange(j - i)) / (j - i)
     poly = Polynomial(core, d)
@@ -179,13 +192,17 @@ def _newton_terms(fwd, rev, d: int, w: np.ndarray):
     return nu, absp, s
 
 
-def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
-    """Simultaneous iteration on a polynomial with nonzero end coefficients."""
+def _aberth(core: np.ndarray, tol: float,
+            binomial: bool = True) -> np.ndarray:
+    """Simultaneous iteration on a polynomial with nonzero end coefficients.
+
+    ``binomial`` selects the start rule of ``_initial_guesses``.
+    """
     core = core / np.max(np.abs(core))
     d = len(core) - 1
     # built once per solve, not once per sweep
     fwd, rev = _horner_layout(core), _horner_layout(core[::-1])
-    w = _initial_guesses(core)
+    w = _initial_guesses(core, binomial)
     done = np.zeros(d, dtype=bool)
     for _ in range(_MAX_ITERS):
         act = np.nonzero(~done)[0]

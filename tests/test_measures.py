@@ -171,8 +171,8 @@ def test_weyl_sum_direct():
 
 @pytest.mark.parametrize("m", [10 ** 18, 2 ** 63 - 1])
 def test_weyl_sum_stays_in_the_unit_disk_at_huge_orders(m):
-    # float powers of conj(w)/|w| gave |sum| = 5.6e94 here at 10^18 and
-    # overflowed at 2^63 - 1
+    # a power of a unit-modulus float drifts off the unit circle, and far
+    # enough to overflow at these orders
     rng = np.random.default_rng(63)
     zs = rng.normal(size=40) + 1j * rng.normal(size=40)
     Z = ZeroSet(np.sort_complex(zs), 0, 40)

@@ -176,11 +176,11 @@ def test_rescaled_fallback_matches_numpy(monkeypatch):
     original = roots._aberth
     calls = []
 
-    def fail_first(core, tol):
-        calls.append(len(core))
+    def fail_first(core, tol, **kwargs):
+        calls.append((len(core), kwargs))
         if len(calls) == 1:
             raise ConvergenceError("forced", residual=1.0)
-        return original(core, tol)
+        return original(core, tol, **kwargs)
 
     monkeypatch.setattr(roots, "_aberth", fail_first)
     rng = np.random.default_rng(8)
@@ -188,7 +188,8 @@ def test_rescaled_fallback_matches_numpy(monkeypatch):
     c[-1] += 2.0
     P = Polynomial(c, 24)
     Z = find_zeros(P)
-    assert calls == [25, 25]
+    # the retry starts from the golden spread alone
+    assert calls == [(25, {}), (25, {"binomial": False})]
     assert Z.infinity_count == 0
     assert _match_max_dist(Z.finite_zeros, np.roots(c[::-1])) < 1e-8
     assert _residual_ok(P, Z.finite_zeros)
@@ -288,8 +289,7 @@ def _binomial(M, phi, r):
 @pytest.mark.parametrize("M", [64, 2000])
 @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
 def test_binomial_edge_starts_converge_in_one_sweep(monkeypatch, M, phi):
-    # a two-term hull edge starts at the binomial's zeros, phase included;
-    # without the phase 1 + z^64 and 1 + z^2000 stalled and failed
+    # a two-term hull edge starts at the binomial's zeros, phase included
     sizes = _sweep_sizes(monkeypatch)
     Z = find_zeros(_binomial(M, phi, 0.9))
     assert sizes == [M]
@@ -298,8 +298,8 @@ def test_binomial_edge_starts_converge_in_one_sweep(monkeypatch, M, phi):
 
 
 def test_cycle_section_solve_evaluates_at_most_2d_points(monkeypatch):
-    # every hull edge of a universal section is a binomial; from golden-angle
-    # starts this d = 4190 solve took 18 sweeps and 24,595 evaluations
+    # the long hull edge of this universal section is a binomial, so most
+    # of its zeros converge in the first sweep
     state = initial_state()
     for k, r in enumerate(["3", "4", "3", "6/5"], start=1):
         state = step(state, TargetMeasure.of(r), k)
@@ -314,7 +314,8 @@ def test_cycle_section_solve_evaluates_at_most_2d_points(monkeypatch):
                                        ("rational:1,1|1,-1", 640)])
 def test_flat_edges_keep_few_sweeps(monkeypatch, family, n):
     # these hull edges have interior coefficients on the hull line and keep
-    # the golden spread (16 and 14 sweeps); uniform starts took 33 and 32
+    # the golden spread: symmetric starts would stall on their nearly
+    # symmetric zeros
     sizes = _sweep_sizes(monkeypatch)
     Z = find_zeros(section(parse_family(family), n))
     assert len(Z.finite_zeros) == n
@@ -322,14 +323,41 @@ def test_flat_edges_keep_few_sweeps(monkeypatch, family, n):
 
 
 def test_near_unit_binomial_of_degree_4000():
-    # from golden-angle starts this solve stalled for 1202 sweeps over both
-    # passes, printed numpy overflow warnings and raised ConvergenceError
+    # golden-angle starts stall on this near-unit circle and overflow
     r = 1 / 0.999
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         Z = find_zeros(_binomial(4000, 2.0, r))
     assert len(Z.finite_zeros) == 4000 and Z.infinity_count == 0
     assert np.max(np.abs(np.abs(Z.finite_zeros) - r)) <= 1e-12
+
+
+@pytest.mark.parametrize("coeffs", [[1, -1.5, 1], [1, 0, -1.5, 0, 1],
+                                    [1, 0, 0, -1.5, 0, 0, 1]])
+def test_real_polynomials_with_binomial_hull_edges(monkeypatch, coeffs):
+    # every hull edge is a binomial with phase 0 or pi, yet no zero is real:
+    # real start points would stay on the real axis for the whole first pass
+    sizes = _sweep_sizes(monkeypatch)
+    P = Polynomial(np.array(coeffs, dtype=complex), len(coeffs) - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z = find_zeros(P)
+    assert len(sizes) <= 40
+    assert len(Z.finite_zeros) == P.formal_degree
+    assert np.min(np.abs(Z.finite_zeros.imag)) > 0.2
+    assert _residual_ok(P, Z.finite_zeros)
+
+
+def test_retry_starts_from_the_golden_spread(monkeypatch):
+    # binomial starts on 1 - 1.5 z^3 + z^6 escape the real axis only through
+    # rounding (32 sweeps); the golden spread needs 5, so with a 20-sweep
+    # budget the solve succeeds only if the retry drops the binomial starts
+    monkeypatch.setattr(roots, "_MAX_ITERS", 20)
+    P = Polynomial(np.array([1, 0, 0, -1.5, 0, 0, 1], dtype=complex), 6)
+    with pytest.raises(ConvergenceError):
+        roots._aberth(P.coeffs, TOL)
+    Z = find_zeros(P)
+    assert _residual_ok(P, Z.finite_zeros)
 
 
 def test_zero_set_count_validation():

@@ -242,6 +242,12 @@ def test_rational_rejects_off_circle_denominator():
         Rational([1], [0, 1])  # zero constant term
 
 
+def test_rational_real_denominator_with_complex_unit_roots():
+    # 1 - 1.5 z + z^2 has zeros 0.75 +- 0.66i on the unit circle
+    s = Rational([1], [1, -1.5, 1])
+    assert np.allclose(s.values(3), [1, 1.5, 1.25, 0.375])
+
+
 def test_zero_one_family():
     s = ZeroOne([0, 3, 7])
     v = s.values(10)
