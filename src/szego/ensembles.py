@@ -20,8 +20,8 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError
 from .gauge import _window_start
 from .measures import _weyl_order, counting_fn, weyl_sum
-from .roots import _check_tol, find_zeros
-from .series import Polynomial
+from .roots import ZeroSet, _check_tol, find_zeros
+from .series import Polynomial, _check_horizon
 
 __all__ = [
     "BLOCK",
@@ -175,8 +175,7 @@ def _check_seed(seed: int, trial: int = 0) -> None:
 
 
 def _sample(E: Ensemble, n: int, seed: int, trial: int):
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    n = _check_horizon(n)
     _check_seed(seed, trial)
     blocks = [_draw_block(E, seed, trial, b) for b in range(n // BLOCK + 1)]
     vals = np.concatenate([v for v, _ in blocks])[:n + 1]
@@ -218,15 +217,22 @@ def _usable(coeffs: np.ndarray) -> bool:
     return bool(np.any(coeffs)) and bool(np.all(np.isfinite(coeffs)))
 
 
-def _trial_cdf(args):
-    E, n, seed, trial, t_grid, tol, weyl_orders = args
+def _solve_trial(E: Ensemble, n: int, seed: int, trial: int,
+                 tol: float) -> ZeroSet | None:
+    """Zeros of one sampled section, or None when it cannot be solved."""
     coeffs = sample_coeffs(E, n, seed, trial)
     if not _usable(coeffs):
-        return trial, None, None
-    P = Polynomial(coeffs, n)
+        return None
     try:
-        Z = find_zeros(P, tol=tol)
+        return find_zeros(Polynomial(coeffs, n), tol=tol)
     except ConvergenceError:
+        return None
+
+
+def _trial_cdf(args):
+    E, n, seed, trial, t_grid, tol, weyl_orders = args
+    Z = _solve_trial(E, n, seed, trial, tol)
+    if Z is None:
         return trial, None, None
     F = np.asarray(counting_fn(Z, t_grid), dtype=float)
     sums = [weyl_sum(Z, m) for m in weyl_orders]
@@ -283,6 +289,7 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     E = as_ensemble(E)
     if trials < 10:
         raise DomainError("need at least 10 trials")
+    n = _check_horizon(n)
     if n < 1:
         raise DomainError("section index n must be at least 1")
     if workers < 1:
@@ -365,18 +372,14 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
         raise DomainError("radius t must lie in (0, 1]")
     if trials < 10:
         raise DomainError("need at least 10 trials")
+    n = _check_horizon(n)
     _check_tol(tol)
     _check_seed(seed)
     inside, inside_inverse, boundary = [], [], []
     failures = 0
     for trial in range(trials):
-        coeffs = sample_coeffs(E, n, seed, trial)
-        if not _usable(coeffs):
-            failures += 1
-            continue
-        try:
-            Z = find_zeros(Polynomial(coeffs, n), tol=tol)
-        except ConvergenceError:
+        Z = _solve_trial(E, n, seed, trial, tol)
+        if Z is None:
             failures += 1
             continue
         moduli = np.abs(Z.finite_zeros)
@@ -405,6 +408,7 @@ def path_root_limsup(E: Ensemble, N: int, seed: int, trial: int = 0) -> float:
     a bounded log moment, drifting above 1 along heavy-tailed paths.
     """
     E = as_ensemble(E)
+    N = _check_horizon(N)
     if N < 1000:
         raise DomainError("horizon N must be at least 1000")
     logs = sample_log_abs(E, N, seed, trial)
@@ -424,6 +428,7 @@ def dyadic_empty_window_probe(E: Ensemble, gamma: float, max_n: int,
     E = as_ensemble(E)
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie strictly between 0 and 1")
+    max_n = _check_horizon(max_n)
     if max_n < 2:
         raise DomainError("max_n must be at least 2")
     logs = sample_log_abs(E, max_n, seed, trial)

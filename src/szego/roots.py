@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import cauchy_bound, inner_cauchy_bound
 from .exceptions import ConvergenceError, DomainError
 from .series import Polynomial, _horner, _horner_layout
 
@@ -78,7 +77,7 @@ def find_zeros(P: Polynomial, tol: float = 1e-10) -> ZeroSet:
         try:
             roots = _aberth(core, tol)
         except ConvergenceError:
-            roots = _aberth_rescaled(core, tol)
+            roots = _aberth(core, tol, binomial=False)
     finite = np.concatenate([np.zeros(low, dtype=np.complex128), roots])
     finite = np.sort_complex(finite)
     return ZeroSet(finite, n - deg, n)
@@ -91,31 +90,15 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must lie strictly between 0 and 1, got {tol!r}")
 
 
-def _aberth_rescaled(core: np.ndarray, tol: float) -> np.ndarray:
-    """Retry after the substitution z = C u with C the outer Cauchy radius.
-
-    The retry starts every edge from the golden-angle spread, since
-    binomial-edge starts can be trapped (see ``_initial_guesses``).
-    """
-    d = len(core) - 1
-    C = cauchy_bound(Polynomial(core, d))
-    logs = np.full(d + 1, -np.inf)
-    nz = np.abs(core) > 0
-    logs[nz] = np.log(np.abs(core[nz])) + np.arange(d + 1)[nz] * math.log(C)
-    shift = float(np.max(logs))
-    scaled = np.zeros(d + 1, dtype=np.complex128)
-    scaled[nz] = core[nz] / np.abs(core[nz]) * np.exp(logs[nz] - shift)
-    if abs(scaled[0]) == 0 or abs(scaled[d]) == 0:
-        raise ConvergenceError("rescaled polynomial lost its end coefficients")
-    return C * _aberth(scaled, tol, binomial=False)
-
-
 def _initial_guesses(core: np.ndarray, binomial: bool = True) -> np.ndarray:
     """Start points on coefficient-polygon circles.
 
     The radii come from the upper convex hull of (k, ln|b_k|): each hull edge
-    from i to j contributes q = j - i start radii exp(-slope), clipped into
-    [inner, outer] Cauchy radii so no guess starts absurdly far from the zeros.
+    from i to j contributes q = j - i start radii exp(-slope). They lie
+    within the inner and outer Cauchy radii c and C without a clip:
+    C >= (|b_i|/|b_d|)^(1/(d-i)) for every i, and c <= (|b_0|/|b_j|)^(1/j)
+    for every j, and the last and the first hull edge give the largest and
+    the smallest radius in exactly these forms.
     With ``binomial``, an edge that skips at least one coefficient and has
     no nonzero coefficient strictly between its ends is the binomial
     b_i z^i + b_j z^j, and its q starts sit at that binomial's zeros, at
@@ -133,7 +116,7 @@ def _initial_guesses(core: np.ndarray, binomial: bool = True) -> np.ndarray:
     complex zero. One-step edges (q = 1) keep the golden angle, so dense
     real polynomials such as 1 - 1.5 z + z^2 (binomial starts 2/3 and 3/2,
     zeros 0.75 +- 0.66i) never start there. For the sparse cases left, the
-    retry in ``_aberth_rescaled`` passes ``binomial=False``.
+    retry in ``find_zeros`` passes ``binomial=False``.
     """
     d = len(core) - 1
     mags = np.abs(core)
@@ -158,8 +141,6 @@ def _initial_guesses(core: np.ndarray, binomial: bool = True) -> np.ndarray:
         if binomial and b == a + 1 and j > i + 1:
             phase = np.angle(-core[i] / core[j])
             angles[i:j] = (phase + 2.0 * math.pi * np.arange(j - i)) / (j - i)
-    poly = Polynomial(core, d)
-    radii = np.clip(radii, inner_cauchy_bound(poly), cauchy_bound(poly))
     return radii * np.exp(1j * angles)
 
 

@@ -219,12 +219,6 @@ class _IndicatorSeries(Series):
         v[self.indices(n)] = 1.0
         return v
 
-    def log_abs(self, n: int) -> np.ndarray:
-        _check_horizon(n)
-        out = np.full(n + 1, -np.inf)
-        out[self.indices(n)] = 0.0
-        return out
-
 
 class Geometric(Series):
     kind = "geometric"
@@ -232,10 +226,6 @@ class Geometric(Series):
     def values(self, n: int) -> np.ndarray:
         _check_horizon(n)
         return np.ones(n + 1, dtype=np.complex128)
-
-    def log_abs(self, n: int) -> np.ndarray:
-        _check_horizon(n)
-        return np.zeros(n + 1)
 
 
 class Lacunary(_IndicatorSeries):

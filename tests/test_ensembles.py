@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from szego import (DomainError, Ensemble, Polynomial, as_ensemble,
-                   check_conditions, dyadic_empty_window_probe, find_zeros,
-                   mc_expected_cdf, path_root_limsup, reversal_symmetry_check,
-                   sample_coeffs, sample_log_abs)
+from szego import (DomainError, Ensemble, Polynomial, RandomSeries,
+                   as_ensemble, check_conditions, dyadic_empty_window_probe,
+                   find_zeros, gauge_and_index, mc_expected_cdf,
+                   path_root_limsup, reversal_symmetry_check, sample_coeffs,
+                   sample_log_abs)
 
 GAUSS = Ensemble("gaussian_complex")
 ALL = [GAUSS, Ensemble("gaussian_real"), Ensemble("uniform_disk"),
@@ -225,6 +226,59 @@ def test_negative_seed_is_rejected_before_any_pool_or_sampling(monkeypatch):
         mc_expected_cdf(GAUSS, 8, [1.0], trials=10, seed=-1)
     with pytest.raises(DomainError):
         reversal_symmetry_check(GAUSS, 12, 0.9, trials=12, seed=-1)
+
+
+#: each random-path entry point with an integral horizon it accepts
+_HORIZON_CALLS = [
+    pytest.param(lambda n: sample_coeffs(GAUSS, n, 0), 8, id="sample_coeffs"),
+    pytest.param(lambda n: sample_log_abs(GAUSS, n, 0), 8,
+                 id="sample_log_abs"),
+    pytest.param(lambda n: RandomSeries(GAUSS, 0).values(n), 8,
+                 id="RandomSeries.values"),
+    pytest.param(lambda n: mc_expected_cdf(GAUSS, n, [1.0], trials=10,
+                                           seed=0), 8, id="mc_expected_cdf"),
+    pytest.param(lambda n: mc_expected_cdf(GAUSS, n, [1.0], trials=10,
+                                           seed=0, workers=2), 8,
+                 id="mc_expected_cdf_pool"),
+    pytest.param(lambda n: reversal_symmetry_check(GAUSS, n, 0.9, trials=10,
+                                                   seed=0), 8,
+                 id="reversal_symmetry_check"),
+    pytest.param(lambda n: path_root_limsup(GAUSS, n, 0), 1000,
+                 id="path_root_limsup"),
+    pytest.param(lambda n: dyadic_empty_window_probe(GAUSS, 0.5, n, 0), 8,
+                 id="dyadic_empty_window_probe"),
+    pytest.param(lambda n: gauge_and_index(RandomSeries(GAUSS, 0), N=n), 100,
+                 id="gauge_and_index"),
+]
+
+
+@pytest.mark.parametrize("call, n", _HORIZON_CALLS)
+@pytest.mark.parametrize("shift", [0.5, "x"])
+def test_random_path_horizons_reject_non_integers(monkeypatch, call, n, shift):
+    # rejected before any pool starts or any trial is solved
+    import szego.ensembles as ens
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial was solved")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(ens, "_solve_trial", no_trial)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    with pytest.raises(DomainError):
+        call(n + shift if shift == 0.5 else shift)
+
+
+@pytest.mark.parametrize("call, n", [
+    p for p in _HORIZON_CALLS
+    if p.id not in ("mc_expected_cdf_pool", "gauge_and_index")])
+def test_integral_float_horizon_means_the_integer(call, n):
+    a, b = call(float(n)), call(n)
+    if isinstance(a, np.ndarray):
+        assert np.array_equal(a, b)
+    else:
+        assert a == b
 
 
 def test_non_finite_samples_count_as_failed_trials(monkeypatch):

@@ -195,6 +195,52 @@ def test_rescaled_fallback_matches_numpy(monkeypatch):
     assert _residual_ok(P, Z.finite_zeros)
 
 
+def test_retry_solves_a_wide_range_polynomial(monkeypatch):
+    # 1 - 1e170 z^2 + z^4: zeros of modulus 1e-85 and 1e85, both far
+    # outside the range a rescaling by one radius can keep in doubles
+    original = roots._aberth
+    calls = []
+
+    def fail_first(core, tol, **kwargs):
+        calls.append(kwargs)
+        if len(calls) == 1:
+            raise ConvergenceError("forced", residual=1.0)
+        return original(core, tol, **kwargs)
+
+    monkeypatch.setattr(roots, "_aberth", fail_first)
+    c = np.array([1.0, 0.0, -1e170, 0.0, 1.0], dtype=complex)
+    Z = find_zeros(Polynomial(c, 4))
+    assert calls == [{}, {"binomial": False}]
+    assert Z.infinity_count == 0
+    moduli = np.sort(np.abs(Z.finite_zeros))
+    np.testing.assert_allclose(moduli, [1e-85, 1e-85, 1e85, 1e85], rtol=1e-12)
+
+
+def _start_radius_cases():
+    rng = np.random.default_rng(21)
+    for d in rng.integers(2, 201, size=40).tolist():
+        yield rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        logs = rng.uniform(-200.0, 200.0, size=d + 1)
+        yield np.exp(logs) * np.exp(2j * np.pi * rng.random(d + 1))
+        sparse = rng.normal(size=d + 1) * (rng.random(d + 1) < 0.2)
+        sparse[[0, d]] = rng.normal(size=2)
+        yield sparse.astype(complex)
+        yield rng.normal(size=d + 1).astype(complex)
+
+
+def test_start_radii_lie_within_the_cauchy_radii():
+    # the hull radii need no clip: the outer Cauchy radius C satisfies
+    # C >= (|b_i|/|b_d|)^(1/(d-i)) and the inner one c <= (|b_0|/|b_j|)^(1/j)
+    from szego.bounds import cauchy_bound, inner_cauchy_bound
+
+    for c in _start_radius_cases():
+        core = c / np.max(np.abs(c))
+        P = Polynomial(core, len(core) - 1)
+        radii = np.abs(roots._initial_guesses(core))
+        assert np.all(radii >= inner_cauchy_bound(P) * (1 - 1e-12))
+        assert np.all(radii <= cauchy_bound(P) * (1 + 1e-12))
+
+
 def test_stalled_iteration_reports_its_residual(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITERS", 1)
     # zeros at radii 1/2 and 2, so the iterates lie on both sides of the
