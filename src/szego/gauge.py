@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .series import Series
+from .series import Series, _check_horizon
 
 __all__ = [
     "DEFAULT_GAMMA_GRID",
@@ -70,6 +70,7 @@ def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
     long that even near-full windows go negligible infinitely often.
     """
     gamma = _check_gamma(gamma)
+    N = _check_horizon(N)
     if N < 64:
         raise DomainError("horizon N must be at least 64")
     if len(logs) < N + 1:
@@ -125,6 +126,7 @@ def gauge_and_index(stream: Series, gamma_grid=None, N: int = 1024) -> GaugeRepo
     """
     if gamma_grid is None:
         gamma_grid = DEFAULT_GAMMA_GRID
+    N = _check_horizon(N)
     grid = [_check_gamma(g) for g in gamma_grid]
     if sorted(set(grid)) != grid:
         raise DomainError("gamma grid must be strictly increasing")
@@ -149,6 +151,7 @@ def coeff_root_range(stream: Series, N: int) -> tuple[float, float]:
     Both ends near 1 indicate n-th roots of coefficients converging to 1;
     a min near 0 with max near 1 is the hallmark of gap series.
     """
+    N = _check_horizon(N)
     if N < 64:
         raise DomainError("horizon N must be at least 64")
     logs = stream.log_abs(N)

@@ -57,6 +57,15 @@ def find_zeros(P: Polynomial, tol: float = 1e-10) -> ZeroSet:
     zero coefficients) are deflated exactly; the rest come from simultaneous
     iteration and satisfy the backward-error bound
     |P(w)| <= tol * sum_k |b_k| |w|^k.
+
+    A deflated core whose nonzero coefficients sit at multiples of g > 1 is
+    Q(z^g), with Q(u) = sum_j b_(g j) u^j of degree d / g; Q is solved
+    instead, and each of its zeros u gives the g zeros
+    exp(log(u) / g) e^(2 pi i l / g). Since sum_k |b_k| |z|^k equals
+    sum_j |b_(g j)| |u|^j at u = z^g, the bound carries over up to the
+    rounding of the root extraction: z^g comes back as u (1 + delta) with
+    |delta| a few g eps, and |u Q'(u)| <= (d / g) sum_j |b_(g j)| |u|^j,
+    so the ratio grows by at most about |delta| d / g, a few d eps.
     """
     _check_tol(tol)
     c = P.coeffs
@@ -71,16 +80,30 @@ def find_zeros(P: Polynomial, tol: float = 1e-10) -> ZeroSet:
     d = deg - low
     if d == 0:
         roots = np.empty(0, dtype=np.complex128)
-    elif d == 1:
-        roots = np.array([-core[0] / core[1]])
     else:
-        try:
-            roots = _aberth(core, tol)
-        except ConvergenceError:
-            roots = _aberth(core, tol, binomial=False)
+        g = int(np.gcd.reduce(np.nonzero(core)[0]))
+        roots = _solve_core(core[::g], tol)
+        if g > 1:
+            turns = np.exp(2j * np.pi * np.arange(g) / g)
+            roots = np.outer(np.exp(np.log(roots) / g), turns).ravel()
     finite = np.concatenate([np.zeros(low, dtype=np.complex128), roots])
     finite = np.sort_complex(finite)
     return ZeroSet(finite, n - deg, n)
+
+
+def _solve_core(core: np.ndarray, tol: float) -> np.ndarray:
+    """Zeros of a polynomial of degree >= 1 with nonzero end coefficients.
+
+    Degree 1 is solved directly. Otherwise simultaneous iteration runs from
+    the binomial start rule and, if that stalls, once more from the golden
+    spread.
+    """
+    if len(core) == 2:
+        return np.array([-core[0] / core[1]])
+    try:
+        return _aberth(core, tol)
+    except ConvergenceError:
+        return _aberth(core, tol, binomial=False)
 
 
 def _check_tol(tol: float) -> None:

@@ -81,7 +81,9 @@ class _HornerLayout:
     Block b holds coefficients b k .. b k + k - 1, with k = floor(sqrt(d + 1))
     and zero padding at the end. Only the live blocks, those holding a
     nonzero coefficient, are stored; the last block always counts as live
-    because Horner starts from it.
+    because Horner starts from it. The blocks and their derivative-weighted
+    copies are float64 when no coefficient has an imaginary part, and
+    complex128 otherwise.
     """
 
     k: int
@@ -98,8 +100,10 @@ class _HornerLayout:
 def _horner_layout(coeffs: np.ndarray) -> _HornerLayout:
     n = len(coeffs)
     k = math.isqrt(n)
-    blocks = np.zeros((-(-n // k), k), dtype=np.complex128)
-    blocks.reshape(-1)[:n] = coeffs
+    real = not np.any(coeffs.imag)
+    blocks = np.zeros((-(-n // k), k),
+                      dtype=np.float64 if real else np.complex128)
+    blocks.reshape(-1)[:n] = coeffs.real if real else coeffs
     live = np.any(blocks != 0, axis=1)
     live[-1] = True
     blocks = blocks[live]
@@ -118,7 +122,10 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
     coefficient: a sparse section such as a universal step costs a fraction
     of a dense one. The block sums use ``np.einsum`` without ``optimize``,
     so no BLAS call is made and the result does not depend on any thread
-    count.
+    count. A real layout takes real products against the float view of one
+    transposed copy of the powers, (k, 2 m) for m points: half the
+    multiplications of complex ones, over the same terms in the same order,
+    so the values and derivatives keep their bits.
     """
     shape = z.shape
     z = z.reshape(-1)
@@ -128,8 +135,14 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
     zk[:, 1:] = z[:, None]
     np.cumprod(zk, axis=1, out=zk)
     # row r of each table: live block r of P, of P' and of the |.|-sum at z
-    vals = np.einsum("mk,bk->bm", zk, layout.vals)
-    ders = np.einsum("mk,bk->bm", zk[:, :-1], layout.ders)
+    if layout.vals.dtype == np.float64:
+        # the powers transposed, (k, m) complex read as (k, 2 m) float
+        zt = np.ascontiguousarray(zk.T).view(np.float64)
+        vals = np.einsum("bk,kn->bn", layout.vals, zt).view(np.complex128)
+        ders = np.einsum("bk,kn->bn", layout.ders, zt[:-1]).view(np.complex128)
+    else:
+        vals = np.einsum("mk,bk->bm", zk, layout.vals)
+        ders = np.einsum("mk,bk->bm", zk[:, :-1], layout.ders)
     sums = np.einsum("mk,bk->bm", np.abs(zk), layout.mags)
     y = zk[:, -1] * z
     dy = k * zk[:, -1]
@@ -214,7 +227,7 @@ class _IndicatorSeries(Series):
         raise NotImplementedError
 
     def values(self, n: int) -> np.ndarray:
-        _check_horizon(n)
+        n = _check_horizon(n)
         v = np.zeros(n + 1, dtype=np.complex128)
         v[self.indices(n)] = 1.0
         return v
@@ -224,7 +237,7 @@ class Geometric(Series):
     kind = "geometric"
 
     def values(self, n: int) -> np.ndarray:
-        _check_horizon(n)
+        n = _check_horizon(n)
         return np.ones(n + 1, dtype=np.complex128)
 
 
@@ -315,7 +328,7 @@ class Rational(Series):
             )
 
     def values(self, n: int) -> np.ndarray:
-        _check_horizon(n)
+        n = _check_horizon(n)
         a = np.zeros(n + 1, dtype=np.complex128)
         q = self.denominator
         for k in range(n + 1):
@@ -373,7 +386,7 @@ class Carlson(Series):
         self.g = g
 
     def values(self, n: int) -> np.ndarray:
-        _check_horizon(n)
+        n = _check_horizon(n)
         k = np.arange(n + 1, dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.power(self.g, k)
@@ -383,7 +396,7 @@ class Carlson(Series):
         return v
 
     def log_abs(self, n: int) -> np.ndarray:
-        _check_horizon(n)
+        n = _check_horizon(n)
         k = np.arange(n + 1, dtype=np.float64)
         if self.g == 0.0:
             out = np.full(n + 1, -np.inf)
@@ -410,7 +423,7 @@ class Explicit(Series):
         self.coeffs = tuple(cs)
 
     def values(self, n: int) -> np.ndarray:
-        _check_horizon(n)
+        n = _check_horizon(n)
         v = np.zeros(n + 1, dtype=np.complex128)
         m = min(n + 1, len(self.coeffs))
         v[:m] = self.coeffs[:m]
@@ -514,10 +527,10 @@ def carlson_indices(t: float, limit: int) -> np.ndarray:
 def carlson_coeff(t: float, g: float, n: int) -> float:
     """Single coefficient of the carlson family: 1 on the sequence, g^n off it."""
     s = Carlson(t, g)
-    _check_horizon(n)
+    n = _check_horizon(n)
     if n in carlson_indices(s.t, n):
         return 1.0
-    return s.g ** int(n)
+    return s.g ** n
 
 
 def section(stream: Series, n: int) -> Polynomial:

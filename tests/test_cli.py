@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -212,6 +213,19 @@ def test_random_rejects_worker_count_below_one(capsys, monkeypatch, workers):
     assert rc == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("family", ["inverse_one_minus_zN:2000",
+                                    "zero_one:0,2000,4000"])
+def test_zeros_of_sparse_flat_sections(capsys, family):
+    # 1 + z^2000 + z^4000 is solved in z^2000; in z it stalled with an
+    # overflow warning and exit code 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = _run(capsys, ["zeros", "--family", family, "--n", "4000"])
+    assert rc == 0
+    rows = [line for line in out.split("\n") if line and line[0] != "#"]
+    assert len(rows) == 4001  # header and 4000 zeros
 
 
 def test_zeros_of_tiny_coefficients(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from szego import (DEFAULT_GAMMA_GRID, Carlson, DomainError, Explicit, FactorialGaps, Geometric,
-                   Lacunary, ZeroOne, coeff_root_range, gauge_and_index,
+                   Lacunary, RandomSeries, ZeroOne, coeff_root_range, gauge_and_index,
                    gauge_coverage_bound, window_liminf_from_logs, window_max)
 
 
@@ -148,6 +148,21 @@ def test_coeff_root_range():
     assert hi2 == pytest.approx(1.0, abs=0.01)
     lo3, hi3 = coeff_root_range(Lacunary(2), 1024)
     assert lo3 == 0.0 and hi3 == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("stream", [Geometric(), Carlson(0.5, 0.5),
+                                    RandomSeries("gaussian_complex", 0)],
+                         ids=repr)
+def test_integral_float_horizon(stream):
+    # the JSON form too: a float horizon would print the window as 50.0
+    report = gauge_and_index(stream, N=100)
+    assert repr(gauge_and_index(stream, N=100.0)) == repr(report)
+    assert coeff_root_range(stream, 100.0) == coeff_root_range(stream, 100)
+    for bad in (100.5, "x"):
+        with pytest.raises(DomainError):
+            gauge_and_index(stream, N=bad)
+        with pytest.raises(DomainError):
+            coeff_root_range(stream, bad)
 
 
 def test_gauge_coverage_bound():

@@ -332,15 +332,93 @@ def _binomial(M, phi, r):
     return Polynomial(c, M)
 
 
+def _nearest_on_grid(z, r, theta0, n):
+    """Sorted indices j of the points r e^(i (theta0 + 2 pi j / n)) nearest
+    to each z, and the largest distance to them."""
+    j = np.rint((np.angle(z) - theta0) * n / (2 * np.pi)).astype(int) % n
+    err = np.max(np.abs(z - r * np.exp(1j * (theta0 + 2 * np.pi * j / n))))
+    return np.sort(j), float(err)
+
+
 @pytest.mark.parametrize("M", [64, 2000])
 @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
 def test_binomial_edge_starts_converge_in_one_sweep(monkeypatch, M, phi):
-    # a two-term hull edge starts at the binomial's zeros, phase included
+    # a two-term hull edge starts at the binomial's zeros, phase included;
+    # find_zeros solves a pure binomial in z^M as degree 1, so the start
+    # rule is checked on the iteration itself, on the same normalized core
     sizes = _sweep_sizes(monkeypatch)
-    Z = find_zeros(_binomial(M, phi, 0.9))
+    c = _binomial(M, phi, 0.9).coeffs
+    w = roots._aberth(c / np.max(np.abs(c)), TOL)
     assert sizes == [M]
+    assert len(w) == M
+    assert np.max(np.abs(np.abs(w) - 0.9)) <= 1e-13
+    sizes.clear()
+    Z = find_zeros(_binomial(M, phi, 0.9))
+    assert sizes == []
     assert len(Z.finite_zeros) == M and Z.infinity_count == 0
-    assert np.max(np.abs(np.abs(Z.finite_zeros) - 0.9)) <= 1e-13
+    j, err = _nearest_on_grid(Z.finite_zeros, 0.9, -phi / M, M)
+    assert np.array_equal(j, np.arange(M))
+    assert err <= 1e-13
+
+
+def test_sparse_section_is_solved_in_z_to_the_gcd():
+    # 1 + z^2000 + z^4000 has support gcd 2000: its zeros are the 2000th
+    # roots of exp(+-2 pi i / 3), the 6000th roots of unity off the cube
+    # roots; solved in z, every start sits on the unit circle and stalls
+    P = section(parse_family("inverse_one_minus_zN:2000"), 4000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z = find_zeros(P)
+    assert Z.infinity_count == 0
+    j, err = _nearest_on_grid(Z.finite_zeros, 1.0, 0.0, 6000)
+    assert np.array_equal(j, [i for i in range(6000) if i % 3])
+    assert err <= 1e-13
+
+
+def test_binomial_with_a_tiny_middle_term_is_solved_in_z_to_the_gcd():
+    # 1e-30 z^2000 lies far below the hull, so the edge of
+    # 1 - e^{2i} (0.999 z)^4000 is no longer a binomial in z; in z^2000 the
+    # polynomial is a quadratic whose zeros barely move
+    c = _binomial(4000, 2.0, 1 / 0.999).coeffs
+    c[2000] = 1e-30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z = find_zeros(Polynomial(c, 4000))
+    j, err = _nearest_on_grid(Z.finite_zeros, 1 / 0.999, -2.0 / 4000, 4000)
+    assert np.array_equal(j, np.arange(4000))
+    assert err <= 1e-13
+
+
+def test_inverse_section_zeros_in_z_cubed(monkeypatch):
+    # 1 + z^3 + ... + z^1023 = (1 - z^1026) / (1 - z^3): the 1026th roots of
+    # unity off the cube roots, from a degree-341 solve
+    sizes = _sweep_sizes(monkeypatch)
+    P = section(parse_family("inverse_one_minus_zN:3"), 1024)
+    Z = find_zeros(P)
+    assert max(sizes) == 341
+    assert Z.infinity_count == 1
+    j, err = _nearest_on_grid(Z.finite_zeros, 1.0, 0.0, 1026)
+    assert np.array_equal(j, [i for i in range(1026) if i % 342])
+    assert err <= 1e-9
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, -1.5, 0, 1],
+                                    [1, 0, 0, -1.5, 0, 0, 1]])
+def test_real_binomial_hulls_in_z_to_the_gcd_converge_fast(monkeypatch,
+                                                           coeffs):
+    # in z^g these are 1 - 1.5 u + u^2, whose one-step edges keep the
+    # golden spread; solved in z, the symmetric binomial starts leave the
+    # real axis only through rounding and take 26 and 32 sweeps
+    sizes = _sweep_sizes(monkeypatch)
+    g = len(coeffs) // 2
+    P = Polynomial(np.array(coeffs, dtype=complex), 2 * g)
+    Z = find_zeros(P)
+    assert len(sizes) <= 10
+    assert max(sizes) <= 2
+    u = np.roots([1, -1.5, 1])
+    expect = np.concatenate([np.exp(np.log(u) / g) * np.exp(2j * np.pi * l / g)
+                             for l in range(g)])
+    assert _match_max_dist(Z.finite_zeros, expect) <= 1e-14
 
 
 def test_cycle_section_solve_evaluates_at_most_2d_points(monkeypatch):

@@ -9,9 +9,10 @@ import pytest
 
 from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
                    InverseOneMinusZN, Lacunary, Polynomial, Rational,
-                   TargetMeasure, ZeroOne, carlson_coeff, initial_state,
-                   load_explicit_csv, parse_family, reversed_companion,
-                   section, series_from_descriptor, step)
+                   RandomSeries, TargetMeasure, ZeroOne, carlson_coeff,
+                   initial_state, load_explicit_csv, parse_family,
+                   reversed_companion, section, series_from_descriptor, step)
+from szego import series
 from szego.series import (_circle_values, _horner, _horner_layout,
                           carlson_indices)
 
@@ -122,6 +123,10 @@ def _sparse_vectors():
         "ends_only": lambda: ends,
         "leading_zero_blocks": lambda: leading,
         "dense": lambda: dense,
+        # real coefficients take the real block sums
+        "ones_2049": lambda: np.ones(2049, dtype=complex),
+        "rational_640": lambda: section(parse_family("rational:1,1|1,-1"),
+                                        640).coeffs,
     }
 
 
@@ -138,6 +143,33 @@ def test_horner_skips_only_empty_blocks(name):
         finite = np.isfinite(r)
         assert np.count_nonzero(finite) >= 20
         assert np.all(g[finite] == r[finite])
+
+
+def test_real_coefficients_take_real_block_sums(monkeypatch):
+    c = section(parse_family("rational:1,1|1,-1"), 640).coeffs
+    layout = _horner_layout(c)
+    assert layout.vals.dtype == layout.ders.dtype == np.float64
+    tilted = c.copy()
+    tilted[17] += 1e-300j
+    tilted_layout = _horner_layout(tilted)
+    assert tilted_layout.vals.dtype == tilted_layout.ders.dtype == np.complex128
+    real_einsum = np.einsum
+    operands = []
+
+    def spy(subscripts, *ops, **kwargs):
+        operands.append([op.dtype for op in ops])
+        return real_einsum(subscripts, *ops, **kwargs)
+
+    monkeypatch.setattr(series.np, "einsum", spy)
+    _horner(layout, _SKIP_POINTS)
+    # the value, derivative and |.|-sum, all on float64 operands
+    assert len(operands) == 3
+    assert all(dt == np.float64 for ops in operands for dt in ops)
+    # one imaginary part keeps the complex value and derivative sums
+    operands.clear()
+    _horner(tilted_layout, _SKIP_POINTS)
+    assert len(operands) == 3
+    assert sum(dt == np.complex128 for ops in operands for dt in ops) == 4
 
 
 def test_horner_on_trailing_zero_blocks():
@@ -322,6 +354,23 @@ def test_section_takes_an_integral_float_horizon():
     P = section(parse_family("geometric"), 2.0)
     assert P.formal_degree == 2 and type(P.formal_degree) is int
     assert np.array_equal(P.coeffs, np.ones(3))
+
+
+_STREAMS = [Geometric(), Lacunary(2), InverseOneMinusZN(3), FactorialGaps(),
+            Rational([1, 1], [1, -1]), ZeroOne([0, 5, 99]), Carlson(0.5, 0.5),
+            Carlson(0.5, 0.0), Explicit([1, 2, 3]),
+            RandomSeries("gaussian_complex", 0)]
+
+
+@pytest.mark.parametrize("stream", _STREAMS, ids=repr)
+def test_streams_take_an_integral_float_horizon(stream):
+    assert np.array_equal(stream.values(100.0), stream.values(100))
+    assert np.array_equal(stream.log_abs(100.0), stream.log_abs(100))
+    for bad in (100.5, "x"):
+        with pytest.raises(DomainError):
+            stream.values(bad)
+        with pytest.raises(DomainError):
+            stream.log_abs(bad)
 
 
 def test_reversed_companion():

@@ -355,6 +355,59 @@ def test_ring_audit_memory_is_linear_in_the_degree(monkeypatch, audited_steps):
     assert peak < 32 * 2 ** 20
 
 
+def _boundary_points(phi, M):
+    """The ring-disk boundary samples of verify_step, one row per disk."""
+    eta = np.exp(2j * np.pi * np.arange(M) / M)
+    n = universal._BOUNDARY_POINTS
+    angles = np.exp(2j * np.pi * np.arange(n) / n)
+    return [float(r) * eta[:, None] + (float(r) / M) * angles
+            for r in phi.radii]
+
+
+@pytest.mark.parametrize("M", [3, 4, 7, 35, 99])
+def test_factor_margin_keeps_numpy_bits_below_100(M):
+    # below M = 100 numpy's complex power multiplies the same way, unfused
+    phi = TargetMeasure.of("3/2", "2")
+    eta = np.exp(2j * np.pi * np.arange(M) / M)
+    x = np.concatenate([pts.ravel() / float(rj)
+                        for pts in _boundary_points(phi, M)
+                        for rj in phi.radii])
+    re, im = universal._power(x.real, x.imag, M)
+    power = x ** M
+    assert np.array_equal(re, power.real) and np.array_equal(im, power.imag)
+    expect = float(np.min(np.abs(1.0 - power)))
+    assert universal._factor_margin(phi, M, eta) == expect
+
+
+@pytest.mark.parametrize("r, M", [("4", 35), ("3", 316), ("6/5", 3689)])
+def test_factor_margin_matches_mpmath(r, M):
+    # the M of cycle steps 2-4; mpmath raises the same float points to the
+    # M-th power exactly, at the 200 points numpy's power puts lowest
+    mpmath = pytest.importorskip("mpmath")
+    phi = TargetMeasure.of(r)
+    eta = np.exp(2j * np.pi * np.arange(M) / M)
+    got = universal._factor_margin(phi, M, eta)
+    x = _boundary_points(phi, M)[0].ravel() / float(phi.radii[0])
+    lowest = np.argsort(np.abs(1.0 - x ** M))[:200]
+    with mpmath.workdps(40):
+        exact = min(float(abs(1 - mpmath.mpc(complex(x[i])) ** M))
+                    for i in lowest)
+    assert abs(got - exact) <= 1e-13 * exact
+
+
+def test_verify_step_peak_memory_on_the_cycle(audited_steps):
+    # the margin powers work on a few ring disks at a time; the peak is the
+    # solver's pair-sum buffer
+    state, phi, _ = audited_steps["cycle", 4]
+    tracemalloc.start()
+    try:
+        verify_step(state, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11.5 * 2 ** 20
+
+
 def test_universal_cycle_command_stays_below_200_mb():
     src = os.path.dirname(os.path.dirname(szego.__file__))
     env = dict(os.environ, PYTHONPATH=src)
