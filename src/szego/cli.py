@@ -57,7 +57,12 @@ def _numbers(text: str, parse=float) -> list:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out!r}: "
+                              f"{exc.strerror or exc}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -155,6 +160,9 @@ def _cmd_random(args) -> None:
     E = as_ensemble(args.ensemble)
     ts = _numbers(args.t_grid) if args.t_grid else [0.5, 0.9, 0.99, 1.01, 1.1, 2.0]
     orders = _numbers(args.weyl_orders, _integer) if args.weyl_orders else []
+    if orders and args.format == "csv":
+        # the CSV table has one row per t and no column for the Weyl sums
+        raise DomainError("--weyl-orders needs --format json")
     workers = _workers(args)
     report = mc_expected_cdf(E, args.n, ts, args.trials, args.seed,
                              weyl_orders=orders, workers=workers)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ DROP_TOL = 1e-300
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _MAX_ITERS = 600
 _CHUNK = 128
+#: ln of the largest double
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +173,17 @@ def _initial_guesses(core: np.ndarray, binomial: bool = True) -> np.ndarray:
 def _newton_terms(fwd, rev, d: int, w: np.ndarray):
     """Newton step P/P', |P| and sum_k |b_k| |w|^k at each point w.
 
-    ``fwd`` and ``rev`` are the Horner layouts of the degree-d coefficients
-    and of their reversal. Where |w| > 1 the reversed coefficients are
-    evaluated at 1/w instead: P(w) = w^d Q(1/w), so P/P' = w Q / (d Q - v Q')
+    ``fwd`` and ``rev`` are the Horner layouts of the degree-d coefficients,
+    normalized to max |b_k| = 1, and of their reversal. A point is evaluated
+    on ``fwd`` whenever its powers stay in the float range: with
+    ln|w| <= (ln DBL_MAX - 2 ln(d + 1)) / d, the sum and |w P'| stay below
+    (d + 1)^2 |w|^d <= DBL_MAX. So one Horner call serves every point of
+    nearly every sweep. Only points beyond that limit take the reversed
+    coefficients at 1/w: P(w) = w^d Q(1/w), so P/P' = w Q / (d Q - v Q')
     with v = 1/w, and |P| and the sum both come divided by |w|^d, which
     leaves the backward-error test |P| <= tol * sum unchanged.
     """
-    outer = np.abs(w) > 1.0
+    outer = np.abs(w) > math.exp((_LOG_MAX - 2.0 * math.log(d + 1)) / d)
     inner = ~outer
     nu = np.empty(len(w), dtype=np.complex128)
     absp = np.empty(len(w))

@@ -82,16 +82,17 @@ class _HornerLayout:
     and zero padding at the end. Only the live blocks, those holding a
     nonzero coefficient, are stored; the last block always counts as live
     because Horner starts from it. The blocks and their derivative-weighted
-    copies are float64 when no coefficient has an imaginary part, and
-    complex128 otherwise.
+    copies are float64 tables: one row per live block when no coefficient
+    has an imaginary part, and otherwise the real parts of the live blocks
+    stacked over their imaginary parts, two rows per live block.
     """
 
     k: int
     #: live[b] tells whether block b is stored
     live: tuple[bool, ...]
-    #: the live blocks, in order
+    #: the live blocks, in order (real rows over imaginary rows if complex)
     vals: np.ndarray
-    #: the live blocks times the derivative weights 1..k-1, first column dropped
+    #: ``vals`` times the derivative weights 1..k-1, first column dropped
     ders: np.ndarray
     #: |.| of the live blocks
     mags: np.ndarray
@@ -100,15 +101,35 @@ class _HornerLayout:
 def _horner_layout(coeffs: np.ndarray) -> _HornerLayout:
     n = len(coeffs)
     k = math.isqrt(n)
-    real = not np.any(coeffs.imag)
+    cplx = bool(np.any(coeffs.imag))
     blocks = np.zeros((-(-n // k), k),
-                      dtype=np.float64 if real else np.complex128)
-    blocks.reshape(-1)[:n] = coeffs.real if real else coeffs
+                      dtype=np.complex128 if cplx else np.float64)
+    blocks.reshape(-1)[:n] = coeffs if cplx else coeffs.real
     live = np.any(blocks != 0, axis=1)
     live[-1] = True
     blocks = blocks[live]
-    return _HornerLayout(k, tuple(live.tolist()), blocks,
-                         blocks[:, 1:] * np.arange(1, k), np.abs(blocks))
+    vals = np.concatenate([blocks.real, blocks.imag]) if cplx else blocks
+    return _HornerLayout(k, tuple(live.tolist()), vals,
+                         vals[:, 1:] * np.arange(1, k), np.abs(blocks))
+
+
+def _block_sums(table: np.ndarray, zt: np.ndarray, nb: int) -> np.ndarray:
+    """sum_j table[r, j] zt[j] for each of the nb live blocks, as complex rows.
+
+    ``zt`` is the float view of the (k, m) complex powers, so one real
+    einsum gives a times each power for every real row a. A complex table
+    has 2 nb rows: its imaginary rows b give b z^j, which is combined with
+    the real rows' a z^j as re = Re(a z^j) - Im(b z^j),
+    im = Im(a z^j) + Re(b z^j).
+    """
+    f = np.einsum("bk,kn->bn", table, zt)
+    if len(table) == nb:
+        return f.view(np.complex128)
+    f = f.reshape(2, nb, -1, 2)
+    out = np.empty(f.shape[1:], dtype=np.float64)
+    np.subtract(f[0, ..., 0], f[1, ..., 1], out=out[..., 0])
+    np.add(f[0, ..., 1], f[1, ..., 0], out=out[..., 1])
+    return out.view(np.complex128)[..., 0]
 
 
 def _horner(layout: _HornerLayout, z: np.ndarray):
@@ -120,34 +141,32 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
     instead of d + 1. An empty block adds exact zeros, so it is skipped, and
     the einsum work scales with the number of blocks that hold a nonzero
     coefficient: a sparse section such as a universal step costs a fraction
-    of a dense one. The block sums use ``np.einsum`` without ``optimize``,
-    so no BLAS call is made and the result does not depend on any thread
-    count. A real layout takes real products against the float view of one
-    transposed copy of the powers, (k, 2 m) for m points: half the
-    multiplications of complex ones, over the same terms in the same order,
-    so the values and derivatives keep their bits.
+    of a dense one. The powers are built as a (k, m) table for m points,
+    whose float view is (k, 2 m), and every block sum is the same
+    ``np.einsum("bk,kn->bn", ...)`` on float64 operands: real coefficient
+    rows against that view for the value and the derivative, |.| rows
+    against |z|^j for the sum. A complex layout's imaginary rows take a
+    second real product per term, so no complex einsum is made. The einsum
+    runs without ``optimize``, so no BLAS call is made and the result does
+    not depend on any thread count.
     """
     shape = z.shape
     z = z.reshape(-1)
     k = layout.k
-    zk = np.empty((len(z), k), dtype=np.complex128)
-    zk[:, 0] = 1.0
-    zk[:, 1:] = z[:, None]
-    np.cumprod(zk, axis=1, out=zk)
+    zt = np.empty((k, len(z)), dtype=np.complex128)
+    zt[0] = 1.0
+    zt[1:] = z
+    np.cumprod(zt, axis=0, out=zt)
     # row r of each table: live block r of P, of P' and of the |.|-sum at z
-    if layout.vals.dtype == np.float64:
-        # the powers transposed, (k, m) complex read as (k, 2 m) float
-        zt = np.ascontiguousarray(zk.T).view(np.float64)
-        vals = np.einsum("bk,kn->bn", layout.vals, zt).view(np.complex128)
-        ders = np.einsum("bk,kn->bn", layout.ders, zt[:-1]).view(np.complex128)
-    else:
-        vals = np.einsum("mk,bk->bm", zk, layout.vals)
-        ders = np.einsum("mk,bk->bm", zk[:, :-1], layout.ders)
-    sums = np.einsum("mk,bk->bm", np.abs(zk), layout.mags)
-    y = zk[:, -1] * z
-    dy = k * zk[:, -1]
+    zf = zt.view(np.float64)
+    nb = len(layout.mags)
+    vals = _block_sums(layout.vals, zf, nb)
+    ders = _block_sums(layout.ders, zf[:-1], nb)
+    sums = np.einsum("bk,kn->bn", layout.mags, np.abs(zt))
+    y = zt[-1] * z
+    dy = k * zt[-1]
     ay = np.abs(y)
-    r = len(vals) - 1
+    r = len(sums) - 1
     p, dp, s = vals[r], ders[r], sums[r]
     for b in range(len(layout.live) - 2, -1, -1):
         dp *= y

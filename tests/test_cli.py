@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import szego
 from szego import cli
 from szego.cli import main
 
@@ -150,6 +155,32 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     rc2, direct = _run(capsys, ["zeros", "--family", "geometric", "--n", "3"])
     assert path.read_text() == direct
+
+
+def test_out_to_a_missing_directory_exits_1(tmp_path, capsys):
+    # open() used to end in a FileNotFoundError traceback
+    path = tmp_path / "no_such_dir" / "zeros.csv"
+    rc = main(["zeros", "--family", "geometric", "--n", "3",
+               "--out", str(path)])
+    assert "--out" in _one_error_line(capsys, rc)
+    assert not path.parent.exists()
+
+
+def test_out_to_a_directory_exits_1(tmp_path, capsys):
+    rc = main(["zeros", "--family", "geometric", "--n", "3",
+               "--out", str(tmp_path)])
+    assert "--out" in _one_error_line(capsys, rc)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_python_dash_m_szego_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "szego", "--version"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == szego.__version__
 
 
 def test_exit_codes(capsys):
@@ -340,6 +371,18 @@ def test_random_rejects_non_integer_weyl_orders(capsys, monkeypatch, orders):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
     rc = main(_RANDOM + ["--workers", "2", "--weyl-orders", orders])
     _one_error_line(capsys, rc)
+
+
+def test_random_csv_rejects_weyl_orders(capsys, monkeypatch):
+    # the CSV table has no Weyl columns, so the sums used to be dropped
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials were started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(cli, "mc_expected_cdf", no_trials)
+    rc = main(_RANDOM + ["--workers", "2", "--format", "csv",
+                         "--weyl-orders", "1,2"])
+    assert "--weyl-orders" in _one_error_line(capsys, rc)
 
 
 def test_random_reports_the_exact_weyl_order(capsys):

@@ -301,6 +301,83 @@ def test_each_solve_builds_two_horner_layouts(monkeypatch):
     assert sizes == [257, 257]
 
 
+def _horner_calls(monkeypatch):
+    """(layout, points) for each Horner call the solver makes."""
+    real = roots._horner
+    calls = []
+
+    def counted(layout, z):
+        calls.append((layout, z.copy()))
+        return real(layout, z)
+
+    monkeypatch.setattr(roots, "_horner", counted)
+    return calls
+
+
+def test_one_horner_call_per_sweep(monkeypatch):
+    # every point of a random section stays inside the forward limit, so a
+    # sweep evaluates all of them on the forward layout in one call
+    calls = _horner_calls(monkeypatch)
+    sweeps = _sweep_sizes(monkeypatch)
+    Z = find_zeros(section(RandomSeries("gaussian_complex", 3), 256))
+    assert len(Z.finite_zeros) == 256
+    assert np.max(np.abs(Z.finite_zeros)) > 1.0
+    assert len(sweeps) >= 3
+    assert len(calls) == len(sweeps)
+    assert [len(z) for _, z in calls] == sweeps
+
+
+def test_wide_range_points_take_the_reversed_layout(monkeypatch):
+    # 1 - 1e170 z^2 + z^4 has zeros of modulus 1e-85 and 1e85; it is solved
+    # as 1 - 1e170 u + u^2 in u = z^2, and u = 1e170 lies past the forward
+    # limit e^((ln DBL_MAX - 2 ln 3) / 2) ~ 4e153 of degree 2, where u^2
+    # would overflow
+    real = roots._horner_layout
+    layouts = []
+
+    def counted(coeffs):
+        layouts.append(real(coeffs))
+        return layouts[-1]
+
+    monkeypatch.setattr(roots, "_horner_layout", counted)
+    calls = _horner_calls(monkeypatch)
+    c = np.array([1.0, 0.0, -1e170, 0.0, 1.0], dtype=complex)
+    Z = find_zeros(Polynomial(c, 4))
+    ms = np.sort(np.abs(Z.finite_zeros))
+    assert ms[:2] == pytest.approx([1e-85, 1e-85], rel=1e-12)
+    assert ms[2:] == pytest.approx([1e85, 1e85], rel=1e-12)
+    fwd, rev = layouts
+    outer = [z for layout, z in calls if layout is rev]
+    assert outer and all(np.all(np.abs(1.0 / z) > 1e153) for z in outer)
+    assert all(np.all(np.abs(z) < 1e153)
+               for layout, z in calls if layout is fwd)
+
+
+@pytest.mark.parametrize("d", [2, 4, 256])
+def test_forward_limit_keeps_the_backward_error(monkeypatch, d):
+    # just inside the limit the forward layout stays finite and its ratio
+    # |P| / s agrees with the reversed layout's within the two Horner
+    # rounding bounds, 4 (d + 1) eps each; just outside, the solver
+    # switches to the reversed layout
+    rng = np.random.default_rng(d)
+    c = np.exp(1j * rng.uniform(0, 2 * np.pi, d + 1))
+    fwd = roots._horner_layout(c)
+    rev = roots._horner_layout(c[::-1])
+    edge = math.exp((math.log(sys.float_info.max) - 2 * math.log(d + 1)) / d)
+    w = edge * (1 - 1e-12) * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+    p, _, s = roots._horner(fwd, w)
+    q, _, t = roots._horner(rev, 1.0 / w)
+    assert np.all(np.isfinite(p)) and np.all(np.isfinite(s))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(np.abs(p) / s - np.abs(q) / t) <= 8 * (d + 1) * eps)
+    calls = _horner_calls(monkeypatch)
+    roots._newton_terms(fwd, rev, d, w)
+    assert [layout for layout, _ in calls] == [fwd]
+    calls.clear()
+    roots._newton_terms(fwd, rev, d, w * (1 + 1e-9))
+    assert [layout for layout, _ in calls] == [rev]
+
+
 def test_lacunary_high_degree_residuals():
     from szego import Lacunary
 

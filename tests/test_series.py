@@ -74,20 +74,37 @@ def test_horner_keeps_the_shape_of_z(shape):
 
 
 def _horner_all_blocks(coeffs, z):
-    """The blocked kernel summing every block, empty or not, as a reference."""
+    """The blocked kernel summing every block, empty or not, as a reference.
+
+    Same arrangement as the kernel: (k, m) powers, real coefficient rows
+    (over imaginary rows for complex coefficients) against their float
+    view, and every block sum as einsum("bk,kn->bn").
+    """
     n = len(coeffs)
     k = math.isqrt(n)
     blocks = np.zeros((-(-n // k), k), dtype=np.complex128)
     blocks.reshape(-1)[:n] = coeffs
-    zk = np.empty((len(z), k), dtype=np.complex128)
-    zk[:, 0] = 1.0
-    zk[:, 1:] = z[:, None]
-    np.cumprod(zk, axis=1, out=zk)
-    vals = np.einsum("mk,bk->bm", zk, blocks)
-    ders = np.einsum("mk,bk->bm", zk[:, :-1], blocks[:, 1:] * np.arange(1, k))
-    sums = np.einsum("mk,bk->bm", np.abs(zk), np.abs(blocks))
-    y = zk[:, -1] * z
-    dy = k * zk[:, -1]
+    zt = np.empty((k, len(z)), dtype=np.complex128)
+    zt[0] = 1.0
+    zt[1:] = z
+    np.cumprod(zt, axis=0, out=zt)
+    zf = zt.view(np.float64)
+    table = blocks.real
+    if np.any(coeffs.imag):
+        table = np.concatenate([blocks.real, blocks.imag])
+
+    def block_sums(rows, powers):
+        f = np.einsum("bk,kn->bn", rows, powers).view(np.complex128)
+        if len(rows) == len(blocks):
+            return f
+        re, im = f[: len(blocks)], f[len(blocks):]
+        return (re.real - im.imag) + 1j * (re.imag + im.real)
+
+    vals = block_sums(table, zf)
+    ders = block_sums(table[:, 1:] * np.arange(1, k), zf[:-1])
+    sums = np.einsum("bk,kn->bn", np.abs(blocks), np.abs(zt))
+    y = zt[-1] * z
+    dy = k * zt[-1]
     p, dp, s = vals[-1], ders[-1], sums[-1]
     for b in range(len(blocks) - 2, -1, -1):
         dp = dp * y + p * dy + ders[b]
@@ -152,7 +169,12 @@ def test_real_coefficients_take_real_block_sums(monkeypatch):
     tilted = c.copy()
     tilted[17] += 1e-300j
     tilted_layout = _horner_layout(tilted)
-    assert tilted_layout.vals.dtype == tilted_layout.ders.dtype == np.complex128
+    assert len(layout.vals) == len(layout.mags)
+    assert len(tilted_layout.vals) == 2 * len(tilted_layout.mags)
+    # a complex layout stacks the real rows over the imaginary rows
+    assert tilted_layout.vals.dtype == tilted_layout.ders.dtype == np.float64
+    assert len(tilted_layout.vals) == 2 * len(layout.vals)
+    assert tilted_layout.vals[len(layout.vals), 17] == 1e-300
     real_einsum = np.einsum
     operands = []
 
@@ -165,11 +187,11 @@ def test_real_coefficients_take_real_block_sums(monkeypatch):
     # the value, derivative and |.|-sum, all on float64 operands
     assert len(operands) == 3
     assert all(dt == np.float64 for ops in operands for dt in ops)
-    # one imaginary part keeps the complex value and derivative sums
+    # one imaginary part still leaves no complex einsum
     operands.clear()
     _horner(tilted_layout, _SKIP_POINTS)
     assert len(operands) == 3
-    assert sum(dt == np.complex128 for ops in operands for dt in ops) == 4
+    assert all(dt == np.float64 for ops in operands for dt in ops)
 
 
 def test_horner_on_trailing_zero_blocks():
