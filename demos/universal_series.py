@@ -22,7 +22,7 @@ state = step(initial_state(), phi)
 rec = state.records[-1]
 print(f"target rings {phi.descriptor()}: block shift N={rec.N}, "
       f"ring count M={rec.M}, section index d={rec.d}")
-audit = verify_step(state, phi)
+audit = verify_step(state)
 print(f"  {audit.ring_zeros} ring zeros, one per disk; "
       f"levy gap {audit.levy:.3f} (budget 1.0); "
       f"worst off-ring factor {audit.min_factor_margin:.3f}")

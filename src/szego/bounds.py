@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, VerificationError
+from .measures import counting_fn
 from .series import Polynomial, _circle_values, _integer
 
 __all__ = [
@@ -215,15 +216,12 @@ def weak_jensen_check(P: Polynomial, Z, T: float, quad_points: int = 4096):
     VerificationError if lhs exceeds rhs beyond 1e-9.
     """
     T = float(T)
-    if T <= 1:
-        raise DomainError("threshold T must exceed 1")
+    if not 1 < T < math.inf:
+        raise DomainError("threshold T must be finite and exceed 1")
     n = P.formal_degree
     if n < 1:
         raise DomainError("degree must be positive")
-    moduli = np.abs(Z.finite_zeros)
-    F_T = float(np.count_nonzero(moduli <= T)) / n
-    F_invT = float(np.count_nonzero(moduli <= 1.0 / T)) / n
-    lhs = math.log(T) * (1.0 - F_T + F_invT)
+    lhs = math.log(T) * (1.0 - counting_fn(Z, T) + counting_fn(Z, 1.0 / T))
     _, jensen_rhs = jensen_identity(P, Z, quad_points)
     rhs = jensen_rhs / n
     if lhs > rhs + 1e-9:

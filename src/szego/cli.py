@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 for domain errors including bad arguments,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .ensembles import as_ensemble, check_conditions, mc_expected_cdf
 from .exceptions import (CoefficientOverflowError, ConvergenceError,
                          DomainError, VerificationError)
 from .gauge import gauge_and_index
-from .measures import counting_fn, radial_projection
+from .measures import _check_radii, counting_fn, radial_projection
 from .roots import find_zeros
 from .series import _integer, parse_family, section
 from .universal import build_universal, cycle_targets, parse_targets
@@ -55,19 +56,15 @@ def _numbers(text: str, parse=float) -> list:
     return values
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            fh = open(out, "w")
-        except OSError as exc:
-            raise DomainError(f"cannot write --out {out!r}: "
-                              f"{exc.strerror or exc}") from None
-        with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+def _open_out(out: str | None):
+    """The ``--out`` file, truncated before any work like a shell ``>``."""
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out!r}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _json_doc(config: dict, payload: dict) -> str:
@@ -98,7 +95,7 @@ def _check_limits(args) -> None:
             raise DomainError(f"--{name} {value} exceeds the limit {limit}")
 
 
-def _cmd_zeros(args) -> None:
+def _cmd_zeros(args) -> str:
     stream = parse_family(args.family)
     P = section(stream, args.n)
     Z = find_zeros(P, tol=args.tol)
@@ -108,19 +105,20 @@ def _cmd_zeros(args) -> None:
             mult = sum(1 for _ in grp)
             lines.append(f"{z.real:.17g},{z.imag:.17g},{mult}")
         lines.append(f"# infinity_count: {Z.infinity_count}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        payload = {
-            "finite_zeros": [[z.real, z.imag] for z in Z.finite_zeros],
-            "infinity_count": Z.infinity_count,
-            "formal_degree": Z.formal_degree,
-        }
-        config = {"command": "zeros", "family": args.family, "n": args.n,
-                  "tol": args.tol}
-        _emit(_json_doc(config, payload), args.out)
+        return "\n".join(lines) + "\n"
+    payload = {
+        "finite_zeros": [[z.real, z.imag] for z in Z.finite_zeros],
+        "infinity_count": Z.infinity_count,
+        "formal_degree": Z.formal_degree,
+    }
+    config = {"command": "zeros", "family": args.family, "n": args.n,
+              "tol": args.tol}
+    return _json_doc(config, payload)
 
 
-def _cmd_measure(args) -> None:
+def _cmd_measure(args) -> str:
+    # checked before the solve, by the rule counting_fn applies
+    ts = _check_radii(_numbers(args.t_grid)).tolist() if args.t_grid else []
     stream = parse_family(args.family)
     P = section(stream, args.n)
     Z = find_zeros(P, tol=args.tol)
@@ -130,33 +128,32 @@ def _cmd_measure(args) -> None:
         "weights": [float(w) for w in mu.weights],
         "infinity_mass": mu.infinity_mass,
     }
-    if args.t_grid:
-        ts = _numbers(args.t_grid)
+    if ts:
         payload["t_grid"] = ts
-        payload["counting_fn"] = [float(counting_fn(Z, t)) for t in ts]
+        payload["counting_fn"] = counting_fn(Z, ts).tolist()
     config = {"command": "measure", "family": args.family, "n": args.n,
               "tol": args.tol}
-    _emit(_json_doc(config, payload), args.out)
+    return _json_doc(config, payload)
 
 
-def _cmd_bounds(args) -> None:
+def _cmd_bounds(args) -> str:
     stream = parse_family(args.family)
     P = section(stream, args.n)
     report = bounds_report(P)
     config = {"command": "bounds", "family": args.family, "n": args.n}
-    _emit(_json_doc(config, report.to_dict()), args.out)
+    return _json_doc(config, report.to_dict())
 
 
-def _cmd_gauge(args) -> None:
+def _cmd_gauge(args) -> str:
     stream = parse_family(args.family)
     grid = _numbers(args.grid) if args.grid else None
     report = gauge_and_index(stream, gamma_grid=grid, N=args.horizon)
     config = {"command": "gauge", "family": args.family,
               "horizon": args.horizon}
-    _emit(_json_doc(config, report.to_dict()), args.out)
+    return _json_doc(config, report.to_dict())
 
 
-def _cmd_random(args) -> None:
+def _cmd_random(args) -> str:
     E = as_ensemble(args.ensemble)
     ts = _numbers(args.t_grid) if args.t_grid else [0.5, 0.9, 0.99, 1.01, 1.1, 2.0]
     orders = _numbers(args.weyl_orders, _integer) if args.weyl_orders else []
@@ -181,12 +178,11 @@ def _cmd_random(args) -> None:
         lines = ["t,phi_hat,stderr"]
         for t, p, s in zip(report.t_grid, report.phi_hat, report.stderr):
             lines.append(f"{t:.17g},{p:.17g},{s:.17g}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_doc(config, payload), args.out)
+        return "\n".join(lines) + "\n"
+    return _json_doc(config, payload)
 
 
-def _cmd_universal(args) -> None:
+def _cmd_universal(args) -> str:
     targets = parse_targets(args.targets)
     if args.steps is not None:
         targets = cycle_targets(targets, args.steps)
@@ -198,7 +194,7 @@ def _cmd_universal(args) -> None:
     }
     config = {"command": "universal", "targets": args.targets,
               "steps": len(targets), "verify": not args.no_verify}
-    _emit(_json_doc(config, payload), args.out)
+    return _json_doc(config, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +264,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_limits(args)
-        args.func(args)
+        with _open_out(args.out) as fh:
+            text = args.func(args)
+            fh.write(text if args.out or text.endswith("\n") else text + "\n")
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

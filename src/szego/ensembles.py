@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
 from .gauge import _window_start
-from .measures import _weyl_order, counting_fn, weyl_sum
+from .measures import _check_radii, _weyl_order, counting_fn, weyl_sum
 from .roots import ZeroSet, _check_tol, find_zeros
 from .series import Polynomial, _check_horizon
 
@@ -233,10 +233,10 @@ def _trial_cdf(args):
     E, n, seed, trial, t_grid, tol, weyl_orders = args
     Z = _solve_trial(E, n, seed, trial, tol)
     if Z is None:
-        return trial, None, None
+        return None, None
     F = np.asarray(counting_fn(Z, t_grid), dtype=float)
     sums = [weyl_sum(Z, m) for m in weyl_orders]
-    return trial, F, sums
+    return F, sums
 
 
 @dataclass(frozen=True)
@@ -296,9 +296,9 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
         raise DomainError("workers must be at least 1")
     _check_tol(tol)
     _check_seed(seed)
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t_grid.size == 0 or np.any(t_grid < 0) or np.any(np.isnan(t_grid)):
-        raise DomainError("t grid must be nonnegative")
+    t_grid = np.atleast_1d(_check_radii(t_grid))
+    if t_grid.size == 0:
+        raise DomainError("t grid needs at least one radius")
     weyl_orders = tuple(_weyl_order(m) for m in weyl_orders)
     jobs = [(E, n, seed, trial, t_grid, tol, weyl_orders)
             for trial in range(trials)]
@@ -308,9 +308,8 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
             results = list(pool.map(_trial_cdf, jobs, chunksize=4))
     else:
         results = [_trial_cdf(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    rows = [F for _, F, _ in results if F is not None]
-    weyl_rows = [s for _, F, s in results if F is not None]
+    rows = [F for F, _ in results if F is not None]
+    weyl_rows = [s for F, s in results if F is not None]
     used = len(rows)
     failures = trials - used
     if used == 0:

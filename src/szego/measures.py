@@ -105,15 +105,21 @@ def point_mass(radius: float) -> RadialMeasure:
     return RadialMeasure([radius], [1.0])
 
 
+def _check_radii(t) -> np.ndarray:
+    """t as a float array; raises DomainError on a negative or NaN radius."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0) or np.any(np.isnan(t)):
+        raise DomainError("radius t must be a nonnegative number")
+    return t
+
+
 def counting_fn(Z: ZeroSet, t):
     """Fraction of the formal zero count inside |w| <= t.
 
     Zeros at infinity are included only at t = inf, where the fraction
     reaches 1.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(np.isnan(t)):
-        raise DomainError("radius t must be a nonnegative number")
+    t = _check_radii(t)
     n = Z.formal_degree
     if n < 1:
         raise DomainError("counting function needs formal degree >= 1")

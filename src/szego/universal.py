@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "RING_MARGIN",
     "TargetMeasure",
     "BuildState",
-    "StepRecord",
     "StepReport",
     "tau",
     "log_disk_sup",
@@ -185,13 +184,36 @@ def choose_M(phi: TargetMeasure, k: int, N: int, d_prev: int) -> int:
 
 
 @dataclass(frozen=True)
-class StepRecord:
+class StepReport:
+    """Step k toward target phi: block shift N, ring count M, section index d.
+
+    log_A is the log disk sup the block had to dominate. The audit fields
+    min_factor_margin and levy stay nan until `verify_step` fills them in.
+    """
+
     k: int
-    target: tuple[str, ...]
+    phi: TargetMeasure
     N: int
     M: int
     d: int
     log_A: float
+    min_factor_margin: float = math.nan
+    levy: float = math.nan
+
+    @property
+    def target(self) -> tuple[str, ...]:
+        return tuple(self.phi.descriptor())
+
+    @property
+    def ring_zeros(self) -> int:
+        return self.phi.m * self.M
+
+    def to_dict(self) -> dict:
+        return {
+            "k": self.k, "target": list(self.target), "N": self.N,
+            "M": self.M, "d": self.d, "ring_zeros": self.ring_zeros,
+            "min_factor_margin": self.min_factor_margin, "levy": self.levy,
+        }
 
 
 @dataclass(frozen=True)
@@ -199,14 +221,19 @@ class BuildState:
     """Running polynomial padded to formal degree d (the section index)."""
 
     P: Polynomial
-    d: int
-    k: int
-    records: tuple[StepRecord, ...]
+    records: tuple[StepReport, ...]
+
+    @property
+    def d(self) -> int:
+        return self.P.formal_degree
+
+    @property
+    def k(self) -> int:
+        return len(self.records)
 
 
 def initial_state() -> BuildState:
-    return BuildState(P=Polynomial(np.array([1.0 + 0j]), 0), d=0, k=0,
-                      records=())
+    return BuildState(P=Polynomial(np.array([1.0 + 0j]), 0), records=())
 
 
 def _block_coeffs(phi: TargetMeasure, N: int, M: int) -> np.ndarray:
@@ -224,18 +251,16 @@ def _block_coeffs(phi: TargetMeasure, N: int, M: int) -> np.ndarray:
     return out
 
 
-def step(state: BuildState, phi: TargetMeasure, k: int | None = None) -> BuildState:
-    """Append one block aimed at target phi; returns the new state.
+def step(state: BuildState, phi: TargetMeasure) -> BuildState:
+    """Append block k = state.k + 1, aimed at target phi; returns the new state.
 
     The new coefficients are the old ones plus the block's, with disjoint
     support, so the addition is exact. The new section index is
     d + N + m M, strictly above the block degree whenever d > 0, and the
     trailing zero padding is what accounts the deferred mass at infinity.
+    The new state's last record is the step, not yet audited.
     """
-    if k is None:
-        k = state.k + 1
-    if k != state.k + 1:
-        raise DomainError("steps must be applied in order")
+    k = state.k + 1
     log_A = log_disk_sup(state.P, 2.0 * float(phi.radii[-1]))
     N = choose_N(phi, k, state.d, log_A)
     M = choose_M(phi, k, N, state.d)
@@ -250,49 +275,29 @@ def step(state: BuildState, phi: TargetMeasure, k: int | None = None) -> BuildSt
     if not np.all(np.isfinite(coeffs)):
         raise CoefficientOverflowError("combined coefficients overflowed")
     assert coeffs[N] == block[N]
-    rec = StepRecord(k=k, target=tuple(phi.descriptor()), N=N, M=M,
-                     d=d_new, log_A=log_A)
-    return BuildState(P=Polynomial(coeffs, d_new), d=d_new, k=k,
+    rec = StepReport(k=k, phi=phi, N=N, M=M, d=d_new, log_A=log_A)
+    return BuildState(P=Polynomial(coeffs, d_new),
                       records=state.records + (rec,))
 
 
-@dataclass(frozen=True)
-class StepReport:
-    k: int
-    target: tuple[str, ...]
-    N: int
-    M: int
-    d: int
-    ring_zeros: int
-    min_factor_margin: float
-    levy: float
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k, "target": list(self.target), "N": self.N,
-            "M": self.M, "d": self.d, "ring_zeros": self.ring_zeros,
-            "min_factor_margin": self.min_factor_margin, "levy": self.levy,
-        }
-
-
-def verify_step(state: BuildState, phi: TargetMeasure,
-                tol: float = 1e-10) -> StepReport:
+def verify_step(state: BuildState, tol: float = 1e-10) -> StepReport:
     """Audit the most recent step by actually finding the section's zeros.
 
-    Checks, in order: the ring disks centered at r_j times each M-th root
-    of unity (radius r_j / M) are radially disjoint; each contains exactly
-    one computed zero; every ring factor keeps modulus at least
-    RING_MARGIN on sampled disk boundaries; the junk ratio condition holds;
-    and the radial projection sits within 1/k of the target in Levy
-    distance. Raises VerificationError on any failure.
+    The target is the one the step's record holds. Checks, in order: the
+    ring disks centered at r_j times each M-th root of unity (radius
+    r_j / M) are radially disjoint; each contains exactly one computed
+    zero; every ring factor keeps modulus at least RING_MARGIN on sampled
+    disk boundaries; the junk ratio condition holds; and the radial
+    projection sits within 1/k of the target in Levy distance. Returns the
+    record with min_factor_margin and levy filled in; raises
+    VerificationError on any failure.
     """
     if not state.records:
         raise DomainError("nothing to verify before the first step")
     rec = state.records[-1]
+    phi = rec.phi
     k, N, M, m = rec.k, rec.N, rec.M, phi.m
     d_prev = rec.d - N - m * M
-    if tuple(phi.descriptor()) != rec.target:
-        raise DomainError("verification target differs from the step target")
 
     # annuli may touch (the gap condition can hold with equality) but
     # must not overlap
@@ -333,8 +338,7 @@ def verify_step(state: BuildState, phi: TargetMeasure,
     if lv > 1.0 / k:
         raise VerificationError(
             f"section measure is {lv:.4f} from the target, above 1/{k}")
-    return StepReport(k=k, target=rec.target, N=N, M=M, d=rec.d,
-                      ring_zeros=m * M, min_factor_margin=min_margin, levy=lv)
+    return replace(rec, min_factor_margin=min_margin, levy=lv)
 
 
 def _factor_margin(phi: TargetMeasure, M: int, eta: np.ndarray) -> float:
@@ -385,22 +389,16 @@ def build_universal(targets, verify: bool = True, tol: float = 1e-10):
 
     Returns (final state, list of per-step reports). Reports hold the levy
     gap to each target; with verify=False the root-finding audit is skipped
-    and the levy fields are nan.
+    and the reports are the unaudited records, whose audit fields are nan.
     """
     state = initial_state()
     reports: list[StepReport] = []
-    for i, phi in enumerate(targets, start=1):
+    for phi in targets:
         if not isinstance(phi, TargetMeasure):
             phi = TargetMeasure.of(*phi)
-        state = step(state, phi, i)
-        if verify:
-            reports.append(verify_step(state, phi, tol=tol))
-        else:
-            rec = state.records[-1]
-            reports.append(StepReport(
-                k=i, target=rec.target, N=rec.N, M=rec.M, d=rec.d,
-                ring_zeros=phi.m * rec.M, min_factor_margin=float("nan"),
-                levy=float("nan")))
+        state = step(state, phi)
+        reports.append(verify_step(state, tol=tol) if verify
+                       else state.records[-1])
     return state, reports
 
 

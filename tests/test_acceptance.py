@@ -353,7 +353,7 @@ def test_criterion_09_universal_construction():
                 f"disk occupancy {sorted(set(per_disk.tolist()))}")
         lv = levy_distance(radial_projection(Z), phi.to_radial_measure())
         c.check(lv <= 1.0, f"levy {lv:.3f} above 1")
-        rep = verify_step(st, phi)
+        rep = verify_step(st)
         c.note(f"N={rec.N} M={rec.M} d={rec.d} levy={lv:.3f} "
                f"margin={rep.min_factor_margin:.3f}")
         state = initial_state()
@@ -361,8 +361,8 @@ def test_criterion_09_universal_construction():
                    TargetMeasure.of("3"), TargetMeasure.of("6/5")]
         gaps = []
         for i, tgt in enumerate(targets, start=1):
-            state = step(state, tgt, i)
-            audit = verify_step(state, tgt)
+            state = step(state, tgt)
+            audit = verify_step(state)
             gaps.append(audit.levy)
             c.check(audit.levy <= 1.0 / i,
                     f"step {i}: levy {audit.levy:.3f} above 1/{i}")

@@ -394,6 +394,9 @@ def test_weak_jensen_holds():
             assert lhs <= rhs + 1e-9
     with pytest.raises(DomainError):
         weak_jensen_check(P, Z, 1.0)
+    for T in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            weak_jensen_check(P, Z, T)
 
 
 def test_viete_product_and_inequalities():

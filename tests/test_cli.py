@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -173,6 +175,30 @@ def test_out_to_a_directory_exits_1(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--family", "geometric", "--n", "4000"],
+    ["universal", "--targets", '[["3"],["4"],["3"],["6/5"]]'],
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_is_opened_before_any_work(tmp_path, capsys, monkeypatch, argv,
+                                       where):
+    # the path used to be opened only after the solve or the build
+    for name in ("find_zeros", "build_universal"):
+        monkeypatch.setattr(cli, name, _work_started)
+    path = tmp_path if where == "directory" else tmp_path / "no_such_dir" / "x"
+    rc = main(argv + ["--out", str(path)])
+    assert "--out" in _one_error_line(capsys, rc)
+
+
+def test_a_failing_run_leaves_an_empty_out_file(tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    path.write_text("old contents")
+    rc = main(["zeros", "--family", "no_such_family", "--n", "4",
+               "--out", str(path)])
+    _one_error_line(capsys, rc)
+    assert path.read_text() == ""
+
+
 def test_python_dash_m_szego_runs_the_cli():
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -281,6 +307,10 @@ def test_gauge_overflow_saturates_to_infinity(capsys):
 
 class _WorkStarted(Exception):
     pass
+
+
+def _work_started(*args, **kwargs):
+    raise _WorkStarted
 
 
 @pytest.mark.parametrize("option, argv", [
@@ -439,3 +469,52 @@ def test_gauge_rejects_a_grid_with_no_numbers(capsys):
     rc = main(["gauge", "--family", "lacunary:2", "--horizon", "64",
                "--grid", ",,"])
     _one_error_line(capsys, rc)
+
+
+@pytest.mark.parametrize("grid", ["nan", "0.5,nan", ",,", " , ", "-1",
+                                  "0.9,-0.5"])
+def test_measure_checks_the_t_grid_before_the_solve(capsys, monkeypatch,
+                                                     grid):
+    monkeypatch.setattr(cli, "find_zeros", _work_started)
+    rc = main(["measure", "--family", "geometric", "--n", "4096",
+               "--t-grid", grid])
+    _one_error_line(capsys, rc)
+
+
+def test_measure_counts_the_whole_grid_in_one_call(capsys, monkeypatch):
+    calls = []
+
+    def spy(Z, t):
+        calls.append(t)
+        return szego.counting_fn(Z, t)
+
+    monkeypatch.setattr(cli, "counting_fn", spy)
+    grid = [0.5, 0.9, 1.0, 1.1, math.inf]
+    rc, out = _run(capsys, ["measure", "--family", "inverse_one_minus_zN:3",
+                            "--n", "40", "--t-grid",
+                            ",".join(map(str, grid))])
+    assert rc == 0 and len(calls) == 1
+    Z = szego.find_zeros(szego.section(szego.parse_family(
+        "inverse_one_minus_zN:3"), 40))
+    doc = json.loads(out)
+    assert doc["t_grid"] == grid
+    assert doc["counting_fn"] == [szego.counting_fn(Z, t) for t in grid]
+
+
+def _readme_cli_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI usage\n\n```sh\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    assert commands and all(c[0] == "szego" for c in commands)
+    return [c[1:] for c in commands]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(),
+                         ids=lambda argv: " ".join(argv[:3]))
+def test_readme_cli_examples_run(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    assert captured.out.strip()

@@ -19,6 +19,7 @@ REMOVED = {
     "gaussian_complex", "gaussian_real", "uniform_disk", "bernoulli",
     "bernoulli_inv_n", "log_heavy_tail", "distribution_function",
     "window_root_liminf", "infinite_gap_diagnostic", "path_window_liminf",
+    "StepRecord",
 }
 
 

@@ -502,8 +502,8 @@ def test_cycle_section_solve_evaluates_at_most_2d_points(monkeypatch):
     # the long hull edge of this universal section is a binomial, so most
     # of its zeros converge in the first sweep
     state = initial_state()
-    for k, r in enumerate(["3", "4", "3", "6/5"], start=1):
-        state = step(state, TargetMeasure.of(r), k)
+    for r in ["3", "4", "3", "6/5"]:
+        state = step(state, TargetMeasure.of(r))
     sizes = _sweep_sizes(monkeypatch)
     Z = find_zeros(state.P)
     d = int(np.count_nonzero(Z.finite_zeros))

@@ -122,8 +122,8 @@ _SKIP_POINTS = np.array([r * np.exp(1j * a)
 
 def _universal_step4_coeffs():
     state = initial_state()
-    for i, r in enumerate(("3", "4", "3", "6/5"), start=1):
-        state = step(state, TargetMeasure.of(r), i)
+    for r in ("3", "4", "3", "6/5"):
+        state = step(state, TargetMeasure.of(r))
     return state.P.coeffs
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -172,21 +173,17 @@ def test_single_step_pinned_parameters():
     # support outside {0, 12, 19, 26} is empty
     nz = set(np.nonzero(st.P.coeffs)[0].tolist())
     assert nz == {0, 12, 19, 26}
-    with pytest.raises(DomainError):
-        step(st, phi, k=5)  # steps must run in order
 
 
 def test_verify_step_pinned():
     phi = TargetMeasure.of("3/2", "2")
     st = step(initial_state(), phi)
-    rep = verify_step(st, phi)
+    rep = verify_step(st)
     assert rep.ring_zeros == 14
     assert rep.min_factor_margin >= RING_MARGIN - 1e-12
     assert rep.levy <= 1.0
     with pytest.raises(DomainError):
-        verify_step(st, TargetMeasure.of("2"))
-    with pytest.raises(DomainError):
-        verify_step(initial_state(), phi)
+        verify_step(initial_state())
 
 
 def test_two_step_singleton_build():
@@ -205,6 +202,28 @@ def test_build_without_verification():
     assert math.isnan(reports[0].levy)
     assert math.isnan(reports[0].min_factor_margin)
     assert state.k == 1
+    assert reports[0] is state.records[-1]
+
+
+def test_one_record_per_step_audited_in_place():
+    phi = TargetMeasure.of("3/2", "2")
+    st = step(initial_state(), phi)
+    assert [f.name for f in dataclasses.fields(st)] == ["P", "records"]
+    assert (st.k, st.d) == (1, 26)
+    rec = st.records[-1]
+    # the constant 1 has sup exactly 1 on every disk
+    assert (rec.k, rec.phi, rec.log_A) == (1, phi, 0.0)
+    assert math.isnan(rec.min_factor_margin) and math.isnan(rec.levy)
+    rep = verify_step(st)
+    assert rep == dataclasses.replace(rec, levy=rep.levy,
+                                      min_factor_margin=rep.min_factor_margin)
+    assert rep.levy <= 1.0 and rep.min_factor_margin >= RING_MARGIN - 1e-12
+    assert list(rep.to_dict()) == ["k", "target", "N", "M", "d", "ring_zeros",
+                                   "min_factor_margin", "levy"]
+    assert rep.to_dict()["target"] == ["3/2", "2"]
+    st2 = step(st, TargetMeasure.of("3"))
+    assert [r.k for r in st2.records] == [1, 2]
+    assert st2.records[0] is rec and st2.d == st2.records[-1].d
 
 
 def test_overflow_is_reported():
@@ -258,7 +277,7 @@ def audited_steps():
         state = initial_state()
         for k, r in enumerate(radii, start=1):
             phi = TargetMeasure.of(*r)
-            state = step(state, phi, k)
+            state = step(state, phi)
             out[name, k] = (state, phi, find_zeros(state.P))
     return out
 
@@ -286,11 +305,11 @@ def _ring_audit_oracle(zeros, phi, M):
     return None
 
 
-def _audit(monkeypatch, state, phi, Z):
+def _audit(monkeypatch, state, Z):
     """verify_step on a given zero set: None on success, else the message."""
     monkeypatch.setattr(universal, "find_zeros", lambda P, tol: Z)
     try:
-        verify_step(state, phi)
+        verify_step(state)
     except VerificationError as exc:
         return str(exc)
     return None
@@ -302,7 +321,7 @@ def _audit(monkeypatch, state, phi, Z):
 def test_ring_audit_matches_distance_matrix(monkeypatch, audited_steps, key):
     state, phi, Z = audited_steps[key]
     assert _ring_audit_oracle(Z.finite_zeros, phi, state.records[-1].M) is None
-    assert _audit(monkeypatch, state, phi, Z) is None
+    assert _audit(monkeypatch, state, Z) is None
 
 
 def _perturbed(zeros, phi, M, how):
@@ -337,7 +356,7 @@ def test_ring_audit_matches_distance_matrix_on_perturbed_zeros(
     if how != "boundary":
         assert expect is not None
     bad = ZeroSet(zeros, Z.infinity_count, Z.formal_degree)
-    assert _audit(monkeypatch, state, phi, bad) == expect
+    assert _audit(monkeypatch, state, bad) == expect
 
 
 def test_ring_audit_memory_is_linear_in_the_degree(monkeypatch, audited_steps):
@@ -348,7 +367,7 @@ def test_ring_audit_memory_is_linear_in_the_degree(monkeypatch, audited_steps):
     monkeypatch.setattr(universal, "find_zeros", lambda P, tol: Z)
     tracemalloc.start()
     try:
-        verify_step(state, phi)
+        verify_step(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,7 +420,7 @@ def test_verify_step_peak_memory_on_the_cycle(audited_steps):
     state, phi, _ = audited_steps["cycle", 4]
     tracemalloc.start()
     try:
-        verify_step(state, phi)
+        verify_step(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
