@@ -381,10 +381,14 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
         if Z is None:
             failures += 1
             continue
-        moduli = np.abs(Z.finite_zeros)
-        inside.append(float(counting_fn(Z, t)))
-        inside_inverse.append(float(np.count_nonzero(moduli < 1.0 / t)) / n)
-        boundary.append(float(np.count_nonzero(np.abs(moduli - t) <= 1e-9)) / n)
+        # F(t); F((1/t)-) as F at the float below 1/t; and the band
+        # |w - t| <= 1e-9 as F(t + 1e-9) less F just below t - 1e-9, where
+        # a band reaching down to 0 has nothing below it
+        F = counting_fn(Z, [t, np.nextafter(1.0 / t, 0.0), t + 1e-9,
+                            np.nextafter(max(t - 1e-9, 0.0), 0.0)])
+        inside.append(float(F[0]))
+        inside_inverse.append(float(F[1]))
+        boundary.append(float(F[2] - F[3]) if t > 1e-9 else float(F[2]))
     used = len(inside)
     if used < 2:
         raise ConvergenceError("too few usable trials", residual=float("nan"))

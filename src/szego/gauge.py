@@ -52,11 +52,51 @@ def _check_gamma(gamma: float) -> float:
 def window_max(stream: Series, n: int, gamma: float) -> float:
     """max |a_k| over the trailing window k in [(1-gamma) n, n]."""
     gamma = _check_gamma(gamma)
+    n = _check_horizon(n)
     if n < 1:
         raise DomainError("n must be at least 1")
     logs = stream.log_abs(n)
     with np.errstate(over="ignore"):
         return float(np.exp(np.max(logs[_window_start(gamma, n):n + 1])))
+
+
+def _window_liminfs(logs: np.ndarray, grid, N: int) -> list[float]:
+    """window_liminf_from_logs at every gamma of a checked grid, one table for all.
+
+    The window length n - start(n) + 1 never decreases in n, so each level k
+    of the doubling table serves one contiguous run of n for each gamma: the
+    n whose window length lies in [2^k, 2^(k+1)). Those runs are cut out by
+    searchsorted, the table is built once, and each level folds the
+    runs it serves into a running minimum of (window max log) / n, so no
+    per-gamma array outlives its level.
+    """
+    N = _check_horizon(N)
+    if N < 64:
+        raise DomainError("horizon N must be at least 64")
+    if len(logs) < N + 1:
+        raise DomainError("need coefficient logs up to index N")
+    ns = np.arange((N + 1) // 2, N + 1)
+    # the longest window, at n = N for the largest gamma, sets the top level
+    top = int(N - _window_start(max(grid), N) + 1).bit_length() - 1
+    powers = 1 << np.arange(top + 2)
+    # level k serves ns[cut[k]:cut[k + 1]], the lengths in [2^k, 2^(k+1))
+    cuts = [np.searchsorted(ns - _window_start(gamma, ns) + 1, powers).tolist()
+            for gamma in grid]
+    best = np.full(len(grid), np.inf)
+    # level[i] = max(logs[i : i + 2^k])
+    level = np.asarray(logs[:N + 1], dtype=float)
+    for k in range(top + 1):
+        if k:
+            h = 1 << (k - 1)
+            level = np.maximum(level[:-h], level[h:])
+        for j, (gamma, cut) in enumerate(zip(grid, cuts)):
+            if cut[k] == cut[k + 1]:
+                continue
+            n = ns[cut[k]:cut[k + 1]]
+            tops = np.maximum(level[_window_start(gamma, n)], level[n - (1 << k) + 1])
+            best[j] = np.minimum(best[j], np.min(tops / n))
+    with np.errstate(over="ignore"):
+        return [float(x) for x in np.exp(best)]
 
 
 def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
@@ -65,31 +105,12 @@ def window_liminf_from_logs(logs: np.ndarray, gamma: float, N: int) -> float:
     The liminf surrogate: the window maximum of the coefficient logs at every
     n of the dyadic tail window, minimized over n. Each maximum is the larger
     of two overlapping power-of-two blocks, taken from a doubling table that
-    keeps only its current level (O(N log N) work, O(N) memory). An all-zero
-    window gives estimate 0. At gamma = 0.99, values well below 1 flag gaps so
-    long that even near-full windows go negligible infinitely often.
+    keeps only its current level (O(N log N) work, O(N) memory); a whole grid
+    of gamma shares one table through `gauge_and_index`. An all-zero window
+    gives estimate 0. At gamma = 0.99, values well below 1 flag gaps so long
+    that even near-full windows go negligible infinitely often.
     """
-    gamma = _check_gamma(gamma)
-    N = _check_horizon(N)
-    if N < 64:
-        raise DomainError("horizon N must be at least 64")
-    if len(logs) < N + 1:
-        raise DomainError("need coefficient logs up to index N")
-    ns = np.arange((N + 1) // 2, N + 1)
-    starts = _window_start(gamma, ns)
-    # floor(log2(window length)), exact for integers
-    ks = np.frexp(ns - starts + 1)[1] - 1
-    tops = np.empty(len(ns))
-    # level[i] = max(logs[i : i + 2^k])
-    level = np.asarray(logs[:N + 1], dtype=float)
-    for k in range(int(ks.max()) + 1):
-        if k:
-            h = 1 << (k - 1)
-            level = np.maximum(level[:-h], level[h:])
-        sel = ks == k
-        tops[sel] = np.maximum(level[starts[sel]], level[ns[sel] - (1 << k) + 1])
-    with np.errstate(over="ignore"):
-        return float(np.exp(np.min(tops / ns)))
+    return _window_liminfs(logs, [_check_gamma(gamma)], N)[0]
 
 
 @dataclass(frozen=True)
@@ -122,16 +143,20 @@ def gauge_and_index(stream: Series, gamma_grid=None, N: int = 1024) -> GaugeRepo
     L_hat is the isotonic (running maximum) adjustment of the raw estimates,
     since the true L is nondecreasing in gamma; raw values are retained.
     G_hat is L_hat at the smallest grid point. Gamma_hat is the smallest grid
-    gamma with L_hat >= 0.95, or 1.0 if none qualifies.
+    gamma with L_hat >= 0.95, or 1.0 if none qualifies. Every grid point reads
+    one shared doubling table: O(N log N + G N) work for G grid points, O(N)
+    memory.
     """
     if gamma_grid is None:
         gamma_grid = DEFAULT_GAMMA_GRID
     N = _check_horizon(N)
     grid = [_check_gamma(g) for g in gamma_grid]
+    if not grid:
+        raise DomainError("gamma grid must not be empty")
     if sorted(set(grid)) != grid:
         raise DomainError("gamma grid must be strictly increasing")
     logs = stream.log_abs(N)
-    raw = [window_liminf_from_logs(logs, g, N) for g in grid]
+    raw = _window_liminfs(logs, grid, N)
     iso = np.maximum.accumulate(raw)
     above = [g for g, L in zip(grid, iso) if L >= INDEX_THRESHOLD]
     return GaugeReport(
@@ -170,6 +195,6 @@ def gauge_coverage_bound(G: float, T: float) -> float:
     T = float(T)
     if not 0.0 < G <= 1.0:
         raise DomainError("gauge G must lie in (0, 1]")
-    if T <= 1.0 / G or T <= 1.0:
+    if not (T > 1.0 / G and T > 1.0):  # NaN fails both
         raise DomainError("threshold T must exceed 1/G (and 1)")
     return max(0.0, 1.0 - math.log(1.0 / G) / math.log(T))

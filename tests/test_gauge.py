@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from szego import gauge as gauge_module
 from szego import (DEFAULT_GAMMA_GRID, Carlson, DomainError, Explicit, FactorialGaps, Geometric,
                    Lacunary, RandomSeries, ZeroOne, coeff_root_range, gauge_and_index,
                    gauge_coverage_bound, window_liminf_from_logs, window_max)
@@ -32,6 +33,10 @@ def test_window_max_examples():
         window_max(Geometric(), 10, 0.0)
     with pytest.raises(DomainError):
         window_max(Geometric(), 0, 0.5)
+    assert window_max(Lacunary(2), 10.0, 0.5) == 1.0
+    for bad in (10.5, "x"):
+        with pytest.raises(DomainError):
+            window_max(Geometric(), bad, 0.5)
 
 
 def test_window_start_integer_boundary():
@@ -59,10 +64,12 @@ def test_window_liminf_equals_brute_force_exactly(N):
     logs[rng.random(N + 1) < 0.3] = -np.inf
     # the largest log sits at index 0, read only by windows that open there
     logs[0] = 50.0
-    # 0.3 hits the 1e-9 ceil boundary; 1 - 1e-12 opens windows at index 0
-    for gamma in (0.1, 0.3, 0.5, 0.99, 1 - 1e-12):
-        assert window_liminf_from_logs(logs, gamma, N) \
-            == _brute_window_liminf(logs, gamma, N)
+    # 0.3 (in the default grid) hits the 1e-9 ceil boundary; 1 - 1e-12
+    # opens windows at index 0
+    grid = [*DEFAULT_GAMMA_GRID, 1 - 1e-12]
+    brute = [_brute_window_liminf(logs, gamma, N) for gamma in grid]
+    assert gauge_module._window_liminfs(logs, grid, N) == brute
+    assert [window_liminf_from_logs(logs, g, N) for g in grid] == brute
 
 
 def test_window_liminf_memory_is_linear():
@@ -77,6 +84,33 @@ def test_window_liminf_memory_is_linear():
             tracemalloc.stop()
         # a full doubling table would hold about 16 copies of the logs
         assert peak < 6 * logs.nbytes
+
+
+def test_gamma_grid_memory_is_linear():
+    N = 2 ** 16
+    logs = np.random.default_rng(3).normal(size=N + 1)
+    tracemalloc.start()
+    try:
+        gauge_module._window_liminfs(logs, DEFAULT_GAMMA_GRID, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per-gamma arrays of N/2 window starts kept for the whole grid would
+    # hold 6 copies of the logs
+    assert peak < 6 * logs.nbytes
+
+
+def test_gauge_report_builds_one_table(monkeypatch):
+    calls = []
+    kernel = gauge_module._window_liminfs
+
+    def spy(logs, grid, N):
+        calls.append(list(grid))
+        return kernel(logs, grid, N)
+
+    monkeypatch.setattr(gauge_module, "_window_liminfs", spy)
+    gauge_and_index(Carlson(0.5, 0.5), N=1024)
+    assert calls == [list(DEFAULT_GAMMA_GRID)]
 
 
 def test_window_liminf_preconditions():
@@ -138,6 +172,8 @@ def test_gauge_grid_validation():
         gauge_and_index(Geometric(), gamma_grid=[0.5, 0.2], N=128)
     with pytest.raises(DomainError):
         gauge_and_index(Geometric(), gamma_grid=[0.0, 0.5], N=128)
+    with pytest.raises(DomainError):
+        gauge_and_index(Geometric(), gamma_grid=[], N=128)
 
 
 def test_coeff_root_range():
@@ -174,6 +210,9 @@ def test_gauge_coverage_bound():
         gauge_coverage_bound(1.2, 3.0)
     with pytest.raises(DomainError):
         gauge_coverage_bound(1.0, 1.0)
+    for G, T in ((0.5, float("nan")), (float("nan"), 4.0)):
+        with pytest.raises(DomainError):
+            gauge_coverage_bound(G, T)
 
 
 def test_infinite_gap_diagnostic():
