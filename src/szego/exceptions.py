@@ -22,7 +22,9 @@ class DomainError(SzegoError, ValueError):
 class ConvergenceError(SzegoError, RuntimeError):
     """An iterative solver failed to reach its tolerance.
 
-    The ``residual`` attribute carries the best residual achieved, when known.
+    The ``residual`` attribute carries how far the solver got, when known;
+    for ``find_zeros`` it is the worst backward-error ratio
+    |P(w)| / sum_k |b_k| |w|^k over the iterates after the last sweep.
     """
 
     def __init__(self, message: str, residual: float | None = None):
