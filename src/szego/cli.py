@@ -98,7 +98,7 @@ def _check_limits(args) -> None:
 def _cmd_zeros(args) -> str:
     stream = parse_family(args.family)
     P = section(stream, args.n)
-    Z = find_zeros(P, tol=args.tol)
+    Z = find_zeros(P)
     if args.format == "csv":
         lines = ["re,im,multiplicity"]
         for z, grp in groupby(Z.finite_zeros):
@@ -111,8 +111,7 @@ def _cmd_zeros(args) -> str:
         "infinity_count": Z.infinity_count,
         "formal_degree": Z.formal_degree,
     }
-    config = {"command": "zeros", "family": args.family, "n": args.n,
-              "tol": args.tol}
+    config = {"command": "zeros", "family": args.family, "n": args.n}
     return _json_doc(config, payload)
 
 
@@ -121,7 +120,7 @@ def _cmd_measure(args) -> str:
     ts = _check_radii(_numbers(args.t_grid)).tolist() if args.t_grid else []
     stream = parse_family(args.family)
     P = section(stream, args.n)
-    Z = find_zeros(P, tol=args.tol)
+    Z = find_zeros(P)
     mu = radial_projection(Z)
     payload = {
         "radii": [float(r) for r in mu.radii],
@@ -131,8 +130,7 @@ def _cmd_measure(args) -> str:
     if ts:
         payload["t_grid"] = ts
         payload["counting_fn"] = counting_fn(Z, ts).tolist()
-    config = {"command": "measure", "family": args.family, "n": args.n,
-              "tol": args.tol}
+    config = {"command": "measure", "family": args.family, "n": args.n}
     return _json_doc(config, payload)
 
 
@@ -211,14 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("zeros", help="zeros of one polynomial section")
     common(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.set_defaults(func=_cmd_zeros)
 
     sp = sub.add_parser("measure", help="radial zero measure of a section")
     common(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--t-grid", default=None)
     sp.set_defaults(func=_cmd_measure)
 

@@ -20,8 +20,8 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError
 from .gauge import _window_start
 from .measures import _check_radii, _weyl_order, counting_fn, weyl_sum
-from .roots import ZeroSet, _check_tol, find_zeros
-from .series import Polynomial, _check_horizon
+from .roots import ZeroSet, find_zeros
+from .series import Polynomial, _check_horizon, _exact, _integer
 
 __all__ = [
     "BLOCK",
@@ -174,6 +174,19 @@ def _check_seed(seed: int, trial: int = 0) -> None:
                           f"got seed {seed} and trial {trial}")
 
 
+def _check_trials(n, trials, seed) -> tuple[int, int, int]:
+    """n, trials and seed of a Monte Carlo run, read exactly and checked."""
+    trials = _integer(trials)
+    if trials < 10:
+        raise DomainError("need at least 10 trials")
+    n = _check_horizon(n)
+    if n < 1:
+        raise DomainError("section index n must be at least 1")
+    seed = _integer(seed)
+    _check_seed(seed)
+    return n, trials, seed
+
+
 def _sample(E: Ensemble, n: int, seed: int, trial: int):
     n = _check_horizon(n)
     _check_seed(seed, trial)
@@ -217,21 +230,20 @@ def _usable(coeffs: np.ndarray) -> bool:
     return bool(np.any(coeffs)) and bool(np.all(np.isfinite(coeffs)))
 
 
-def _solve_trial(E: Ensemble, n: int, seed: int, trial: int,
-                 tol: float) -> ZeroSet | None:
+def _solve_trial(E: Ensemble, n: int, seed: int, trial: int) -> ZeroSet | None:
     """Zeros of one sampled section, or None when it cannot be solved."""
     coeffs = sample_coeffs(E, n, seed, trial)
     if not _usable(coeffs):
         return None
     try:
-        return find_zeros(Polynomial(coeffs, n), tol=tol)
+        return find_zeros(Polynomial(coeffs, n))
     except ConvergenceError:
         return None
 
 
 def _trial_cdf(args):
-    E, n, seed, trial, t_grid, tol, weyl_orders = args
-    Z = _solve_trial(E, n, seed, trial, tol)
+    E, n, seed, trial, t_grid, weyl_orders = args
+    Z = _solve_trial(E, n, seed, trial)
     if Z is None:
         return None, None
     F = np.asarray(counting_fn(Z, t_grid), dtype=float)
@@ -276,8 +288,7 @@ class MCReport:
 
 
 def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
-                    tol: float = 1e-10, weyl_orders=(),
-                    workers: int = 1) -> MCReport:
+                    weyl_orders=(), workers: int = 1) -> MCReport:
     """Average the section zero counting function over independent trials.
 
     Trials whose section is identically zero or not finite, or whose root
@@ -287,20 +298,15 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     trial order regardless of completion order.
     """
     E = as_ensemble(E)
-    if trials < 10:
-        raise DomainError("need at least 10 trials")
-    n = _check_horizon(n)
-    if n < 1:
-        raise DomainError("section index n must be at least 1")
+    n, trials, seed = _check_trials(n, trials, seed)
+    workers = _integer(workers)
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    _check_tol(tol)
-    _check_seed(seed)
     t_grid = np.atleast_1d(_check_radii(t_grid))
     if t_grid.size == 0:
         raise DomainError("t grid needs at least one radius")
     weyl_orders = tuple(_weyl_order(m) for m in weyl_orders)
-    jobs = [(E, n, seed, trial, t_grid, tol, weyl_orders)
+    jobs = [(E, n, seed, trial, t_grid, weyl_orders)
             for trial in range(trials)]
     if workers > 1:
         # attribute access loads the pool machinery (multiprocessing) only here
@@ -351,7 +357,7 @@ class SymmetryReport:
 
 
 def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
-                            seed: int, tol: float = 1e-10) -> SymmetryReport:
+                            seed: int) -> SymmetryReport:
     """Test of E[F_n(t)] = 1 - E[F_n((1/t)-)] for iid ensembles.
 
     Reversing the coefficient order inverts every zero through the unit
@@ -367,17 +373,16 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
     E = as_ensemble(E)
     if not E.iid:
         raise DomainError("reversal symmetry needs an iid ensemble")
-    if not 0.0 < t <= 1.0:
-        raise DomainError("radius t must lie in (0, 1]")
-    if trials < 10:
-        raise DomainError("need at least 10 trials")
-    n = _check_horizon(n)
-    _check_tol(tol)
-    _check_seed(seed)
+    t = _exact(t)
+    # a radius that rounds to 0.0 would leave 1/t undefined
+    if not (0 < t <= 1 and float(t) > 0):
+        raise DomainError("radius t must be a float in (0, 1]")
+    t = float(t)
+    n, trials, seed = _check_trials(n, trials, seed)
     inside, inside_inverse, boundary = [], [], []
     failures = 0
     for trial in range(trials):
-        Z = _solve_trial(E, n, seed, trial, tol)
+        Z = _solve_trial(E, n, seed, trial)
         if Z is None:
             failures += 1
             continue

@@ -53,25 +53,26 @@ def sorted_moduli(Z: ZeroSet) -> np.ndarray:
     return np.concatenate([finite, np.full(Z.infinity_count, np.inf)])
 
 
-def find_zeros(P: Polynomial, tol: float = 1e-10) -> ZeroSet:
+def find_zeros(P: Polynomial) -> ZeroSet:
     """All zeros of P counted with multiplicity, including 0 and infinity.
 
     Zeros at the origin (leading zero coefficients) and at infinity (trailing
     zero coefficients) are deflated exactly; the rest come from simultaneous
-    iteration and satisfy the backward-error bound
-    |P(w)| <= tol * sum_k |b_k| |w|^k. The iteration makes one pass; a core
-    not converged after _MAX_ITERS sweeps raises ConvergenceError.
+    iteration on the core of degree d, run to its rounding floor: they meet
+    |P(w)| <= 8 (d + 1) eps * sum_k |b_k| |w|^k, twice the error bound of
+    the Horner kernel. The iteration makes one pass; a core not converged
+    after _MAX_ITERS sweeps raises ConvergenceError.
 
     A deflated core whose nonzero coefficients sit at multiples of g > 1 is
     Q(z^g), with Q(u) = sum_j b_(g j) u^j of degree d / g; Q is solved
-    instead, and each of its zeros u gives the g zeros
+    instead, to its own floor, and each of its zeros u gives the g zeros
     exp(log(u) / g) e^(2 pi i l / g). Since sum_k |b_k| |z|^k equals
     sum_j |b_(g j)| |u|^j at u = z^g, the bound carries over up to the
     rounding of the root extraction: z^g comes back as u (1 + delta) with
     |delta| a few g eps, and |u Q'(u)| <= (d / g) sum_j |b_(g j)| |u|^j,
-    so the ratio grows by at most about |delta| d / g, a few d eps.
+    so the ratio grows by at most about |delta| d / g, and the bound is
+    (8 (d / g + 1) + a few d) eps.
     """
-    _check_tol(tol)
     c = P.coeffs
     n = P.formal_degree
     mags = np.abs(c)
@@ -90,20 +91,13 @@ def find_zeros(P: Polynomial, tol: float = 1e-10) -> ZeroSet:
         if len(core) == 2:
             roots = np.array([-core[0] / core[1]])
         else:
-            roots = _aberth(core, tol)
+            roots = _aberth(core)
         if g > 1:
             turns = np.exp(2j * np.pi * np.arange(g) / g)
             roots = np.outer(np.exp(np.log(roots) / g), turns).ravel()
     finite = np.concatenate([np.zeros(low, dtype=np.complex128), roots])
     finite = np.sort_complex(finite)
     return ZeroSet(finite, n - deg, n)
-
-
-def _check_tol(tol: float) -> None:
-    # at tol >= 1 the backward-error test holds at every point, so the
-    # unconverged start points would come back as zeros
-    if not 0 < tol < 1:
-        raise DomainError(f"tol must lie strictly between 0 and 1, got {tol!r}")
 
 
 def _initial_guesses(core: np.ndarray) -> np.ndarray:
@@ -195,10 +189,12 @@ def _newton_terms(fwd, rev, d: int, w: np.ndarray):
     return nu, absp, s
 
 
-def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
-    """Simultaneous iteration on a polynomial with nonzero end coefficients."""
+def _aberth(core: np.ndarray) -> np.ndarray:
+    """Simultaneous iteration, to the floor tol = 8 (d + 1) eps, on a
+    degree-d polynomial with nonzero end coefficients."""
     core = core / np.max(np.abs(core))
     d = len(core) - 1
+    tol = 8.0 * (d + 1) * sys.float_info.epsilon
     # built once per solve, not once per sweep
     fwd, rev = _horner_layout(core), _horner_layout(core[::-1])
     w = _initial_guesses(core)
@@ -231,7 +227,8 @@ def _aberth(core: np.ndarray, tol: float) -> np.ndarray:
     worst = float(np.max(absp / s))
     raise ConvergenceError(
         f"simultaneous iteration on a degree-{d} core stalled at residual "
-        f"ratio {worst:.3e} (sweep budget {_MAX_ITERS})",
+        f"ratio {worst:.3e} above its tolerance {tol:.3e} "
+        f"(sweep budget {_MAX_ITERS})",
         residual=worst,
     )
 

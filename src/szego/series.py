@@ -338,7 +338,7 @@ class Rational(Series):
             return
         from .roots import find_zeros
 
-        zs = find_zeros(Polynomial(den[: deg + 1], deg), 1e-12)
+        zs = find_zeros(Polynomial(den[: deg + 1], deg))
         moduli = np.abs(zs.finite_zeros)
         if np.any(np.abs(moduli - 1.0) > 1e-8):
             raise DomainError(

@@ -280,7 +280,7 @@ def step(state: BuildState, phi: TargetMeasure) -> BuildState:
                       records=state.records + (rec,))
 
 
-def verify_step(state: BuildState, tol: float = 1e-10) -> StepReport:
+def verify_step(state: BuildState) -> StepReport:
     """Audit the most recent step by actually finding the section's zeros.
 
     The target is the one the step's record holds. Checks, in order: the
@@ -307,7 +307,7 @@ def verify_step(state: BuildState, tol: float = 1e-10) -> StepReport:
     if not k * (N + d_prev) < m * M:
         raise VerificationError("junk ratio condition failed")
 
-    Z = find_zeros(state.P, tol=tol)
+    Z = find_zeros(state.P)
     zeros = Z.finite_zeros
     eta = np.exp(2j * np.pi * np.arange(M) / M)
     slack = 1.0 + 1e-9
@@ -384,7 +384,7 @@ def _times(a, b):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def build_universal(targets, verify: bool = True, tol: float = 1e-10):
+def build_universal(targets, verify: bool = True):
     """Run the construction over a target sequence.
 
     Returns (final state, list of per-step reports). Reports hold the levy
@@ -397,7 +397,7 @@ def build_universal(targets, verify: bool = True, tol: float = 1e-10):
         if not isinstance(phi, TargetMeasure):
             phi = TargetMeasure.of(*phi)
         state = step(state, phi)
-        reports.append(verify_step(state, tol=tol) if verify
+        reports.append(verify_step(state) if verify
                        else state.records[-1])
     return state, reports
 

@@ -354,8 +354,10 @@ def _one_error_line(capsys, rc):
 @pytest.mark.parametrize("command", ["zeros", "measure"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "1", "0"])
 def test_tol_outside_unit_interval_exits_1(capsys, command, tol):
+    # the solver works its tolerance out from the degree and takes none, so
+    # any --tol exits 1 as an unknown argument
     rc = main([command, "--family", "geometric", "--n", "64", "--tol", tol])
-    assert "tol" in _one_error_line(capsys, rc)
+    assert "unrecognized arguments: --tol" in _one_error_line(capsys, rc)
 
 
 def _no_pool(*args, **kwargs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,29 +178,43 @@ def test_mc_rejects_worker_count_below_one(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [
-    {"tol": 0.0}, {"tol": 1.0}, {"tol": math.inf}, {"tol": math.nan},
     {"weyl_orders": (1.5,)}, {"weyl_orders": (1, 0)},
     {"weyl_orders": (2 ** 63,)},
+    {"trials": 10.5}, {"trials": "x"}, {"workers": 1.5}, {"workers": "x"},
+    {"n": 0}, {"seed": 1.5},
 ])
-def test_mc_rejects_bad_tol_and_weyl_orders_before_any_pool(monkeypatch, bad):
+def test_mc_rejects_bad_arguments_before_any_pool(monkeypatch, bad):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    args = {"n": 8, "trials": 10, "seed": 0, "workers": 2, **bad}
     with pytest.raises(DomainError):
-        mc_expected_cdf(GAUSS, 8, [1.0], trials=10, seed=0, workers=2, **bad)
+        mc_expected_cdf(GAUSS, t_grid=[1.0], **args)
 
 
-@pytest.mark.parametrize("tol", [0.0, 1.0, math.nan])
-def test_symmetry_check_rejects_bad_tol_before_sampling(monkeypatch, tol):
+@pytest.mark.parametrize("bad", [
+    {"trials": 10.5}, {"trials": "x"}, {"t": "x"}, {"t": math.nan},
+    {"t": 0.0}, {"t": "1e-400"}, {"t": 1.5}, {"n": 0}, {"seed": 1.5},
+])
+def test_symmetry_check_rejects_bad_arguments_before_sampling(monkeypatch,
+                                                              bad):
     import szego.ensembles as ens
 
     def no_sampling(*args, **kwargs):
         raise AssertionError("a trial was sampled")
 
     monkeypatch.setattr(ens, "sample_coeffs", no_sampling)
+    args = {"n": 12, "t": 0.9, "trials": 12, "seed": 0, **bad}
     with pytest.raises(DomainError):
-        reversal_symmetry_check(GAUSS, 12, 0.9, trials=12, seed=0, tol=tol)
+        reversal_symmetry_check(GAUSS, **args)
+
+
+def test_symmetry_check_reads_t_exactly():
+    # text and exact fractions give the float the same radius does
+    a = reversal_symmetry_check(GAUSS, 12, 0.75, trials=10, seed=0)
+    for t in ("3/4", "0.75", Fraction(3, 4)):
+        assert reversal_symmetry_check(GAUSS, 12, t, trials=10, seed=0) == a
 
 
 @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1), (-3, 2)])

@@ -50,3 +50,28 @@ def test_readme_lists_every_family_and_ensemble_kind():
         assert f"`{kind}" in families, kind
     for kind in _KINDS:
         assert f"`{kind}" in ensembles, kind
+
+
+def _long_options(parser) -> set[str]:
+    """Every ``--option`` of a parser and of its subparsers."""
+    import argparse
+
+    out = set()
+    for action in parser._actions:
+        out.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _long_options(sub)
+    return out
+
+
+def test_readme_and_the_parser_agree_on_cli_options():
+    from szego.cli import build_parser
+
+    accepted = _long_options(build_parser())
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                           (ROOT / "README.md").read_text()))
+    # pip's flag in the install instructions is not a szego option
+    named.discard("--no-build-isolation")
+    assert accepted - named == set(), "options the README never names"
+    assert named - accepted == set(), "README options the parser rejects"

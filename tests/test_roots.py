@@ -17,6 +17,7 @@ from szego import (ConvergenceError, DomainError, Geometric, Polynomial,
                    parse_family, section, sorted_moduli, step)
 from szego import roots
 
+#: backward-error ratio the residual checks below accept, times their factor
 TOL = 1e-10
 
 
@@ -120,6 +121,38 @@ def test_multiple_root_cluster():
     assert np.max(np.abs(Z.finite_zeros - 1.0)) < 0.05
 
 
+def _newton_reference_error(P, Z):
+    """Largest move of a returned zero under four Newton steps in
+    np.longdouble on the same coefficients: its forward error, to far
+    below double rounding. Zeros at the origin are exact and stay put."""
+    c = np.asarray(P.coeffs, dtype=np.clongdouble)
+    w0 = np.asarray(Z.finite_zeros, dtype=np.clongdouble)
+    w = w0.copy()
+    for _ in range(4):
+        p, dp = np.zeros_like(w), np.zeros_like(w)
+        for a in c[::-1]:
+            dp = dp * w + p
+            p = p * w + a
+        exact = p == 0
+        w = w - np.where(exact, 0, p / np.where(exact, 1, dp))
+    return float(np.max(np.abs(w - w0)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="np.longdouble is plain double here")
+@pytest.mark.parametrize("family, n, bound", [
+    ("random:gaussian_complex,3", 256, 1.7e-12),
+    ("random:bernoulli(0.5),3", 256, 2.1e-12),
+    ("rational:1,1|1,-1", 640, 1.7e-10),
+    ("carlson:0.5,0.5", 512, 2.0e-13),
+])
+def test_zeros_are_resolved_to_the_rounding_floor(family, n, bound):
+    # ten times the worst errors of a solve to the floor 8 (d + 1) eps; one
+    # stopped at backward error 1e-10 misses every bound by 7 to 70 times
+    P = section(parse_family(family), n)
+    assert _newton_reference_error(P, find_zeros(P)) <= bound
+
+
 def test_extreme_scale_coefficients():
     # roots at 1e-8 and 1e8: (z - 1e8)(z - 1e-8)
     c = np.array([1.0, -(1e8 + 1e-8), 1.0], dtype=complex)
@@ -180,7 +213,7 @@ def test_a_stalled_pass_raises_without_a_retry(monkeypatch):
     calls = []
     stall = ConvergenceError("forced", residual=0.5)
 
-    def stalled(core, tol):
+    def stalled(core):
         calls.append(len(core))
         raise stall
 
@@ -226,11 +259,13 @@ def test_stalled_iteration_reports_its_residual(monkeypatch):
                          2.0 * np.exp(2j * np.pi * np.arange(6) / 6 + 0.3)])
     c = np.poly(ws)[::-1]
     with pytest.raises(ConvergenceError) as direct:
-        roots._aberth(c, TOL)
+        roots._aberth(c)
+    floor = 8.0 * 13 * np.finfo(float).eps
     assert np.isfinite(direct.value.residual)
-    assert direct.value.residual > TOL
+    assert direct.value.residual > floor
     # the same core reached through the z^2 reduction stalls the same way,
-    # and the message names the reduced degree and the sweep budget
+    # and the message names the reduced degree, the tolerance it aimed at,
+    # which is the floor of the reduced core, and the sweep budget
     c2 = np.zeros(25, dtype=complex)
     c2[::2] = c
     with pytest.raises(ConvergenceError) as reduced:
@@ -238,12 +273,13 @@ def test_stalled_iteration_reports_its_residual(monkeypatch):
     assert reduced.value.residual == direct.value.residual
     for exc in (direct.value, reduced.value):
         assert "degree-12 core" in str(exc)
+        assert f"above its tolerance {floor:.3e}" in str(exc)
         assert "sweep budget 1)" in str(exc)
     # with no sweep at all the residual is the worst backward error of the
     # start points, recomputed here without the reversal split
     monkeypatch.setattr(roots, "_MAX_ITERS", 0)
     with pytest.raises(ConvergenceError) as unmoved:
-        roots._aberth(c, TOL)
+        roots._aberth(c)
     w0 = roots._initial_guesses(c / np.max(np.abs(c)))
     worst = np.max(np.abs(np.polyval(c[::-1], w0))
                    / np.polyval(np.abs(c[::-1]), np.abs(w0)))
@@ -253,20 +289,10 @@ def test_stalled_iteration_reports_its_residual(monkeypatch):
 def test_degenerate_inputs():
     with pytest.raises(DomainError):
         find_zeros(Polynomial(np.zeros(4), 3))
-    with pytest.raises(DomainError):
-        find_zeros(Polynomial(np.ones(3), 2), tol=0.0)
     Z = find_zeros(Polynomial(np.array([5.0]), 0))
     assert len(Z.finite_zeros) == 0 and Z.infinity_count == 0
     Z1 = find_zeros(Polynomial(np.array([3.0, 2.0]), 1))
     assert np.allclose(Z1.finite_zeros, [-1.5])
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 1e300, math.inf, math.nan])
-def test_tol_outside_unit_interval_is_rejected(tol):
-    # at tol >= 1 every start point passes the backward-error test, and a
-    # NaN tol never passes it
-    with pytest.raises(DomainError):
-        find_zeros(Polynomial(np.array([1.0, 0.5, 2.0]), 2), tol=tol)
 
 
 def test_each_solve_builds_two_horner_layouts(monkeypatch):
@@ -409,7 +435,7 @@ def test_binomial_edge_starts_converge_in_one_sweep(monkeypatch, M, phi):
     # rule is checked on the iteration itself, on the same normalized core
     sizes = _sweep_sizes(monkeypatch)
     c = _binomial(M, phi, 0.9).coeffs
-    w = roots._aberth(c / np.max(np.abs(c)), TOL)
+    w = roots._aberth(c / np.max(np.abs(c)))
     assert sizes == [M]
     assert len(w) == M
     assert np.max(np.abs(np.abs(w) - 0.9)) <= 1e-13
@@ -584,7 +610,7 @@ def test_sparse_real_core_is_solved_through_the_gcd_reduction(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITERS", 20)
     P = Polynomial(np.array([1, 0, 0, -1.5, 0, 0, 1], dtype=complex), 6)
     with pytest.raises(ConvergenceError):
-        roots._aberth(P.coeffs, TOL)
+        roots._aberth(P.coeffs)
     Z = find_zeros(P)
     assert _residual_ok(P, Z.finite_zeros)
 

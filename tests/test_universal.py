@@ -307,7 +307,7 @@ def _ring_audit_oracle(zeros, phi, M):
 
 def _audit(monkeypatch, state, Z):
     """verify_step on a given zero set: None on success, else the message."""
-    monkeypatch.setattr(universal, "find_zeros", lambda P, tol: Z)
+    monkeypatch.setattr(universal, "find_zeros", lambda P: Z)
     try:
         verify_step(state)
     except VerificationError as exc:
@@ -364,7 +364,7 @@ def test_ring_audit_memory_is_linear_in_the_degree(monkeypatch, audited_steps):
     # over 200 MB, one distance per zero about 75 kB
     state, phi, Z = audited_steps["cycle", 4]
     assert (state.d, state.records[-1].M) == (4611, 3689)
-    monkeypatch.setattr(universal, "find_zeros", lambda P, tol: Z)
+    monkeypatch.setattr(universal, "find_zeros", lambda P: Z)
     tracemalloc.start()
     try:
         verify_step(state)
