@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError
 from .gauge import _window_start
 from .measures import _check_radii, _weyl_order, counting_fn, weyl_sum
-from .roots import ZeroSet, find_zeros
+from .roots import ZeroSet, _zero_sets
 from .series import Polynomial, _check_horizon, _exact, _integer
 
 __all__ = [
@@ -44,6 +44,10 @@ BLOCK = 1024
 
 #: value-channel magnitudes saturate at exp(700); the log channel is exact
 _LOG_SATURATION = 700.0
+
+#: most sampled coefficients per lockstep batch of Monte Carlo trials: the
+#: solver's Horner tables and powers grow with the batch, not with trials
+_BATCH_COEFFS = 1 << 11
 
 _KINDS = {
     "gaussian_complex": False,
@@ -230,25 +234,43 @@ def _usable(coeffs: np.ndarray) -> bool:
     return bool(np.any(coeffs)) and bool(np.all(np.isfinite(coeffs)))
 
 
-def _solve_trial(E: Ensemble, n: int, seed: int, trial: int) -> ZeroSet | None:
-    """Zeros of one sampled section, or None when it cannot be solved."""
-    coeffs = sample_coeffs(E, n, seed, trial)
-    if not _usable(coeffs):
-        return None
-    try:
-        return find_zeros(Polynomial(coeffs, n))
-    except ConvergenceError:
-        return None
+def _batches(n: int, trials: int, workers: int) -> list[range]:
+    """Consecutive trial indices cut into batches of near-equal size: one
+    per worker, or more where a batch would hold over _BATCH_COEFFS
+    sampled coefficients."""
+    count = min(trials, max(workers, -(-trials * (n + 1) // _BATCH_COEFFS)))
+    cuts = [trials * i // count for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _trial_cdf(args):
-    E, n, seed, trial, t_grid, weyl_orders = args
-    Z = _solve_trial(E, n, seed, trial)
-    if Z is None:
-        return None, None
-    F = np.asarray(counting_fn(Z, t_grid), dtype=float)
-    sums = [weyl_sum(Z, m) for m in weyl_orders]
-    return F, sums
+def _solve_trials(E: Ensemble, n: int, seed: int,
+                  trials: range) -> list[ZeroSet | None]:
+    """Zeros of each sampled section, None where one cannot be solved.
+
+    The usable sections are solved in lockstep, and each one's zeros are
+    bit-identical to its solo ``find_zeros``, so no result depends on the
+    batch a trial falls in.
+    """
+    coeffs = [sample_coeffs(E, n, seed, trial) for trial in trials]
+    usable = [i for i, c in enumerate(coeffs) if _usable(c)]
+    out: list[ZeroSet | None] = [None] * len(coeffs)
+    solved = _zero_sets([Polynomial(coeffs[i], n) for i in usable])
+    for i, Z in zip(usable, solved):
+        if not isinstance(Z, ConvergenceError):
+            out[i] = Z
+    return out
+
+
+def _batch_cdf(args):
+    E, n, seed, trials, t_grid, weyl_orders = args
+    out = []
+    for Z in _solve_trials(E, n, seed, trials):
+        if Z is None:
+            out.append((None, None))
+            continue
+        F = np.asarray(counting_fn(Z, t_grid), dtype=float)
+        out.append((F, [weyl_sum(Z, m) for m in weyl_orders]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -293,9 +315,13 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
 
     Trials whose section is identically zero or not finite, or whose root
     solve does not converge, are counted as failures and excluded from the
-    average. ``workers`` must be at least 1. Results
-    are byte-identical for any worker count: trial outputs are reduced in
-    trial order regardless of completion order.
+    average. ``workers`` must be at least 1. The trials are solved in
+    batches of consecutive indices, one per worker or more when a batch
+    would hold over _BATCH_COEFFS sampled coefficients, and the pool takes
+    one batch per task. Each trial's zeros are bit-identical to its solo
+    ``find_zeros`` in any batch, and trial outputs are reduced in trial
+    order regardless of completion order, so results are byte-identical
+    for any worker count.
     """
     E = as_ensemble(E)
     n, trials, seed = _check_trials(n, trials, seed)
@@ -306,14 +332,15 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     if t_grid.size == 0:
         raise DomainError("t grid needs at least one radius")
     weyl_orders = tuple(_weyl_order(m) for m in weyl_orders)
-    jobs = [(E, n, seed, trial, t_grid, weyl_orders)
-            for trial in range(trials)]
+    jobs = [(E, n, seed, batch, t_grid, weyl_orders)
+            for batch in _batches(n, trials, workers)]
     if workers > 1:
         # attribute access loads the pool machinery (multiprocessing) only here
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_cdf, jobs, chunksize=4))
+            parts = list(pool.map(_batch_cdf, jobs))
     else:
-        results = [_trial_cdf(j) for j in jobs]
+        parts = [_batch_cdf(j) for j in jobs]
+    results = [r for part in parts for r in part]
     rows = [F for F, _ in results if F is not None]
     weyl_rows = [s for F, s in results if F is not None]
     used = len(rows)
@@ -381,19 +408,20 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
     n, trials, seed = _check_trials(n, trials, seed)
     inside, inside_inverse, boundary = [], [], []
     failures = 0
-    for trial in range(trials):
-        Z = _solve_trial(E, n, seed, trial)
-        if Z is None:
-            failures += 1
-            continue
-        # F(t); F((1/t)-) as F at the float below 1/t; and the band
-        # |w - t| <= 1e-9 as F(t + 1e-9) less F just below t - 1e-9, where
-        # a band reaching down to 0 has nothing below it
-        F = counting_fn(Z, [t, np.nextafter(1.0 / t, 0.0), t + 1e-9,
-                            np.nextafter(max(t - 1e-9, 0.0), 0.0)])
-        inside.append(float(F[0]))
-        inside_inverse.append(float(F[1]))
-        boundary.append(float(F[2] - F[3]) if t > 1e-9 else float(F[2]))
+    for batch in _batches(n, trials, 1):
+        for Z in _solve_trials(E, n, seed, batch):
+            if Z is None:
+                failures += 1
+                continue
+            # F(t); F((1/t)-) as F at the float below 1/t; and the band
+            # |w - t| <= 1e-9 as F(t + 1e-9) less F just below t - 1e-9,
+            # where a band reaching down to 0 has nothing below it
+            F = counting_fn(Z, [t, np.nextafter(1.0 / t, 0.0), t + 1e-9,
+                                np.nextafter(max(t - 1e-9, 0.0), 0.0)])
+            inside.append(float(F[0]))
+            inside_inverse.append(float(F[1]))
+            boundary.append(float(F[2] - F[3]) if t > 1e-9
+                            else float(F[2]))
     used = len(inside)
     if used < 2:
         raise ConvergenceError("too few usable trials", residual=float("nan"))

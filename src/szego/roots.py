@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -9,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .series import Polynomial, _horner, _horner_layout
+from .series import (Polynomial, _horner, _horner_layout, _HornerLayout,
+                     _stack_layouts)
 
 __all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
 
@@ -61,7 +63,9 @@ def find_zeros(P: Polynomial) -> ZeroSet:
     iteration on the core of degree d, run to its rounding floor: they meet
     |P(w)| <= 8 (d + 1) eps * sum_k |b_k| |w|^k, twice the error bound of
     the Horner kernel. The iteration makes one pass; a core not converged
-    after _MAX_ITERS sweeps raises ConvergenceError.
+    after _MAX_ITERS sweeps raises ConvergenceError. The iteration is the
+    lockstep solver of `_zero_sets` on a stack of one core, so a section
+    gets the same zeros, bit for bit, alone or solved in a batch.
 
     A deflated core whose nonzero coefficients sit at multiples of g > 1 is
     Q(z^g), with Q(u) = sum_j b_(g j) u^j of degree d / g; Q is solved
@@ -73,8 +77,29 @@ def find_zeros(P: Polynomial) -> ZeroSet:
     so the ratio grows by at most about |delta| d / g, and the bound is
     (8 (d / g + 1) + a few d) eps.
     """
+    low, deg, g, core = _deflate(P)
+    roots = _closed_form(core)
+    if roots is None:
+        roots = _aberth(core)
+    return _inflate(P, low, deg, g, roots)
+
+
+def _zero_sets(polys) -> list:
+    """``find_zeros`` of each polynomial, or the ConvergenceError of its
+    core; the cores that need the iteration are solved in lockstep."""
+    parts = [_deflate(P) for P in polys]
+    roots = [_closed_form(core) for _, _, _, core in parts]
+    todo = [i for i, r in enumerate(roots) if r is None]
+    for i, r in zip(todo, _lockstep([parts[i][3] for i in todo])):
+        roots[i] = r
+    return [r if isinstance(r, ConvergenceError) else _inflate(P, *part[:3], r)
+            for P, part, r in zip(polys, parts, roots)]
+
+
+def _deflate(P: Polynomial):
+    """(low, deg, g, core): P's lowest and highest kept coefficient, and its
+    core b_low..b_deg scaled to max |b_k| = 1, taken at every g-th index."""
     c = P.coeffs
-    n = P.formal_degree
     mags = np.abs(c)
     cmax = float(np.max(mags))
     if cmax == 0.0:
@@ -82,22 +107,28 @@ def find_zeros(P: Polynomial) -> ZeroSet:
     nz = np.nonzero(mags > DROP_TOL * cmax)[0]
     low, deg = int(nz[0]), int(nz[-1])
     core = c[low: deg + 1] / cmax
-    d = deg - low
-    if d == 0:
-        roots = np.empty(0, dtype=np.complex128)
-    else:
-        g = int(np.gcd.reduce(np.nonzero(core)[0]))
-        core = core[::g]
-        if len(core) == 2:
-            roots = np.array([-core[0] / core[1]])
-        else:
-            roots = _aberth(core)
-        if g > 1:
-            turns = np.exp(2j * np.pi * np.arange(g) / g)
-            roots = np.outer(np.exp(np.log(roots) / g), turns).ravel()
+    g = int(np.gcd.reduce(np.nonzero(core)[0])) if deg > low else 1
+    return low, deg, g, core[::g]
+
+
+def _closed_form(core: np.ndarray) -> np.ndarray | None:
+    """The zeros of a core of degree 0 or 1, or None for the iteration."""
+    if len(core) == 1:
+        return np.empty(0, dtype=np.complex128)
+    if len(core) == 2:
+        return np.array([-core[0] / core[1]])
+    return None
+
+
+def _inflate(P: Polynomial, low: int, deg: int, g: int,
+             roots: np.ndarray) -> ZeroSet:
+    """P's zero set from the zeros of its deflated core."""
+    if g > 1:
+        turns = np.exp(2j * np.pi * np.arange(g) / g)
+        roots = np.outer(np.exp(np.log(roots) / g), turns).ravel()
     finite = np.concatenate([np.zeros(low, dtype=np.complex128), roots])
     finite = np.sort_complex(finite)
-    return ZeroSet(finite, n - deg, n)
+    return ZeroSet(finite, P.formal_degree - deg, P.formal_degree)
 
 
 def _initial_guesses(core: np.ndarray) -> np.ndarray:
@@ -156,12 +187,56 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
     return radii * np.exp(1j * angles)
 
 
-def _newton_terms(fwd, rev, d: int, w: np.ndarray):
-    """Newton step P/P', |P| and sum_k |b_k| |w|^k at each point w.
+class _Stack:
+    """Cores of one Horner block length and kind, evaluated together.
 
-    ``fwd`` and ``rev`` are the Horner layouts of the degree-d coefficients,
-    normalized to max |b_k| = 1, and of their reversal. A point is evaluated
-    on ``fwd`` whenever its powers stay in the float range: with
+    The forward layouts form one stacked table (a single core keeps its own
+    layout). The reversed layout of a core is built the first time one of
+    its points crosses the forward limit, which few cores ever do.
+    """
+
+    def __init__(self, cores, layouts):
+        self.cores = cores
+        self.d = [len(c) - 1 for c in cores]
+        self.fwd = layouts[0] if len(cores) == 1 else _stack_layouts(layouts)
+        self.rev = [None] * len(cores)
+        # past this modulus the powers of a degree-d core may overflow
+        self.limit = np.array([math.exp((_LOG_MAX - 2.0 * math.log(d + 1)) / d)
+                               for d in self.d])
+
+    def forward(self, tr: np.ndarray, w: np.ndarray):
+        """`_horner` at the points w of the cores tr, tr nondecreasing.
+
+        Each core's points fill one row of a zero-padded (T, m) table, so
+        the whole stack takes one Horner call.
+        """
+        if len(self.cores) == 1:
+            return _horner(self.fwd, w)
+        counts = np.bincount(tr, minlength=len(self.cores))
+        rows = np.flatnonzero(counts)
+        table = self.fwd
+        if len(rows) < len(counts):
+            table = _HornerLayout(table.k, table.live, table.vals[rows],
+                                  table.ders[rows], table.mags[rows])
+        row = (np.cumsum(counts > 0) - 1)[tr]
+        col = np.arange(len(tr)) - (np.cumsum(counts) - counts)[tr]
+        z = np.zeros((len(rows), int(counts.max())), dtype=np.complex128)
+        z[row, col] = w
+        return tuple(out[row, col] for out in _horner(table, z))
+
+    def reversed(self, t: int):
+        """The Horner layout of core t's reversed coefficients."""
+        if self.rev[t] is None:
+            self.rev[t] = _horner_layout(self.cores[t][::-1])
+        return self.rev[t]
+
+
+def _newton_terms(stack: _Stack, tr: np.ndarray, w: np.ndarray):
+    """Newton step P/P', |P| and sum_k |b_k| |w|^k at each point w, on the
+    core tr of the stack (tr nondecreasing).
+
+    The cores are normalized to max |b_k| = 1. A point is evaluated on its
+    core's forward layout whenever its powers stay in the float range: with
     ln|w| <= (ln DBL_MAX - 2 ln(d + 1)) / d, the sum and |w P'| stay below
     (d + 1)^2 |w|^d <= DBL_MAX. So one Horner call serves every point of
     nearly every sweep. Only points beyond that limit take the reversed
@@ -169,68 +244,122 @@ def _newton_terms(fwd, rev, d: int, w: np.ndarray):
     with v = 1/w, and |P| and the sum both come divided by |w|^d, which
     leaves the backward-error test |P| <= tol * sum unchanged.
     """
-    outer = np.abs(w) > math.exp((_LOG_MAX - 2.0 * math.log(d + 1)) / d)
+    outer = np.abs(w) > stack.limit[tr]
     inner = ~outer
     nu = np.empty(len(w), dtype=np.complex128)
     absp = np.empty(len(w))
     s = np.empty(len(w))
-    if np.any(inner):
-        p, dp, s[inner] = _horner(fwd, w[inner])
+    if inner.any():
+        p, dp, s[inner] = stack.forward(tr[inner], w[inner])
         with np.errstate(divide="ignore", invalid="ignore"):
             nu[inner] = p / dp
         absp[inner] = np.abs(p)
-    if np.any(outer):
-        wo = w[outer]
-        v = 1.0 / wo
-        q, dq, s[outer] = _horner(rev, v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nu[outer] = wo * q / (d * q - v * dq)
-        absp[outer] = np.abs(q)
+    if outer.any():
+        for t in np.flatnonzero(np.bincount(tr[outer])).tolist():
+            at = outer & (tr == t)
+            wo = w[at]
+            v = 1.0 / wo
+            q, dq, s[at] = _horner(stack.reversed(t), v)
+            d = stack.d[t]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nu[at] = wo * q / (d * q - v * dq)
+            absp[at] = np.abs(q)
     return nu, absp, s
 
 
 def _aberth(core: np.ndarray) -> np.ndarray:
     """Simultaneous iteration, to the floor tol = 8 (d + 1) eps, on a
     degree-d polynomial with nonzero end coefficients."""
-    core = core / np.max(np.abs(core))
-    d = len(core) - 1
-    tol = 8.0 * (d + 1) * sys.float_info.epsilon
-    # built once per solve, not once per sweep
-    fwd, rev = _horner_layout(core), _horner_layout(core[::-1])
-    w = _initial_guesses(core)
-    done = np.zeros(d, dtype=bool)
+    (w,) = _lockstep([core])
+    if isinstance(w, ConvergenceError):
+        raise w
+    return w
+
+
+def _lockstep(cores) -> list:
+    """`_aberth` on several cores at once: the zeros of each core, or the
+    ConvergenceError of a core that stalls.
+
+    The cores are grouped by Horner block length and by whether they are
+    complex, and each group sweeps in lockstep: one Horner call evaluates
+    the live points of every core of the group, while the degree, the
+    tolerance, the forward limit, the reversed layout and the pair sums
+    stay each core's own. Every elementwise step is the one a lone core
+    takes, and `_horner` is a pure function of each point, so each core's
+    zeros are bit-identical to its solo solve, whatever else is in the
+    batch.
+    """
+    cores = [c / np.max(np.abs(c)) for c in cores]
+    layouts = [_horner_layout(c) for c in cores]
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for i, L in enumerate(layouts):
+        groups.setdefault((L.k, L.cplx), []).append(i)
+    out = [None] * len(cores)
+    for idx in groups.values():
+        stack = _Stack([cores[i] for i in idx], [layouts[i] for i in idx])
+        for i, w in zip(idx, _sweeps(stack)):
+            out[i] = w
+    return out
+
+
+def _sweeps(stack: _Stack) -> list:
+    """The lockstep iteration on one stack; see `_lockstep`."""
+    ds = stack.d
+    tols = [8.0 * (d + 1) * sys.float_info.epsilon for d in ds]
+    # the points of every core, concatenated: core t owns w[lo[t]:lo[t + 1]]
+    w = np.concatenate([_initial_guesses(c) for c in stack.cores])
+    lo = [0, *itertools.accumulate(ds)]
+    owner = np.repeat(np.arange(len(ds)), ds)
+    tol = np.repeat(tols, ds)
+    done = np.zeros(len(w), dtype=bool)
     for _ in range(_MAX_ITERS):
         act = np.nonzero(~done)[0]
         if len(act) == 0:
-            return w
-        nu, absp, s = _newton_terms(fwd, rev, d, w[act])
-        ok = absp <= tol * s
-        newly = act[ok]
-        done[newly] = True
+            break
+        nu, absp, s = _newton_terms(stack, owner[act], w[act])
+        ok = absp <= tol[act] * s
+        done[act[ok]] = True
         act = act[~ok]
         if len(act) == 0:
-            return w
+            break
         nu = nu[~ok]
-        repel = _pair_sums(w, act)
+        if len(ds) == 1:
+            repel = _pair_sums(w, act)
+        else:
+            repel = np.empty(len(act), dtype=np.complex128)
+            cut = np.searchsorted(act, lo).tolist()
+            for t, (a, b) in enumerate(zip(cut, cut[1:])):
+                if a < b:
+                    repel[a:b] = _pair_sums(w[lo[t]: lo[t + 1]],
+                                            act[a:b] - lo[t])
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = nu / (1.0 - nu * repel)
         bad = ~np.isfinite(corr)
-        if np.any(bad):
+        if bad.any():
             corr[bad] = 0.1 * (1.0 + np.abs(w[act[bad]]))
         cap = 0.5 * (1.0 + np.abs(w[act]))
         mag = np.abs(corr)
         over = mag > cap
-        if np.any(over):
+        if over.any():
             corr[over] *= cap[over] / mag[over]
         w[act] -= corr
-    _, absp, s = _newton_terms(fwd, rev, d, w)
-    worst = float(np.max(absp / s))
-    raise ConvergenceError(
-        f"simultaneous iteration on a degree-{d} core stalled at residual "
-        f"ratio {worst:.3e} above its tolerance {tol:.3e} "
-        f"(sweep budget {_MAX_ITERS})",
-        residual=worst,
-    )
+    out = [w[lo[t]: lo[t + 1]] for t in range(len(ds))]
+    if done.all():
+        return out
+    # a stalled core reports its worst ratio over all its points
+    stalled = np.bincount(owner[~done], minlength=len(ds)) > 0
+    at = stalled[owner]
+    _, absp, s = _newton_terms(stack, owner[at], w[at])
+    ratio = absp / s
+    for t in np.flatnonzero(stalled).tolist():
+        worst = float(np.max(ratio[owner[at] == t]))
+        out[t] = ConvergenceError(
+            f"simultaneous iteration on a degree-{ds[t]} core stalled at "
+            f"residual ratio {worst:.3e} above its tolerance "
+            f"{tols[t]:.3e} (sweep budget {_MAX_ITERS})",
+            residual=worst,
+        )
+    return out
 
 
 def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:

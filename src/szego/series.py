@@ -76,7 +76,7 @@ class Polynomial:
 
 @dataclass(frozen=True, eq=False)
 class _HornerLayout:
-    """One coefficient vector cut into blocks for `_horner`.
+    """One coefficient vector cut into blocks for `_horner`, or a stack of them.
 
     Block b holds coefficients b k .. b k + k - 1, with k = floor(sqrt(d + 1))
     and zero padding at the end. Only the live blocks, those holding a
@@ -84,7 +84,9 @@ class _HornerLayout:
     because Horner starts from it. The blocks and their derivative-weighted
     copies are float64 tables: one row per live block when no coefficient
     has an imaginary part, and otherwise the real parts of the live blocks
-    stacked over their imaginary parts, two rows per live block.
+    stacked over their imaginary parts, two rows per live block. A stack
+    from `_stack_layouts` holds one such table per vector along a leading
+    axis.
     """
 
     k: int
@@ -96,6 +98,10 @@ class _HornerLayout:
     ders: np.ndarray
     #: |.| of the live blocks
     mags: np.ndarray
+
+    @property
+    def cplx(self) -> bool:
+        return self.vals.shape[-2] > self.mags.shape[-2]
 
 
 def _horner_layout(coeffs: np.ndarray) -> _HornerLayout:
@@ -113,19 +119,48 @@ def _horner_layout(coeffs: np.ndarray) -> _HornerLayout:
                          vals[:, 1:] * np.arange(1, k), np.abs(blocks))
 
 
-def _block_sums(table: np.ndarray, zt: np.ndarray, nb: int) -> np.ndarray:
-    """sum_j table[r, j] zt[j] for each of the nb live blocks, as complex rows.
+def _stack_layouts(layouts) -> _HornerLayout:
+    """One layout over several vectors of one block length and one kind.
 
-    ``zt`` is the float view of the (k, m) complex powers, so one real
+    A block is stored when it is live in any of the vectors, and each
+    vector's table gets a zero row for every stored block it lacks, at the
+    top of a shorter vector too. A zero row adds exact zeros, and Horner
+    from a zero top block reaches the vector's own top block with the value
+    0 y + top = top, so every vector keeps the bits of its own layout.
+    """
+    k, T = layouts[0].k, len(layouts)
+    parts = 2 if layouts[0].cplx else 1
+    live = np.zeros(max(len(L.live) for L in layouts), dtype=bool)
+    for L in layouts:
+        live[: len(L.live)] |= L.live
+    rank = np.cumsum(live) - 1
+    nb = int(rank[-1]) + 1
+    vals = np.zeros((T, parts, nb, k))
+    ders = np.zeros((T, parts, nb, k - 1))
+    mags = np.zeros((T, nb, k))
+    for t, L in enumerate(layouts):
+        rows = rank[np.nonzero(L.live)[0]]
+        vals[t][:, rows] = L.vals.reshape(parts, len(rows), k)
+        ders[t][:, rows] = L.ders.reshape(parts, len(rows), k - 1)
+        mags[t][rows] = L.mags
+    return _HornerLayout(k, tuple(live.tolist()), vals.reshape(T, -1, k),
+                         ders.reshape(T, -1, k - 1), mags)
+
+
+def _block_sums(table: np.ndarray, zt: np.ndarray, nb: int) -> np.ndarray:
+    """sum_j table[t, r, j] zt[t, j] for each of the nb live blocks r of each
+    vector t, as complex rows indexed [r, t].
+
+    ``zt`` is the float view of the (k, T, m) complex powers, so one real
     einsum gives a times each power for every real row a. A complex table
     has 2 nb rows: its imaginary rows b give b z^j, which is combined with
     the real rows' a z^j as re = Re(a z^j) - Im(b z^j),
     im = Im(a z^j) + Re(b z^j).
     """
-    f = np.einsum("bk,kn->bn", table, zt)
-    if len(table) == nb:
+    f = np.einsum("tbk,ktn->btn", table, zt)
+    if len(f) == nb:
         return f.view(np.complex128)
-    f = f.reshape(2, nb, -1, 2)
+    f = f.reshape(2, nb, f.shape[1], -1, 2)
     out = np.empty(f.shape[1:], dtype=np.float64)
     np.subtract(f[0, ..., 0], f[1, ..., 1], out=out[..., 0])
     np.add(f[0, ..., 1], f[1, ..., 0], out=out[..., 1])
@@ -141,32 +176,45 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
     instead of d + 1. An empty block adds exact zeros, so it is skipped, and
     the einsum work scales with the number of blocks that hold a nonzero
     coefficient: a sparse section such as a universal step costs a fraction
-    of a dense one. The powers are built as a (k, m) table for m points,
-    whose float view is (k, 2 m), and every block sum is the same
-    ``np.einsum("bk,kn->bn", ...)`` on float64 operands: real coefficient
-    rows against that view for the value and the derivative, |.| rows
-    against |z|^j for the sum. A complex layout's imaginary rows take a
-    second real product per term, so no complex einsum is made. The einsum
-    runs without ``optimize``, so no BLAS call is made and the result does
-    not depend on any thread count.
+    of a dense one. The powers are built as a (k, T, m) table for m points
+    on each of T vectors, whose float view is (k, T, 2 m), and every block
+    sum is the same ``np.einsum("tbk,ktn->btn", ...)`` on float64 operands:
+    real coefficient rows against that view for the value and the
+    derivative, |.| rows against |z|^j for the sum. A complex layout's
+    imaginary rows take a second real product per term, so no complex
+    einsum is made. The einsum runs without ``optimize``, so no BLAS call
+    is made and the result does not depend on any thread count.
+
+    A single layout takes z of any shape; a stack of T layouts takes z of
+    shape (T, m), row t evaluated on vector t. Every output is a pure
+    function of its point and its vector: each column of the einsum output
+    sums its k terms in order, but an output of one column takes another
+    inner loop with another summation order, so a lone point is evaluated
+    as a pair.
     """
     shape = z.shape
-    z = z.reshape(-1)
+    vals, ders, mags = layout.vals, layout.ders, layout.mags
+    if vals.ndim == 2:
+        vals, ders, mags = vals[None], ders[None], mags[None]
+    z = z.reshape(len(vals), -1)
+    lone = z.shape[1] == 1
+    if lone:
+        z = np.concatenate((z, z), axis=1)
     k = layout.k
-    zt = np.empty((k, len(z)), dtype=np.complex128)
+    zt = np.empty((k,) + z.shape, dtype=np.complex128)
     zt[0] = 1.0
     zt[1:] = z
     np.cumprod(zt, axis=0, out=zt)
     # row r of each table: live block r of P, of P' and of the |.|-sum at z
     zf = zt.view(np.float64)
-    nb = len(layout.mags)
-    vals = _block_sums(layout.vals, zf, nb)
-    ders = _block_sums(layout.ders, zf[:-1], nb)
-    sums = np.einsum("bk,kn->bn", layout.mags, np.abs(zt))
+    nb = mags.shape[1]
+    vals = _block_sums(vals, zf, nb)
+    ders = _block_sums(ders, zf[:-1], nb)
+    sums = np.einsum("tbk,ktn->btn", mags, np.abs(zt))
     y = zt[-1] * z
     dy = k * zt[-1]
     ay = np.abs(y)
-    r = len(sums) - 1
+    r = nb - 1
     p, dp, s = vals[r], ders[r], sums[r]
     for b in range(len(layout.live) - 2, -1, -1):
         dp *= y
@@ -178,6 +226,8 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
             dp += ders[r]
             p += vals[r]
             s += sums[r]
+    if lone:
+        p, dp, s = p[:, :1], dp[:, :1], s[:, :1]
     return p.reshape(shape), dp.reshape(shape), s.reshape(shape)
 
 
@@ -343,7 +393,7 @@ class Rational(Series):
         if np.any(np.abs(moduli - 1.0) > 1e-8):
             raise DomainError(
                 "denominator roots must lie on the unit circle; "
-                f"got moduli {sorted(moduli)}"
+                f"got moduli {sorted(moduli.tolist())}"
             )
 
     def values(self, n: int) -> np.ndarray:

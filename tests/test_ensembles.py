@@ -279,7 +279,7 @@ def test_random_path_horizons_reject_non_integers(monkeypatch, call, n, shift):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(ens, "_solve_trial", no_trial)
+    monkeypatch.setattr(ens, "_solve_trials", no_trial)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     with pytest.raises(DomainError):
         call(n + shift if shift == 0.5 else shift)
@@ -370,3 +370,81 @@ def test_dyadic_empty_window_probe():
     probe = dyadic_empty_window_probe(GAUSS, 0.5, 2 ** 10,
                                       seed=0)
     assert not any(probe.values())
+
+
+@pytest.mark.parametrize("E", ["gaussian_complex", "bernoulli(0.5)",
+                               "log_heavy_tail(2)"])
+def test_batch_solves_match_solo_solves(E):
+    # each trial of a batch of consecutive trials keeps the bits of its
+    # solo find_zeros, for batches of 1, 5 and 10
+    import szego.ensembles as ens
+
+    n, seed = 64, 9
+    solo = [find_zeros(Polynomial(sample_coeffs(E, n, seed, t), n))
+            for t in range(10)]
+    for size in (1, 5, 10):
+        got = [Z for a in range(0, 10, size)
+               for Z in ens._solve_trials(as_ensemble(E), n, seed,
+                                          range(a, a + size))]
+        assert [Z.finite_zeros.tobytes() for Z in got] == [
+            Z.finite_zeros.tobytes() for Z in solo]
+
+
+def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
+    # the batch cap moves the cuts between batches, never the report
+    import szego.ensembles as ens
+
+    kw = dict(n=48, t_grid=[0.9, 1.0, 1.1], trials=12, seed=4,
+              weyl_orders=(1,))
+    cuts, reports, checks = [], [], []
+    for cap in (49, 3 * 49, 1 << 11):
+        monkeypatch.setattr(ens, "_BATCH_COEFFS", cap)
+        cuts.append(len(ens._batches(48, 12, 1)))
+        reports.append(mc_expected_cdf(Ensemble("log_heavy_tail", 2.0), **kw))
+        checks.append(reversal_symmetry_check(GAUSS, 48, 0.9, 12, 4))
+    assert cuts == [12, 4, 1]
+    assert all(r == reports[0] for r in reports)
+    assert all(c == checks[0] for c in checks)
+
+
+def test_zero_sections_still_count_as_failures(monkeypatch):
+    # an all-zero section is left out of its batch and counted as a failure;
+    # the other trials of the batch keep their zeros
+    import szego.ensembles as ens
+
+    solo = [find_zeros(Polynomial(sample_coeffs(GAUSS, 16, 2, t), 16))
+            for t in range(12)]
+    real = ens.sample_coeffs
+
+    def zeroed(E, n, seed, trial=0):
+        c = real(E, n, seed, trial)
+        return c * 0.0 if trial % 4 == 1 else c
+
+    monkeypatch.setattr(ens, "sample_coeffs", zeroed)
+    rep = mc_expected_cdf(GAUSS, 16, [1.0], trials=12, seed=2)
+    assert (rep.trials_used, rep.failures) == (9, 3)
+    got = ens._solve_trials(GAUSS, 16, 2, range(12))
+    for t, (Z, ref) in enumerate(zip(got, solo)):
+        if t % 4 == 1:
+            assert Z is None
+        else:
+            assert Z.finite_zeros.tobytes() == ref.finite_zeros.tobytes()
+
+
+def test_mc_memory_does_not_grow_with_trials():
+    # trials are solved in batches of capped size, so the peak of the
+    # Python heap at 40 trials stays near the peak at 10
+    import tracemalloc
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            mc_expected_cdf(GAUSS, 256, [1.0], trials=trials, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a first run leaves its one-time allocations outside the measurements
+    mc_expected_cdf(GAUSS, 256, [1.0], trials=10, seed=1)
+    small, large = peak(10), peak(40)
+    assert large <= 1.5 * small

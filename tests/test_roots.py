@@ -295,9 +295,8 @@ def test_degenerate_inputs():
     assert np.allclose(Z1.finite_zeros, [-1.5])
 
 
-def test_each_solve_builds_two_horner_layouts(monkeypatch):
-    # one layout for the coefficients and one for their reversal per solve,
-    # not one per sweep
+def _layout_sizes(monkeypatch):
+    """The vector length of each Horner layout the solver builds."""
     real = roots._horner_layout
     sizes = []
 
@@ -306,9 +305,26 @@ def test_each_solve_builds_two_horner_layouts(monkeypatch):
         return real(coeffs)
 
     monkeypatch.setattr(roots, "_horner_layout", counted)
+    return sizes
+
+
+def test_a_solve_builds_the_reversed_layout_only_when_a_point_crosses(
+        monkeypatch):
+    # one layout for the coefficients per solve, not one per sweep; every
+    # point of a random section stays inside the forward limit, so the
+    # layout of the reversal is never built
+    sizes = _layout_sizes(monkeypatch)
     Z = find_zeros(section(RandomSeries("gaussian_complex", 3), 256))
     assert len(Z.finite_zeros) == 256
-    assert sizes == [257, 257]
+    assert sizes == [257]
+    # zeros of modulus 1e-85 and 1e85: solved in u = z^2 as a degree-2 core
+    # whose zero 1e170 lies past the forward limit, so its reversal is
+    # built once, at the first crossing, and kept for the later sweeps
+    sizes.clear()
+    calls = _horner_calls(monkeypatch)
+    find_zeros(Polynomial(np.array([1.0, 0.0, -1e170, 0.0, 1.0]), 4))
+    assert sizes == [3, 3]
+    assert len({id(layout) for layout, _ in calls}) == 2
 
 
 def _horner_calls(monkeypatch):
@@ -380,12 +396,15 @@ def test_forward_limit_keeps_the_backward_error(monkeypatch, d):
     assert np.all(np.isfinite(p)) and np.all(np.isfinite(s))
     eps = np.finfo(float).eps
     assert np.all(np.abs(np.abs(p) / s - np.abs(q) / t) <= 8 * (d + 1) * eps)
+    stack = roots._Stack([c], [fwd])
+    tr = np.zeros(len(w), dtype=int)
     calls = _horner_calls(monkeypatch)
-    roots._newton_terms(fwd, rev, d, w)
+    roots._newton_terms(stack, tr, w)
     assert [layout for layout, _ in calls] == [fwd]
+    assert stack.rev == [None]
     calls.clear()
-    roots._newton_terms(fwd, rev, d, w * (1 + 1e-9))
-    assert [layout for layout, _ in calls] == [rev]
+    roots._newton_terms(stack, tr, w * (1 + 1e-9))
+    assert [layout for layout, _ in calls] == stack.rev
 
 
 def test_lacunary_high_degree_residuals():
@@ -403,9 +422,9 @@ def _sweep_sizes(monkeypatch):
     real = roots._newton_terms
     sizes = []
 
-    def counted(fwd, rev, d, w):
+    def counted(stack, tr, w):
         sizes.append(len(w))
-        return real(fwd, rev, d, w)
+        return real(stack, tr, w)
 
     monkeypatch.setattr(roots, "_newton_terms", counted)
     return sizes
@@ -784,3 +803,83 @@ def test_multi_block_zeros_do_not_depend_on_blas_threads():
     here = find_zeros(section(parse_family("rational:1,1|1,-1"), 640))
     assert len(here.finite_zeros) == 640 > 4 * roots._CHUNK
     assert _zeros_in_fresh_process(expr) == here.finite_zeros.tobytes()
+
+
+def _solo(polys):
+    """find_zeros of each polynomial, or the ConvergenceError it raises."""
+    out = []
+    for P in polys:
+        try:
+            out.append(find_zeros(P))
+        except ConvergenceError as exc:
+            out.append(exc)
+    return out
+
+
+def _same_bits(a, b):
+    if isinstance(a, ConvergenceError) or isinstance(b, ConvergenceError):
+        return (type(a) is type(b) and str(a) == str(b)
+                and a.residual == b.residual)
+    return (a.finite_zeros.tobytes() == b.finite_zeros.tobytes()
+            and a.infinity_count == b.infinity_count
+            and a.formal_degree == b.formal_degree)
+
+
+def _trial_polys(ensemble, n, count=10, seed=5):
+    return [Polynomial(szego.sample_coeffs(ensemble, n, seed, t), n)
+            for t in range(count)]
+
+
+@pytest.mark.parametrize("n", [24, 64, 256])
+@pytest.mark.parametrize("ensemble", ["gaussian_complex", "bernoulli(0.5)",
+                                      "log_heavy_tail(2)"])
+def test_batched_zeros_are_bit_equal_to_solo_solves(monkeypatch, ensemble,
+                                                    n):
+    # whatever batch a section is solved in, consecutive or shuffled, its
+    # zeros keep the bits of its own find_zeros
+    polys = _trial_polys(ensemble, n)
+    solo = _solo(polys)
+    cores = [roots._deflate(P)[3] for P in polys]
+    if ensemble.startswith("bernoulli"):
+        # core lengths differ, within one block length and across two
+        lengths = {len(c) for c in cores}
+        assert len({math.isqrt(m) for m in lengths}) > 1
+        assert len(lengths) > len({math.isqrt(m) for m in lengths})
+    sizes = _layout_sizes(monkeypatch)
+    rng = np.random.default_rng(n)
+    orders = [np.arange(10)] * 3 + [rng.permutation(10) for _ in range(3)]
+    for order, size in zip(orders, (1, 5, 10, 3, 5, 10)):
+        for start in range(0, 10, size):
+            batch = order[start: start + size].tolist()
+            got = roots._zero_sets([polys[i] for i in batch])
+            assert all(_same_bits(g, solo[i]) for g, i in zip(got, batch))
+    if ensemble.startswith("log_heavy_tail") and n == 256:
+        # some cores have points past the forward limit: the batches built
+        # reversed layouts beyond one forward layout per core
+        assert len(sizes) > 6 * len(cores)
+
+
+def test_a_stalled_trial_fails_alone(monkeypatch):
+    # with a sweep budget between the trials' own sweep counts, the slow
+    # trials stall in the batch exactly as they stall alone, and the others
+    # keep their converged zeros
+    polys = _trial_polys("gaussian_complex", 64, count=8)
+    counted = _sweep_sizes(monkeypatch)
+    sweeps = []
+    for P in polys:
+        counted.clear()
+        find_zeros(P)
+        sweeps.append(len(counted))
+    budget = max(sweeps) - 1
+    assert min(sweeps) <= budget
+    converged = _solo(polys)
+    monkeypatch.setattr(roots, "_MAX_ITERS", budget)
+    solo = _solo(polys)
+    got = roots._zero_sets(polys)
+    for s, g, c, ref in zip(sweeps, got, converged, solo):
+        assert _same_bits(g, ref)
+        if s <= budget:
+            assert _same_bits(g, c)
+        else:
+            assert isinstance(g, ConvergenceError)
+            assert f"sweep budget {budget})" in str(g)

@@ -14,7 +14,7 @@ from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
                    reversed_companion, section, series_from_descriptor, step)
 from szego import series
 from szego.series import (_circle_values, _horner, _horner_layout,
-                          carlson_indices)
+                          _stack_layouts, carlson_indices)
 
 
 def test_polynomial_evaluation_matches_polyval():
@@ -194,6 +194,61 @@ def test_real_coefficients_take_real_block_sums(monkeypatch):
     assert all(dt == np.float64 for ops in operands for dt in ops)
 
 
+def _bits(*arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def _pure_cases():
+    vectors = _sparse_vectors()
+    return {"real": vectors["rational_640"], "complex": vectors["dense"],
+            "universal": vectors["universal_step4"]}
+
+
+def _points(rng, m):
+    return (rng.uniform(0.5, 1.05, m)
+            * np.exp(1j * rng.uniform(-np.pi, np.pi, m)))
+
+
+@pytest.mark.parametrize("name", list(_pure_cases()))
+def test_horner_is_a_pure_function_of_each_point(name):
+    # a point's value, derivative and sum keep their bits whatever other
+    # points share the call, a lone point included
+    layout = _horner_layout(_pure_cases()[name]())
+    rng = np.random.default_rng(12)
+    z = _points(rng, 40)
+    whole = _horner(layout, z)
+    for size in (1, 2, 3, 17, 40):
+        for _ in range(3):
+            idx = rng.choice(40, size=size, replace=False)
+            assert _bits(*_horner(layout, z[idx])) == _bits(
+                *(out[idx] for out in whole))
+
+
+def test_stacked_layouts_keep_each_vectors_bits():
+    # vectors of one block length with different lengths and live blocks:
+    # row t of a stacked call, zero-padded to the longest row, matches the
+    # vector's own call bit for bit
+    rng = np.random.default_rng(13)
+    vectors = []
+    for n in (256, 257, 270, 288):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+        c[rng.integers(0, n // 16) * 16 + np.arange(16)] = 0.0
+        vectors.append(c)
+    layouts = [_horner_layout(c) for c in vectors]
+    assert len({L.k for L in layouts}) == 1
+    assert len({L.live for L in layouts}) == len(layouts)
+    stack = _stack_layouts(layouts)
+    counts = (1, 7, 40, 2)
+    z = np.zeros((len(layouts), max(counts)), dtype=complex)
+    rows = [_points(rng, m) for m in counts]
+    for t, w in enumerate(rows):
+        z[t, : len(w)] = w
+    outs = _horner(stack, z)
+    for t, (layout, w) in enumerate(zip(layouts, rows)):
+        assert _bits(*_horner(layout, w)) == _bits(
+            *(out[t, : len(w)] for out in outs))
+
+
 def test_horner_on_trailing_zero_blocks():
     # the padding leaves the last blocks empty; Horner starts from the last
     # one all the same, so the powers of z still reach the degree
@@ -294,6 +349,19 @@ def test_rational_rejects_off_circle_denominator():
         Rational([1], [1, -0.5])  # pole at z = 2
     with pytest.raises(DomainError):
         Rational([1], [0, 1])  # zero constant term
+
+
+def test_off_circle_message_lists_plain_float_moduli():
+    # a double zero at 1 splits into moduli about 1 -+ 5e-8; the message
+    # shows them as Python floats, not as numpy scalar reprs
+    with pytest.raises(DomainError) as info:
+        parse_family("rational:1|1,-2,1")
+    msg = str(info.value)
+    assert "np.float64" not in msg
+    listed = msg[msg.index("[") + 1: msg.index("]")].split(", ")
+    moduli = sorted(float(m) for m in listed)
+    assert len(moduli) == 2
+    assert 1 - 1e-7 < moduli[0] < 1 - 1e-8 < 1 + 1e-8 < moduli[1] < 1 + 1e-7
 
 
 def test_rational_real_denominator_with_complex_unit_roots():
