@@ -143,8 +143,9 @@ def _stack_layouts(layouts) -> _HornerLayout:
         vals[t][:, rows] = L.vals.reshape(parts, len(rows), k)
         ders[t][:, rows] = L.ders.reshape(parts, len(rows), k - 1)
         mags[t][rows] = L.mags
-    return _HornerLayout(k, tuple(live.tolist()), vals.reshape(T, -1, k),
-                         ders.reshape(T, -1, k - 1), mags)
+    return _HornerLayout(k, tuple(live.tolist()),
+                         vals.reshape(T, parts * nb, k),
+                         ders.reshape(T, parts * nb, k - 1), mags)
 
 
 def _block_sums(table: np.ndarray, zt: np.ndarray, nb: int) -> np.ndarray:

@@ -830,7 +830,7 @@ def _trial_polys(ensemble, n, count=10, seed=5):
             for t in range(count)]
 
 
-@pytest.mark.parametrize("n", [24, 64, 256])
+@pytest.mark.parametrize("n", [8, 24, 64, 256])
 @pytest.mark.parametrize("ensemble", ["gaussian_complex", "bernoulli(0.5)",
                                       "log_heavy_tail(2)"])
 def test_batched_zeros_are_bit_equal_to_solo_solves(monkeypatch, ensemble,

@@ -224,21 +224,28 @@ def test_horner_is_a_pure_function_of_each_point(name):
                 *(out[idx] for out in whole))
 
 
-def test_stacked_layouts_keep_each_vectors_bits():
-    # vectors of one block length with different lengths and live blocks:
-    # row t of a stacked call, zero-padded to the longest row, matches the
-    # vector's own call bit for bit
+@pytest.mark.parametrize("lengths, cplx", [
+    ((256, 257, 270, 288), True), ((256, 257, 270, 288), False),
+    ((2, 3, 3), True), ((4, 6, 8), False)])
+def test_stacked_layouts_keep_each_vectors_bits(lengths, cplx):
+    # vectors of one block length with different lengths and live blocks,
+    # down to blocks of one coefficient: row t of a stacked call,
+    # zero-padded to the longest row, matches the vector's own call bit
+    # for bit
     rng = np.random.default_rng(13)
+    k = math.isqrt(lengths[0])
     vectors = []
-    for n in (256, 257, 270, 288):
-        c = rng.normal(size=n) + 1j * rng.normal(size=n)
-        c[rng.integers(0, n // 16) * 16 + np.arange(16)] = 0.0
+    for n in lengths:
+        c = rng.normal(size=n) + 1j * rng.normal(size=n) * cplx
+        if n // k >= 3:
+            c[rng.integers(1, n // k - 1) * k + np.arange(k)] = 0.0
+        c[-1] = 1.0 + 0.5j * cplx
         vectors.append(c)
     layouts = [_horner_layout(c) for c in vectors]
-    assert len({L.k for L in layouts}) == 1
-    assert len({L.live for L in layouts}) == len(layouts)
+    assert {L.k for L in layouts} == {k}
+    assert {L.cplx for L in layouts} == {cplx}
     stack = _stack_layouts(layouts)
-    counts = (1, 7, 40, 2)
+    counts = (1, 7, 40, 2)[: len(layouts)]
     z = np.zeros((len(layouts), max(counts)), dtype=complex)
     rows = [_points(rng, m) for m in counts]
     for t, w in enumerate(rows):
