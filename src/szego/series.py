@@ -76,7 +76,7 @@ class Polynomial:
 
 @dataclass(frozen=True, eq=False)
 class _HornerLayout:
-    """One coefficient vector cut into blocks for `_horner`, or a stack of them.
+    """Coefficient vectors cut into blocks for `_horner`: one, or a stack.
 
     Block b holds coefficients b k .. b k + k - 1, with k = floor(sqrt(d + 1))
     and zero padding at the end. Only the live blocks, those holding a
