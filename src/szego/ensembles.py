@@ -236,9 +236,10 @@ def _usable(coeffs: np.ndarray) -> bool:
 
 def _batches(n: int, trials: int, workers: int) -> list[range]:
     """Consecutive trial indices cut into batches of near-equal size: one
-    per worker, or more where a batch would hold over _BATCH_COEFFS
-    sampled coefficients."""
-    count = min(trials, max(workers, -(-trials * (n + 1) // _BATCH_COEFFS)))
+    per worker, or more so that no batch holds over _BATCH_COEFFS sampled
+    coefficients (a batch of one trial may, when n + 1 alone is over)."""
+    per = max(1, _BATCH_COEFFS // (n + 1))
+    count = min(trials, max(workers, -(-trials // per)))
     cuts = [trials * i // count for i in range(count + 1)]
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 

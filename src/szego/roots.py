@@ -190,8 +190,11 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
 class _Stack:
     """Cores of one Horner block length and kind, evaluated together.
 
-    The forward layouts form one stacked table (a single core keeps its own
-    layout). The reversed layout of a core is built the first time one of
+    The forward layouts form one stacked table, except that a lone core,
+    the stack of every `find_zeros`, keeps its own layout and takes
+    `_horner` directly: the stacked path gives it the same bits, but its
+    scatter into a padded table costs a low-degree solve up to a fifth of
+    its time. The reversed layout of a core is built the first time one of
     its points crosses the forward limit, which few cores ever do.
     """
 
@@ -323,15 +326,11 @@ def _sweeps(stack: _Stack) -> list:
         if len(act) == 0:
             break
         nu = nu[~ok]
-        if len(ds) == 1:
-            repel = _pair_sums(w, act)
-        else:
-            repel = np.empty(len(act), dtype=np.complex128)
-            cut = np.searchsorted(act, lo).tolist()
-            for t, (a, b) in enumerate(zip(cut, cut[1:])):
-                if a < b:
-                    repel[a:b] = _pair_sums(w[lo[t]: lo[t + 1]],
-                                            act[a:b] - lo[t])
+        repel = np.empty(len(act), dtype=np.complex128)
+        cut = np.searchsorted(act, lo).tolist()
+        for t, (a, b) in enumerate(zip(cut, cut[1:])):
+            if a < b:
+                repel[a:b] = _pair_sums(w[lo[t]: lo[t + 1]], act[a:b] - lo[t])
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = nu / (1.0 - nu * repel)
         bad = ~np.isfinite(corr)

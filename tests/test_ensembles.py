@@ -372,22 +372,24 @@ def test_dyadic_empty_window_probe():
     assert not any(probe.values())
 
 
-@pytest.mark.parametrize("E", ["gaussian_complex", "bernoulli(0.5)",
-                               "log_heavy_tail(2)"])
-def test_batch_solves_match_solo_solves(E):
-    # each trial of a batch of consecutive trials keeps the bits of its
-    # solo find_zeros, for batches of 1, 5 and 10
+def test_batches_hold_at_most_the_cap():
+    # consecutive near-equal batches, at least one per worker, none over
+    # _BATCH_COEFFS sampled coefficients unless it is a single trial; the
+    # cap does not divide 7 * 820, and 10 trials at n = 256 cut 5 + 5
     import szego.ensembles as ens
 
-    n, seed = 64, 9
-    solo = [find_zeros(Polynomial(sample_coeffs(E, n, seed, t), n))
-            for t in range(10)]
-    for size in (1, 5, 10):
-        got = [Z for a in range(0, 10, size)
-               for Z in ens._solve_trials(as_ensemble(E), n, seed,
-                                          range(a, a + size))]
-        assert [Z.finite_zeros.tobytes() for Z in got] == [
-            Z.finite_zeros.tobytes() for Z in solo]
+    assert [len(b) for b in ens._batches(256, 10, 1)] == [5, 5]
+    assert [len(b) for b in ens._batches(256, 10, 2)] == [5, 5]
+    for n in (1, 48, 256, 819, 1000, 2047, 3000):
+        for trials in (1, 2, 7, 10, 40):
+            for workers in (1, 2, 3):
+                batches = ens._batches(n, trials, workers)
+                assert [i for b in batches for i in b] == list(range(trials))
+                assert len(batches) >= min(workers, trials)
+                sizes = [len(b) for b in batches]
+                assert max(sizes) - min(sizes) <= 1
+                for size in sizes:
+                    assert size == 1 or size * (n + 1) <= ens._BATCH_COEFFS
 
 
 def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
