@@ -188,6 +188,7 @@ def jensen_identity(P: Polynomial, Z, quad_points: int = 4096):
     of the circle average of ln(|P|^2 / (|b_0||b_n|)). Zeros within 1e-9 of
     the unit circle degrade the quadrature and trigger a warning.
     """
+    quad_points = _integer(quad_points)
     if quad_points < 1:
         raise DomainError("quad_points must be positive")
     c = P.coeffs

@@ -18,8 +18,6 @@ import os
 import sys
 from itertools import groupby
 
-import numpy as np
-
 from . import __version__
 from .bounds import bounds_report
 from .ensembles import as_ensemble, check_conditions, mc_expected_cdf

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .gauge import _window_start
+from .gauge import _check_gamma, _window_start
 from .measures import _check_radii, _weyl_order, counting_fn, weyl_sum
 from .roots import ZeroSet, _zero_sets
 from .series import Polynomial, _check_horizon, _exact, _integer
@@ -193,6 +193,7 @@ def _check_trials(n, trials, seed) -> tuple[int, int, int]:
 
 def _sample(E: Ensemble, n: int, seed: int, trial: int):
     n = _check_horizon(n)
+    seed, trial = _integer(seed), _integer(trial)
     _check_seed(seed, trial)
     blocks = [_draw_block(E, seed, trial, b) for b in range(n // BLOCK + 1)]
     vals = np.concatenate([v for v, _ in blocks])[:n + 1]
@@ -263,6 +264,8 @@ def _solve_trials(E: Ensemble, n: int, seed: int,
 
 
 def _batch_cdf(args):
+    """(F on the grid, Weyl sums) of each trial of a batch, or (None, None)
+    where the trial fails."""
     E, n, seed, trials, t_grid, weyl_orders = args
     out = []
     for Z in _solve_trials(E, n, seed, trials):
@@ -272,6 +275,21 @@ def _batch_cdf(args):
         F = np.asarray(counting_fn(Z, t_grid), dtype=float)
         out.append((F, [weyl_sum(Z, m) for m in weyl_orders]))
     return out
+
+
+def _trial_rows(E: Ensemble, n: int, seed: int, trials: int, t_grid,
+                weyl_orders, workers: int) -> list:
+    """`_batch_cdf` of every trial, in trial order: the batches of
+    `_batches`, mapped over a process pool when workers > 1."""
+    jobs = [(E, n, seed, batch, t_grid, weyl_orders)
+            for batch in _batches(n, trials, workers)]
+    if workers > 1:
+        # attribute access loads the pool machinery (multiprocessing) only here
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_batch_cdf, jobs))
+    else:
+        parts = [_batch_cdf(j) for j in jobs]
+    return [r for part in parts for r in part]
 
 
 @dataclass(frozen=True)
@@ -333,15 +351,7 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     if t_grid.size == 0:
         raise DomainError("t grid needs at least one radius")
     weyl_orders = tuple(_weyl_order(m) for m in weyl_orders)
-    jobs = [(E, n, seed, batch, t_grid, weyl_orders)
-            for batch in _batches(n, trials, workers)]
-    if workers > 1:
-        # attribute access loads the pool machinery (multiprocessing) only here
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_batch_cdf, jobs))
-    else:
-        parts = [_batch_cdf(j) for j in jobs]
-    results = [r for part in parts for r in part]
+    results = _trial_rows(E, n, seed, trials, t_grid, weyl_orders, workers)
     rows = [F for F, _ in results if F is not None]
     weyl_rows = [s for F, s in results if F is not None]
     used = len(rows)
@@ -407,26 +417,19 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
         raise DomainError("radius t must be a float in (0, 1]")
     t = float(t)
     n, trials, seed = _check_trials(n, trials, seed)
-    inside, inside_inverse, boundary = [], [], []
-    failures = 0
-    for batch in _batches(n, trials, 1):
-        for Z in _solve_trials(E, n, seed, batch):
-            if Z is None:
-                failures += 1
-                continue
-            # F(t); F((1/t)-) as F at the float below 1/t; and the band
-            # |w - t| <= 1e-9 as F(t + 1e-9) less F just below t - 1e-9,
-            # where a band reaching down to 0 has nothing below it
-            F = counting_fn(Z, [t, np.nextafter(1.0 / t, 0.0), t + 1e-9,
-                                np.nextafter(max(t - 1e-9, 0.0), 0.0)])
-            inside.append(float(F[0]))
-            inside_inverse.append(float(F[1]))
-            boundary.append(float(F[2] - F[3]) if t > 1e-9
-                            else float(F[2]))
-    used = len(inside)
+    # F(t); F((1/t)-) as F at the float below 1/t; and the band
+    # |w - t| <= 1e-9 as F(t + 1e-9) less F just below t - 1e-9, where a
+    # band reaching down to 0 has nothing below it
+    grid = np.array([t, np.nextafter(1.0 / t, 0.0), t + 1e-9,
+                     np.nextafter(max(t - 1e-9, 0.0), 0.0)])
+    rows = [F for F, _ in _trial_rows(E, n, seed, trials, grid, (), 1)
+            if F is not None]
+    used = len(rows)
     if used < 2:
         raise ConvergenceError("too few usable trials", residual=float("nan"))
-    d = np.asarray(inside) + np.asarray(inside_inverse) - 1.0
+    inside, inside_inverse, above, below = np.array(rows).T
+    boundary = above - below if t > 1e-9 else above
+    d = inside + inside_inverse - 1.0
     return SymmetryReport(
         lhs=float(np.mean(inside)),
         rhs=float(1.0 - np.mean(inside_inverse)),
@@ -434,7 +437,7 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
         stderr=float(np.std(d, ddof=1) / math.sqrt(used)),
         boundary_allowance=float(np.mean(boundary)),
         trials_used=used,
-        failures=failures,
+        failures=trials - used,
     )
 
 
@@ -463,8 +466,7 @@ def dyadic_empty_window_probe(E: Ensemble, gamma: float, max_n: int,
     window liminf.
     """
     E = as_ensemble(E)
-    if not 0.0 < gamma < 1.0:
-        raise DomainError("gamma must lie strictly between 0 and 1")
+    gamma = _check_gamma(gamma)
     max_n = _check_horizon(max_n)
     if max_n < 2:
         raise DomainError("max_n must be at least 2")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .series import Series, _check_horizon
+from .series import Series, _check_horizon, _exact
 
 __all__ = [
     "DEFAULT_GAMMA_GRID",
@@ -43,7 +43,7 @@ def _window_start(gamma: float, n):
 
 
 def _check_gamma(gamma: float) -> float:
-    gamma = float(gamma)
+    gamma = float(_exact(gamma))
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie strictly between 0 and 1")
     return gamma

@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
 from .series import (Polynomial, _horner, _horner_layout, _HornerLayout,
-                     _stack_layouts)
+                     _layout_key)
 
 __all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
 
@@ -63,9 +63,9 @@ def find_zeros(P: Polynomial) -> ZeroSet:
     iteration on the core of degree d, run to its rounding floor: they meet
     |P(w)| <= 8 (d + 1) eps * sum_k |b_k| |w|^k, twice the error bound of
     the Horner kernel. The iteration makes one pass; a core not converged
-    after _MAX_ITERS sweeps raises ConvergenceError. The iteration is the
-    lockstep solver of `_zero_sets` on a stack of one core, so a section
-    gets the same zeros, bit for bit, alone or solved in a batch.
+    after _MAX_ITERS sweeps raises ConvergenceError. This is `_zero_sets`
+    on a batch of one, so a section gets the same zeros, bit for bit, alone
+    or solved in a batch.
 
     A deflated core whose nonzero coefficients sit at multiples of g > 1 is
     Q(z^g), with Q(u) = sum_j b_(g j) u^j of degree d / g; Q is solved
@@ -77,11 +77,10 @@ def find_zeros(P: Polynomial) -> ZeroSet:
     so the ratio grows by at most about |delta| d / g, and the bound is
     (8 (d / g + 1) + a few d) eps.
     """
-    low, deg, g, core = _deflate(P)
-    roots = _closed_form(core)
-    if roots is None:
-        roots = _aberth(core)
-    return _inflate(P, low, deg, g, roots)
+    (Z,) = _zero_sets([P])
+    if isinstance(Z, ConvergenceError):
+        raise Z
+    return Z
 
 
 def _zero_sets(polys) -> list:
@@ -188,20 +187,20 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
 
 
 class _Stack:
-    """Cores of one Horner block length and kind, evaluated together.
+    """Cores of one `_layout_key`, evaluated together.
 
-    The forward layouts form one stacked table, except that a lone core,
-    the stack of every `find_zeros`, keeps its own layout and takes
-    `_horner` directly: the stacked path gives it the same bits, but its
-    scatter into a padded table costs a low-degree solve up to a fifth of
-    its time. The reversed layout of a core is built the first time one of
-    its points crosses the forward limit, which few cores ever do.
+    The forward layouts form one stacked table. A lone core, the stack of
+    every `find_zeros`, takes `_horner` on its points directly: the
+    scattered path gives it the same bits, but its scatter into a padded
+    table costs a low-degree solve up to a fifth of its time. The reversed
+    layout of a core is built the first time one of its points crosses the
+    forward limit, which few cores ever do.
     """
 
-    def __init__(self, cores, layouts):
+    def __init__(self, cores):
         self.cores = cores
         self.d = [len(c) - 1 for c in cores]
-        self.fwd = layouts[0] if len(cores) == 1 else _stack_layouts(layouts)
+        self.fwd = _horner_layout(cores)
         self.rev = [None] * len(cores)
         # past this modulus the powers of a degree-d core may overflow
         self.limit = np.array([math.exp((_LOG_MAX - 2.0 * math.log(d + 1)) / d)
@@ -230,7 +229,7 @@ class _Stack:
     def reversed(self, t: int):
         """The Horner layout of core t's reversed coefficients."""
         if self.rev[t] is None:
-            self.rev[t] = _horner_layout(self.cores[t][::-1])
+            self.rev[t] = _horner_layout([self.cores[t][::-1]])
         return self.rev[t]
 
 
@@ -270,36 +269,26 @@ def _newton_terms(stack: _Stack, tr: np.ndarray, w: np.ndarray):
     return nu, absp, s
 
 
-def _aberth(core: np.ndarray) -> np.ndarray:
-    """Simultaneous iteration, to the floor tol = 8 (d + 1) eps, on a
-    degree-d polynomial with nonzero end coefficients."""
-    (w,) = _lockstep([core])
-    if isinstance(w, ConvergenceError):
-        raise w
-    return w
-
-
 def _lockstep(cores) -> list:
-    """`_aberth` on several cores at once: the zeros of each core, or the
+    """Simultaneous iteration, to the floor tol = 8 (d + 1) eps, on cores
+    with nonzero end coefficients: the zeros of each core, or the
     ConvergenceError of a core that stalls.
 
-    The cores are grouped by Horner block length and by whether they are
-    complex, and each group sweeps in lockstep: one Horner call evaluates
-    the live points of every core of the group, while the degree, the
+    The cores are grouped by `_layout_key`, their Horner block length and
+    kind, and each group sweeps in lockstep: one Horner call evaluates the
+    live points of every core of the group, while the degree, the
     tolerance, the forward limit, the reversed layout and the pair sums
     stay each core's own. Every elementwise step is the one a lone core
     takes, and `_horner` is a pure function of each point, so each core's
-    zeros are bit-identical to its solo solve, whatever else is in the
-    batch.
+    zeros are bit-identical in any batch, alone included.
     """
     cores = [c / np.max(np.abs(c)) for c in cores]
-    layouts = [_horner_layout(c) for c in cores]
     groups: dict[tuple[int, bool], list[int]] = {}
-    for i, L in enumerate(layouts):
-        groups.setdefault((L.k, L.cplx), []).append(i)
+    for i, c in enumerate(cores):
+        groups.setdefault(_layout_key(c), []).append(i)
     out = [None] * len(cores)
     for idx in groups.values():
-        stack = _Stack([cores[i] for i in idx], [layouts[i] for i in idx])
+        stack = _Stack([cores[i] for i in idx])
         for i, w in zip(idx, _sweeps(stack)):
             out[i] = w
     return out

@@ -61,7 +61,7 @@ class Polynomial:
 
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or arrays."""
-        acc = _horner(_horner_layout(self.coeffs),
+        acc = _horner(_horner_layout([self.coeffs]),
                       np.asarray(z, dtype=np.complex128))[0]
         return acc if acc.shape else complex(acc)
 
@@ -76,76 +76,59 @@ class Polynomial:
 
 @dataclass(frozen=True, eq=False)
 class _HornerLayout:
-    """Coefficient vectors cut into blocks for `_horner`: one, or a stack.
+    """A stack of T >= 1 coefficient vectors cut into blocks for `_horner`.
 
-    Block b holds coefficients b k .. b k + k - 1, with k = floor(sqrt(d + 1))
-    and zero padding at the end. Only the live blocks, those holding a
-    nonzero coefficient, are stored; the last block always counts as live
-    because Horner starts from it. The blocks and their derivative-weighted
-    copies are float64 tables: one row per live block when no coefficient
-    has an imaginary part, and otherwise the real parts of the live blocks
-    stacked over their imaginary parts, two rows per live block. A stack
-    from `_stack_layouts` holds one such table per vector along a leading
-    axis.
+    Block b holds coefficients b k .. b k + k - 1, with k = floor(sqrt(n))
+    for vectors of length n, all of one block length, and zero padding up
+    to the longest vector. A block is stored when it holds a nonzero
+    coefficient in any vector; the top block is always stored because
+    Horner starts from it. The tables hold one vector each along their
+    leading axis. Each vector's stored blocks and their derivative-weighted
+    copies are float64 rows: one row per stored block when no coefficient
+    has an imaginary part, and otherwise the real parts of the stored
+    blocks over their imaginary parts, two rows per stored block.
     """
 
     k: int
     #: live[b] tells whether block b is stored
     live: tuple[bool, ...]
-    #: the live blocks, in order (real rows over imaginary rows if complex)
+    #: (T, rows, k): the stored blocks, in order (real rows over imaginary
+    #: rows if complex)
     vals: np.ndarray
     #: ``vals`` times the derivative weights 1..k-1, first column dropped
     ders: np.ndarray
-    #: |.| of the live blocks
+    #: (T, blocks, k): |.| of the stored blocks
     mags: np.ndarray
 
-    @property
-    def cplx(self) -> bool:
-        return self.vals.shape[-2] > self.mags.shape[-2]
+
+def _layout_key(coeffs: np.ndarray) -> tuple[int, bool]:
+    """The block length and the kind (complex or not) of a vector's layout:
+    vectors of one key share one `_horner_layout`."""
+    return math.isqrt(len(coeffs)), bool(np.any(coeffs.imag))
 
 
-def _horner_layout(coeffs: np.ndarray) -> _HornerLayout:
-    n = len(coeffs)
-    k = math.isqrt(n)
-    cplx = bool(np.any(coeffs.imag))
-    blocks = np.zeros((-(-n // k), k),
-                      dtype=np.complex128 if cplx else np.float64)
-    blocks.reshape(-1)[:n] = coeffs if cplx else coeffs.real
-    live = np.any(blocks != 0, axis=1)
-    live[-1] = True
-    blocks = blocks[live]
-    vals = np.concatenate([blocks.real, blocks.imag]) if cplx else blocks
-    return _HornerLayout(k, tuple(live.tolist()), vals,
-                         vals[:, 1:] * np.arange(1, k), np.abs(blocks))
+def _horner_layout(vectors) -> _HornerLayout:
+    """The stacked layout of vectors of one `_layout_key`.
 
-
-def _stack_layouts(layouts) -> _HornerLayout:
-    """One layout over several vectors of one block length and one kind.
-
-    A block is stored when it is live in any of the vectors, and each
-    vector's table gets a zero row for every stored block it lacks, at the
-    top of a shorter vector too. A zero row adds exact zeros, and Horner
-    from a zero top block reaches the vector's own top block with the value
-    0 y + top = top, so every vector keeps the bits of its own layout.
+    A shorter vector is padded with zero blocks, at its top too. A zero row
+    adds exact zeros, and Horner from a zero top block reaches the vector's
+    own top block with the value 0 y + top = top, so each vector's row
+    keeps the bits of its own one-vector layout.
     """
-    k, T = layouts[0].k, len(layouts)
-    parts = 2 if layouts[0].cplx else 1
-    live = np.zeros(max(len(L.live) for L in layouts), dtype=bool)
-    for L in layouts:
-        live[: len(L.live)] |= L.live
-    rank = np.cumsum(live) - 1
-    nb = int(rank[-1]) + 1
-    vals = np.zeros((T, parts, nb, k))
-    ders = np.zeros((T, parts, nb, k - 1))
-    mags = np.zeros((T, nb, k))
-    for t, L in enumerate(layouts):
-        rows = rank[np.nonzero(L.live)[0]]
-        vals[t][:, rows] = L.vals.reshape(parts, len(rows), k)
-        ders[t][:, rows] = L.ders.reshape(parts, len(rows), k - 1)
-        mags[t][rows] = L.mags
-    return _HornerLayout(k, tuple(live.tolist()),
-                         vals.reshape(T, parts * nb, k),
-                         ders.reshape(T, parts * nb, k - 1), mags)
+    k, cplx = _layout_key(vectors[0])
+    n = max(len(c) for c in vectors)
+    blocks = np.zeros((len(vectors), -(-n // k), k),
+                      dtype=np.complex128 if cplx else np.float64)
+    flat = blocks.reshape(len(vectors), -1)
+    for row, c in zip(flat, vectors):
+        row[: len(c)] = c if cplx else c.real
+    live = np.any(blocks != 0, axis=(0, 2))
+    live[-1] = True
+    blocks = blocks[:, live]
+    vals = (np.concatenate([blocks.real, blocks.imag], axis=1) if cplx
+            else blocks)
+    return _HornerLayout(k, tuple(live.tolist()), vals,
+                         vals[..., 1:] * np.arange(1, k), np.abs(blocks))
 
 
 def _block_sums(table: np.ndarray, zt: np.ndarray, nb: int) -> np.ndarray:
@@ -186,8 +169,8 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
     einsum is made. The einsum runs without ``optimize``, so no BLAS call
     is made and the result does not depend on any thread count.
 
-    A single layout takes z of any shape; a stack of T layouts takes z of
-    shape (T, m), row t evaluated on vector t. Every output is a pure
+    A layout of one vector takes z of any shape; a stack of T vectors takes
+    z of shape (T, m), row t evaluated on vector t. Every output is a pure
     function of its point and its vector: each column of the einsum output
     sums its k terms in order, but an output of one column takes another
     inner loop with another summation order, so a lone point is evaluated
@@ -195,8 +178,6 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
     """
     shape = z.shape
     vals, ders, mags = layout.vals, layout.ders, layout.mags
-    if vals.ndim == 2:
-        vals, ders, mags = vals[None], ders[None], mags[None]
     z = z.reshape(len(vals), -1)
     lone = z.shape[1] == 1
     if lone:

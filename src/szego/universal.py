@@ -25,7 +25,7 @@ from .exceptions import (CoefficientOverflowError, DomainError,
                          VerificationError)
 from .measures import RadialMeasure, levy_distance, radial_projection
 from .roots import find_zeros
-from .series import Polynomial, _circle_values
+from .series import Polynomial, _circle_values, _exact, _integer
 
 __all__ = [
     "RING_MARGIN",
@@ -119,6 +119,7 @@ def log_disk_sup(P: Polynomial, radius: float) -> float:
     count exceeds the polynomial degree enough that no dip between nodes
     can shave more than 5 percent). Both are computed in log space.
     """
+    radius = float(_exact(radius))
     if radius <= 0:
         raise DomainError("radius must be positive")
     c = P.coeffs
@@ -404,6 +405,7 @@ def build_universal(targets, verify: bool = True):
 
 def cycle_targets(base, steps: int) -> list[TargetMeasure]:
     """Repeat a finite list of target measures for the requested step count."""
+    steps = _integer(steps)
     if steps < 1:
         raise DomainError("need at least one step")
     base = [phi if isinstance(phi, TargetMeasure) else TargetMeasure.of(*phi)

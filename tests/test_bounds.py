@@ -380,6 +380,20 @@ def test_jensen_identity_preconditions():
         jensen_identity(P, find_zeros(P))
 
 
+def test_quad_points_must_be_an_integer():
+    # an integral float is its integer; a fraction or text is rejected
+    P = Polynomial(np.array([1.0, -2.5, 1.0]), 2)
+    Z = find_zeros(P)
+    assert jensen_identity(P, Z, 4096.0) == jensen_identity(P, Z, 4096)
+    assert (weak_jensen_check(P, Z, 2.0, 4096.0)
+            == weak_jensen_check(P, Z, 2.0, 4096))
+    for bad in (2.5, "x"):
+        with pytest.raises(DomainError):
+            jensen_identity(P, Z, bad)
+        with pytest.raises(DomainError):
+            weak_jensen_check(P, Z, 2.0, bad)
+
+
 def test_weak_jensen_holds():
     rng = np.random.default_rng(31)
     for _ in range(10):

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from szego import (DomainError, Ensemble, Polynomial, RandomSeries,
-                   as_ensemble, check_conditions, dyadic_empty_window_probe,
-                   find_zeros, gauge_and_index, mc_expected_cdf,
-                   path_root_limsup, reversal_symmetry_check, sample_coeffs,
-                   sample_log_abs)
+                   SymmetryReport, as_ensemble, check_conditions, counting_fn,
+                   dyadic_empty_window_probe, find_zeros, gauge_and_index,
+                   mc_expected_cdf, path_root_limsup, reversal_symmetry_check,
+                   sample_coeffs, sample_log_abs)
 
 GAUSS = Ensemble("gaussian_complex")
 ALL = [GAUSS, Ensemble("gaussian_real"), Ensemble("uniform_disk"),
@@ -224,6 +224,34 @@ def test_sampling_rejects_a_negative_seed_or_trial(seed, trial):
             draw(GAUSS, 8, seed, trial)
 
 
+#: each random-path entry point, called with a seed and a trial index
+_PATH_CALLS = [
+    pytest.param(lambda s, t: sample_coeffs(GAUSS, 8, s, t),
+                 id="sample_coeffs"),
+    pytest.param(lambda s, t: sample_log_abs(GAUSS, 8, s, t),
+                 id="sample_log_abs"),
+    pytest.param(lambda s, t: path_root_limsup(GAUSS, 1000, s, t),
+                 id="path_root_limsup"),
+    pytest.param(lambda s, t: dyadic_empty_window_probe(
+        Ensemble("bernoulli", 0.5), 0.5, 64, s, t),
+                 id="dyadic_empty_window_probe"),
+]
+
+
+@pytest.mark.parametrize("call", _PATH_CALLS)
+def test_sampling_reads_seed_and_trial_exactly(call):
+    # 2.0 means 2; 1.5 or text would otherwise truncate to another path
+    for seed, trial in ((2.0, 0), (2, 3.0), ("2", "3")):
+        a, b = call(seed, trial), call(int(seed), int(trial))
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+    for seed, trial in ((1.5, 0), (0, 0.5), ("x", 0), (0, "1/2")):
+        with pytest.raises(DomainError):
+            call(seed, trial)
+
+
 def test_negative_seed_is_rejected_before_any_pool_or_sampling(monkeypatch):
     import szego.ensembles as ens
 
@@ -347,6 +375,44 @@ def test_reversal_symmetry_compares_two_means():
     assert rep.stderr > 1e-3  # not the rounding noise of a self-pairing
 
 
+def _symmetry_from_solo_solves(E, n, t, trials, seed, swap=()):
+    """reversal_symmetry_check recomputed from find_zeros and counting_fn
+    at one radius at a time; ``swap`` exchanges two of the four radii."""
+    radii = [t, np.nextafter(1.0 / t, 0.0), t + 1e-9,
+             np.nextafter(max(t - 1e-9, 0.0), 0.0)]
+    if swap:
+        i, j = swap
+        radii[i], radii[j] = radii[j], radii[i]
+    inside, inside_inverse, boundary = [], [], []
+    for trial in range(trials):
+        Z = find_zeros(Polynomial(sample_coeffs(E, n, seed, trial), n))
+        F = [counting_fn(Z, r) for r in radii]
+        inside.append(F[0])
+        inside_inverse.append(F[1])
+        boundary.append(F[2] - F[3])
+    d = np.add(inside, inside_inverse) - 1.0
+    return SymmetryReport(
+        lhs=float(np.mean(inside)), rhs=float(1.0 - np.mean(inside_inverse)),
+        diff=float(np.mean(d)),
+        stderr=float(np.std(d, ddof=1) / math.sqrt(trials)),
+        boundary_allowance=float(np.mean(boundary)), trials_used=trials,
+        failures=0)
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian_complex", "bernoulli(0.5)"])
+@pytest.mark.parametrize("t", [0.8, 1.0])
+def test_symmetry_check_matches_solo_solves(ensemble, t):
+    # the batched trial loop gives the report of one solo solve and one
+    # counting function per trial and radius, exactly; below t = 1 the
+    # reference with the radii t and (1/t)- swapped differs
+    for seed in range(3):
+        got = reversal_symmetry_check(ensemble, 24, t, trials=10, seed=seed)
+        assert got == _symmetry_from_solo_solves(ensemble, 24, t, 10, seed)
+        if t < 1.0:
+            assert got != _symmetry_from_solo_solves(ensemble, 24, t, 10,
+                                                     seed, swap=(0, 1))
+
+
 def test_path_root_limsup():
     # unit-variance coefficients concentrate the top root scale near 1
     v = path_root_limsup(GAUSS, 4000, seed=17)
@@ -370,6 +436,9 @@ def test_dyadic_empty_window_probe():
     probe = dyadic_empty_window_probe(GAUSS, 0.5, 2 ** 10,
                                       seed=0)
     assert not any(probe.values())
+    for gamma in ("x", math.nan, 0.0, 1.0):
+        with pytest.raises(DomainError):
+            dyadic_empty_window_probe(GAUSS, gamma, 64, seed=0)
 
 
 def test_batches_hold_at_most_the_cap():

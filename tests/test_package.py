@@ -1,7 +1,9 @@
-"""The package's exported names and the README's list of family strings."""
+"""The package's exported names, the README's list of family strings, and
+a dead-code check over the sources."""
 
 from __future__ import annotations
 
+import ast
 import inspect
 import re
 import types
@@ -75,3 +77,63 @@ def test_readme_and_the_parser_agree_on_cli_options():
     named.discard("--no-build-isolation")
     assert accepted - named == set(), "options the README never names"
     assert named - accepted == set(), "README options the parser rejects"
+
+
+def _sources():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "src" / "szego").glob("*.py"))}
+
+
+def _loaded_names(tree):
+    """Every name a module reads: bare names and attribute names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_module_imports_are_used():
+    # the package __init__ imports to re-export, and __future__ imports
+    # change the compiler, so both are left out
+    unused = []
+    for stem, tree in _sources().items():
+        if stem == "__init__":
+            continue
+        used = _loaded_names(tree)
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{stem}: {name}")
+    assert unused == []
+
+
+def test_private_module_names_are_referenced():
+    # a private function, class or constant defined at module level must
+    # be read somewhere in the package beyond its own definition
+    trees = _sources()
+    used = set().union(*map(_loaded_names, trees.values()))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{stem}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in used]
+    assert unused == []

@@ -213,17 +213,17 @@ def test_a_stalled_pass_raises_without_a_retry(monkeypatch):
     calls = []
     stall = ConvergenceError("forced", residual=0.5)
 
-    def stalled(core):
-        calls.append(len(core))
-        raise stall
+    def stalled(cores):
+        calls.append([len(c) for c in cores])
+        return [stall]
 
-    monkeypatch.setattr(roots, "_aberth", stalled)
+    monkeypatch.setattr(roots, "_lockstep", stalled)
     rng = np.random.default_rng(8)
     c = rng.normal(size=25) + 1j * rng.normal(size=25)
     with pytest.raises(ConvergenceError) as info:
         find_zeros(Polynomial(c, 24))
     assert info.value is stall
-    assert calls == [25]
+    assert calls == [[25]]
 
 
 def _start_radius_cases():
@@ -251,6 +251,14 @@ def test_start_radii_lie_within_the_cauchy_radii():
         assert np.all(radii <= cauchy_bound(P) * (1 + 1e-12))
 
 
+def _iterate(core):
+    """The iteration on one core alone, raising its ConvergenceError."""
+    (w,) = roots._lockstep([core])
+    if isinstance(w, ConvergenceError):
+        raise w
+    return w
+
+
 def test_stalled_iteration_reports_its_residual(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITERS", 1)
     # zeros at radii 1/2 and 2, so the iterates lie on both sides of the
@@ -259,7 +267,7 @@ def test_stalled_iteration_reports_its_residual(monkeypatch):
                          2.0 * np.exp(2j * np.pi * np.arange(6) / 6 + 0.3)])
     c = np.poly(ws)[::-1]
     with pytest.raises(ConvergenceError) as direct:
-        roots._aberth(c)
+        _iterate(c)
     floor = 8.0 * 13 * np.finfo(float).eps
     assert np.isfinite(direct.value.residual)
     assert direct.value.residual > floor
@@ -279,7 +287,7 @@ def test_stalled_iteration_reports_its_residual(monkeypatch):
     # start points, recomputed here without the reversal split
     monkeypatch.setattr(roots, "_MAX_ITERS", 0)
     with pytest.raises(ConvergenceError) as unmoved:
-        roots._aberth(c)
+        _iterate(c)
     w0 = roots._initial_guesses(c / np.max(np.abs(c)))
     worst = np.max(np.abs(np.polyval(c[::-1], w0))
                    / np.polyval(np.abs(c[::-1]), np.abs(w0)))
@@ -296,13 +304,14 @@ def test_degenerate_inputs():
 
 
 def _layout_sizes(monkeypatch):
-    """The vector length of each Horner layout the solver builds."""
+    """The vector lengths of each Horner layout the solver builds, one list
+    per layout."""
     real = roots._horner_layout
     sizes = []
 
-    def counted(coeffs):
-        sizes.append(len(coeffs))
-        return real(coeffs)
+    def counted(vectors):
+        sizes.append([len(c) for c in vectors])
+        return real(vectors)
 
     monkeypatch.setattr(roots, "_horner_layout", counted)
     return sizes
@@ -316,14 +325,14 @@ def test_a_solve_builds_the_reversed_layout_only_when_a_point_crosses(
     sizes = _layout_sizes(monkeypatch)
     Z = find_zeros(section(RandomSeries("gaussian_complex", 3), 256))
     assert len(Z.finite_zeros) == 256
-    assert sizes == [257]
+    assert sizes == [[257]]
     # zeros of modulus 1e-85 and 1e85: solved in u = z^2 as a degree-2 core
     # whose zero 1e170 lies past the forward limit, so its reversal is
     # built once, at the first crossing, and kept for the later sweeps
     sizes.clear()
     calls = _horner_calls(monkeypatch)
     find_zeros(Polynomial(np.array([1.0, 0.0, -1e170, 0.0, 1.0]), 4))
-    assert sizes == [3, 3]
+    assert sizes == [[3], [3]]
     assert len({id(layout) for layout, _ in calls}) == 2
 
 
@@ -361,8 +370,8 @@ def test_wide_range_points_take_the_reversed_layout(monkeypatch):
     real = roots._horner_layout
     layouts = []
 
-    def counted(coeffs):
-        layouts.append(real(coeffs))
+    def counted(vectors):
+        layouts.append(real(vectors))
         return layouts[-1]
 
     monkeypatch.setattr(roots, "_horner_layout", counted)
@@ -387,8 +396,8 @@ def test_forward_limit_keeps_the_backward_error(monkeypatch, d):
     # switches to the reversed layout
     rng = np.random.default_rng(d)
     c = np.exp(1j * rng.uniform(0, 2 * np.pi, d + 1))
-    fwd = roots._horner_layout(c)
-    rev = roots._horner_layout(c[::-1])
+    fwd = roots._horner_layout([c])
+    rev = roots._horner_layout([c[::-1]])
     edge = math.exp((math.log(sys.float_info.max) - 2 * math.log(d + 1)) / d)
     w = edge * (1 - 1e-12) * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
     p, _, s = roots._horner(fwd, w)
@@ -396,11 +405,12 @@ def test_forward_limit_keeps_the_backward_error(monkeypatch, d):
     assert np.all(np.isfinite(p)) and np.all(np.isfinite(s))
     eps = np.finfo(float).eps
     assert np.all(np.abs(np.abs(p) / s - np.abs(q) / t) <= 8 * (d + 1) * eps)
-    stack = roots._Stack([c], [fwd])
+    stack = roots._Stack([c])
     tr = np.zeros(len(w), dtype=int)
     calls = _horner_calls(monkeypatch)
     roots._newton_terms(stack, tr, w)
-    assert [layout for layout, _ in calls] == [fwd]
+    # a lone core takes its points as they are, with no padded table
+    assert [(layout, z.shape) for layout, z in calls] == [(stack.fwd, w.shape)]
     assert stack.rev == [None]
     calls.clear()
     roots._newton_terms(stack, tr, w * (1 + 1e-9))
@@ -454,7 +464,7 @@ def test_binomial_edge_starts_converge_in_one_sweep(monkeypatch, M, phi):
     # rule is checked on the iteration itself, on the same normalized core
     sizes = _sweep_sizes(monkeypatch)
     c = _binomial(M, phi, 0.9).coeffs
-    w = roots._aberth(c / np.max(np.abs(c)))
+    w = _iterate(c / np.max(np.abs(c)))
     assert sizes == [M]
     assert len(w) == M
     assert np.max(np.abs(np.abs(w) - 0.9)) <= 1e-13
@@ -629,7 +639,7 @@ def test_sparse_real_core_is_solved_through_the_gcd_reduction(monkeypatch):
     monkeypatch.setattr(roots, "_MAX_ITERS", 20)
     P = Polynomial(np.array([1, 0, 0, -1.5, 0, 0, 1], dtype=complex), 6)
     with pytest.raises(ConvergenceError):
-        roots._aberth(P.coeffs)
+        _iterate(P.coeffs)
     Z = find_zeros(P)
     assert _residual_ok(P, Z.finite_zeros)
 
@@ -854,9 +864,10 @@ def test_batched_zeros_are_bit_equal_to_solo_solves(monkeypatch, ensemble,
             got = roots._zero_sets([polys[i] for i in batch])
             assert all(_same_bits(g, solo[i]) for g, i in zip(got, batch))
     if ensemble.startswith("log_heavy_tail") and n == 256:
-        # some cores have points past the forward limit: the batches built
-        # reversed layouts beyond one forward layout per core
-        assert len(sizes) > 6 * len(cores)
+        # the forward layouts of the six runs hold 6 x 10 core vectors;
+        # some cores have points past the forward limit, so at least one
+        # reversed layout of one more vector was built
+        assert sum(map(len, sizes)) > 6 * len(cores)
 
 
 def test_a_stalled_trial_fails_alone(monkeypatch):

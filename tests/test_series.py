@@ -14,7 +14,7 @@ from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
                    reversed_companion, section, series_from_descriptor, step)
 from szego import series
 from szego.series import (_circle_values, _horner, _horner_layout,
-                          _stack_layouts, carlson_indices)
+                          _layout_key, carlson_indices)
 
 
 def test_polynomial_evaluation_matches_polyval():
@@ -50,7 +50,7 @@ def test_horner_matches_plain_horner(deg):
     c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
     zs = np.array([r * np.exp(1j * a) for r in (0.5, 0.97, 1.0, 1.03, 1.1)
                    for a in (0.1, 1.3, 2.9, -2.2)])
-    p, dp, s = _horner(_horner_layout(c), zs)
+    p, dp, s = _horner(_horner_layout([c]), zs)
     eps = np.finfo(float).eps
     ks = np.arange(1, deg + 1)
     for i, z in enumerate(zs):
@@ -66,7 +66,7 @@ def test_horner_matches_plain_horner(deg):
 def test_horner_keeps_the_shape_of_z(shape):
     c = np.arange(1, 19) + 0.5j
     z = np.full(shape, 0.3 - 0.8j)
-    for out in _horner(_horner_layout(c), z):
+    for out in _horner(_horner_layout([c]), z):
         assert out.shape == shape
     expect = _horner_reference(c, 0.3 - 0.8j)[0]
     assert np.allclose(Polynomial(c, 17)(z), expect, rtol=1e-14)
@@ -154,7 +154,7 @@ def test_horner_skips_only_empty_blocks(name):
     # float range an empty block's 0 * inf would make the reference NaN
     c = _sparse_vectors()[name]()
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _horner(_horner_layout(c), _SKIP_POINTS)
+        got = _horner(_horner_layout([c]), _SKIP_POINTS)
         ref = _horner_all_blocks(c, _SKIP_POINTS)
     for g, r in zip(got, ref):
         finite = np.isfinite(r)
@@ -164,17 +164,18 @@ def test_horner_skips_only_empty_blocks(name):
 
 def test_real_coefficients_take_real_block_sums(monkeypatch):
     c = section(parse_family("rational:1,1|1,-1"), 640).coeffs
-    layout = _horner_layout(c)
+    layout = _horner_layout([c])
     assert layout.vals.dtype == layout.ders.dtype == np.float64
     tilted = c.copy()
     tilted[17] += 1e-300j
-    tilted_layout = _horner_layout(tilted)
-    assert len(layout.vals) == len(layout.mags)
-    assert len(tilted_layout.vals) == 2 * len(tilted_layout.mags)
+    tilted_layout = _horner_layout([tilted])
+    rows = layout.vals.shape[1]
+    assert rows == layout.mags.shape[1]
+    assert tilted_layout.vals.shape[1] == 2 * tilted_layout.mags.shape[1]
     # a complex layout stacks the real rows over the imaginary rows
     assert tilted_layout.vals.dtype == tilted_layout.ders.dtype == np.float64
-    assert len(tilted_layout.vals) == 2 * len(layout.vals)
-    assert tilted_layout.vals[len(layout.vals), 17] == 1e-300
+    assert tilted_layout.vals.shape[1] == 2 * rows
+    assert tilted_layout.vals[0, rows, 17] == 1e-300
     real_einsum = np.einsum
     operands = []
 
@@ -213,7 +214,7 @@ def _points(rng, m):
 def test_horner_is_a_pure_function_of_each_point(name):
     # a point's value, derivative and sum keep their bits whatever other
     # points share the call, a lone point included
-    layout = _horner_layout(_pure_cases()[name]())
+    layout = _horner_layout([_pure_cases()[name]()])
     rng = np.random.default_rng(12)
     z = _points(rng, 40)
     whole = _horner(layout, z)
@@ -229,9 +230,9 @@ def test_horner_is_a_pure_function_of_each_point(name):
     ((2, 3, 3), True), ((4, 6, 8), False)])
 def test_stacked_layouts_keep_each_vectors_bits(lengths, cplx):
     # vectors of one block length with different lengths and live blocks,
-    # down to blocks of one coefficient: row t of a stacked call,
-    # zero-padded to the longest row, matches the vector's own call bit
-    # for bit
+    # down to blocks of one coefficient: row t of a call on the stacked
+    # layout, zero-padded to the longest row, matches a call on the
+    # vector's own one-vector layout bit for bit
     rng = np.random.default_rng(13)
     k = math.isqrt(lengths[0])
     vectors = []
@@ -241,18 +242,17 @@ def test_stacked_layouts_keep_each_vectors_bits(lengths, cplx):
             c[rng.integers(1, n // k - 1) * k + np.arange(k)] = 0.0
         c[-1] = 1.0 + 0.5j * cplx
         vectors.append(c)
-    layouts = [_horner_layout(c) for c in vectors]
-    assert {L.k for L in layouts} == {k}
-    assert {L.cplx for L in layouts} == {cplx}
-    stack = _stack_layouts(layouts)
-    counts = (1, 7, 40, 2)[: len(layouts)]
-    z = np.zeros((len(layouts), max(counts)), dtype=complex)
+    assert {_layout_key(c) for c in vectors} == {(k, cplx)}
+    stack = _horner_layout(vectors)
+    assert stack.vals.shape[0] == len(vectors)
+    counts = (1, 7, 40, 2)[: len(vectors)]
+    z = np.zeros((len(vectors), max(counts)), dtype=complex)
     rows = [_points(rng, m) for m in counts]
     for t, w in enumerate(rows):
         z[t, : len(w)] = w
     outs = _horner(stack, z)
-    for t, (layout, w) in enumerate(zip(layouts, rows)):
-        assert _bits(*_horner(layout, w)) == _bits(
+    for t, (c, w) in enumerate(zip(vectors, rows)):
+        assert _bits(*_horner(_horner_layout([c]), w)) == _bits(
             *(out[t, : len(w)] for out in outs))
 
 

@@ -91,6 +91,9 @@ def test_log_disk_sup_monomial_exact():
     assert log_disk_sup(_poly([0]), 2.0) == -math.inf
     with pytest.raises(DomainError):
         log_disk_sup(P, 0.0)
+    for bad in ("x", math.nan, math.inf):
+        with pytest.raises(DomainError):
+            log_disk_sup(P, bad)
 
 
 def test_log_disk_sup_is_tight_upper_bound():
@@ -236,6 +239,10 @@ def test_cycle_and_parse_targets():
     seq = cycle_targets(base, 5)
     assert [t.descriptor() for t in seq] == [
         ["2"], ["3"], ["2"], ["3"], ["2"]]
+    assert cycle_targets(base, 2.0) == cycle_targets(base, 2)
+    for bad in (2.5, "x"):
+        with pytest.raises(DomainError):
+            cycle_targets(base, bad)
     parsed = parse_targets('[["3/2", "2"], ["3"]]')
     assert [t.descriptor() for t in parsed] == [["3/2", "2"], ["3"]]
     parsed2 = parse_targets('["2"]')
