@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError, VerificationError
 from .measures import counting_fn
-from .series import Polynomial, _circle_values, _integer
+from .series import Polynomial, _circle_values, _exact, _integer, _LOG_MAX
 
 __all__ = [
     "BoundsReport",
@@ -33,8 +32,6 @@ UNIMODULAR_TOL = 1e-9
 
 #: cap on Newton steps per radius; a certified start needs about 4
 _MAX_NEWTON = 100
-#: ln of the largest double, so that x and 1/x stay finite and nonzero
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 # one table per power of two, so the cache never holds more than ~60
@@ -173,7 +170,7 @@ def inner_van_vleck_bound(P: Polynomial, m: int, return_slack: bool = False):
 
 def entropy(x: float) -> float:
     """Binary entropy -x ln x - (1-x) ln(1-x); H(0) = H(1) = 0."""
-    x = float(x)
+    x = float(_exact(x))
     if not 0 <= x <= 1:
         raise DomainError("entropy argument must lie in [0, 1]")
     if x in (0.0, 1.0):
@@ -216,7 +213,7 @@ def weak_jensen_check(P: Polynomial, Z, T: float, quad_points: int = 4096):
     rhs is the Jensen circle average divided by the formal degree. Raises
     VerificationError if lhs exceeds rhs beyond 1e-9.
     """
-    T = float(T)
+    T = float(_exact(T))
     if not 1 < T < math.inf:
         raise DomainError("threshold T must be finite and exceed 1")
     n = P.formal_degree

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -88,6 +89,9 @@ class Ensemble:
             raise DomainError(f"ensemble {self.kind} requires a parameter")
         if not needs_param and self.param is not None:
             raise DomainError(f"ensemble {self.kind} takes no parameter")
+        if needs_param and not isinstance(self.param, numbers.Real):
+            raise DomainError(f"ensemble {self.kind} parameter must be a real "
+                              f"number, got {self.param!r}")
         if self.kind == "bernoulli" and not 0.0 < self.param <= 1.0:
             raise DomainError("bernoulli probability must lie in (0, 1]")
         # 1 - u >= 2^-53, so (1 - u)^(-1/alpha) overflows once alpha <= 53/1024

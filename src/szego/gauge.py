@@ -191,10 +191,10 @@ def gauge_coverage_bound(G: float, T: float) -> float:
 
     Defined for 0 < G <= 1 and T > 1/G (in particular T > 1); clamped at 0.
     """
-    G = float(G)
-    T = float(T)
+    G = float(_exact(G))
+    T = float(_exact(T))
     if not 0.0 < G <= 1.0:
         raise DomainError("gauge G must lie in (0, 1]")
-    if not (T > 1.0 / G and T > 1.0):  # NaN fails both
+    if not (T > 1.0 / G and T > 1.0):
         raise DomainError("threshold T must exceed 1/G (and 1)")
     return max(0.0, 1.0 - math.log(1.0 / G) / math.log(T))

@@ -26,7 +26,7 @@ __all__ = [
 
 def compactify(t):
     """Map [0, inf] homeomorphically onto [0, 1] via t -> t/(1+t)."""
-    t = np.asarray(t, dtype=float)
+    t = _check_radii(t)
     finite = ~np.isinf(t)
     out = np.ones_like(t)
     np.divide(t, 1.0 + t, out=out, where=finite)
@@ -45,14 +45,15 @@ class RadialMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        r = np.atleast_1d(np.asarray(self.radii, dtype=float))
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        r = np.atleast_1d(_check_radii(self.radii))
+        try:
+            w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        except (TypeError, ValueError):
+            raise DomainError("atom weights must be numbers") from None
         if r.shape != w.shape or r.ndim != 1:
             raise DomainError("radii and weights must be matching vectors")
-        if np.any(w <= 0):
-            raise DomainError("atom weights must be positive")
-        if np.any(r < 0) or np.any(np.isnan(r)):
-            raise DomainError("radii must lie in [0, inf]")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise DomainError("atom weights must be positive and finite")
         order = np.argsort(r, kind="stable")
         r, w = r[order], w[order]
         uniq, inverse = np.unique(r, return_inverse=True)
@@ -72,11 +73,10 @@ class RadialMeasure:
 
     def cdf(self, t):
         """Mass at radii <= t; right-continuous in t."""
-        t = np.asarray(t, dtype=float)
+        t = _check_radii(t)
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(self.radii, t, side="right")
         out = np.where(idx > 0, cum[np.minimum(idx, len(cum)) - 1], 0.0)
-        out = np.where(idx == 0, 0.0, out)
         return out if out.shape else float(out)
 
 
@@ -97,7 +97,9 @@ def radial_projection(Z: ZeroSet) -> RadialMeasure:
 
 def uniform_on_radii(radii) -> RadialMeasure:
     """Equal weights 1/m on m given radii."""
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    radii = np.atleast_1d(_check_radii(radii))
+    if len(radii) == 0:
+        raise DomainError("a uniform measure needs at least one radius")
     return RadialMeasure(radii, np.full(len(radii), 1.0 / len(radii)))
 
 
@@ -106,8 +108,13 @@ def point_mass(radius: float) -> RadialMeasure:
 
 
 def _check_radii(t) -> np.ndarray:
-    """t as a float array; raises DomainError on a negative or NaN radius."""
-    t = np.asarray(t, dtype=float)
+    """t as a float array; raises DomainError on a radius that is not a
+    number in [0, inf]."""
+    try:
+        t = np.asarray(t, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"radius t must be a nonnegative number, got {t!r}") from None
     if np.any(t < 0) or np.any(np.isnan(t)):
         raise DomainError("radius t must be a nonnegative number")
     return t
@@ -217,6 +224,8 @@ def inverse_power_sum(coeffs, m: int) -> complex:
     if m < 1:
         raise DomainError("order m must be a positive integer")
     a = np.asarray(list(coeffs), dtype=np.complex128)
+    if not np.all(np.isfinite(a)):
+        raise DomainError("coefficients must be finite (no NaN or inf)")
     if len(a) < m + 1:
         raise DomainError(f"need coefficients a_0..a_{m}")
     if a[0] == 0:

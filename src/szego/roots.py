@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .series import (Polynomial, _horner, _horner_layout, _HornerLayout,
-                     _layout_key)
+from .series import (Polynomial, _horner_layout, _horner_rows, _layout_key,
+                     _LOG_MAX)
 
 __all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
 
@@ -23,8 +23,6 @@ DROP_TOL = 1e-300
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _MAX_ITERS = 600
 _CHUNK = 128
-#: ln of the largest double
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,62 +187,34 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
 class _Stack:
     """Cores of one `_layout_key`, evaluated together.
 
-    The forward layouts form one stacked table. A lone core, the stack of
-    every `find_zeros`, takes `_horner` on its points directly: the
-    scattered path gives it the same bits, but its scatter into a padded
-    table costs a low-degree solve up to a fifth of its time. The reversed
-    layout of a core is built the first time one of its points crosses the
-    forward limit, which few cores ever do.
+    The forward layouts form one stacked table, and so do the reversed
+    ones. The reversed table is built the first time a point of the stack
+    crosses the forward limit, which few stacks ever do.
     """
 
     def __init__(self, cores):
         self.cores = cores
-        self.d = [len(c) - 1 for c in cores]
+        self.d = np.array([len(c) - 1 for c in cores])
         self.fwd = _horner_layout(cores)
-        self.rev = [None] * len(cores)
+        self.rev = None
         # past this modulus the powers of a degree-d core may overflow
         self.limit = np.array([math.exp((_LOG_MAX - 2.0 * math.log(d + 1)) / d)
-                               for d in self.d])
-
-    def forward(self, tr: np.ndarray, w: np.ndarray):
-        """`_horner` at the points w of the cores tr, tr nondecreasing.
-
-        Each core's points fill one row of a zero-padded (T, m) table, so
-        the whole stack takes one Horner call.
-        """
-        if len(self.cores) == 1:
-            return _horner(self.fwd, w)
-        counts = np.bincount(tr, minlength=len(self.cores))
-        rows = np.flatnonzero(counts)
-        table = self.fwd
-        if len(rows) < len(counts):
-            table = _HornerLayout(table.k, table.live, table.vals[rows],
-                                  table.ders[rows], table.mags[rows])
-        row = (np.cumsum(counts > 0) - 1)[tr]
-        col = np.arange(len(tr)) - (np.cumsum(counts) - counts)[tr]
-        z = np.zeros((len(rows), int(counts.max())), dtype=np.complex128)
-        z[row, col] = w
-        return tuple(out[row, col] for out in _horner(table, z))
-
-    def reversed(self, t: int):
-        """The Horner layout of core t's reversed coefficients."""
-        if self.rev[t] is None:
-            self.rev[t] = _horner_layout([self.cores[t][::-1]])
-        return self.rev[t]
+                               for d in self.d.tolist()])
 
 
 def _newton_terms(stack: _Stack, tr: np.ndarray, w: np.ndarray):
     """Newton step P/P', |P| and sum_k |b_k| |w|^k at each point w, on the
     core tr of the stack (tr nondecreasing).
 
-    The cores are normalized to max |b_k| = 1. A point is evaluated on its
-    core's forward layout whenever its powers stay in the float range: with
+    The cores are normalized to max |b_k| = 1. A point is evaluated on the
+    forward table whenever its powers stay in the float range: with
     ln|w| <= (ln DBL_MAX - 2 ln(d + 1)) / d, the sum and |w P'| stay below
     (d + 1)^2 |w|^d <= DBL_MAX. So one Horner call serves every point of
     nearly every sweep. Only points beyond that limit take the reversed
-    coefficients at 1/w: P(w) = w^d Q(1/w), so P/P' = w Q / (d Q - v Q')
-    with v = 1/w, and |P| and the sum both come divided by |w|^d, which
-    leaves the backward-error test |P| <= tol * sum unchanged.
+    table at 1/w, in one more call: P(w) = w^d Q(1/w), so
+    P/P' = w Q / (d Q - v Q') with v = 1/w, and |P| and the sum both come
+    divided by |w|^d, which leaves the backward-error test |P| <= tol * sum
+    unchanged.
     """
     outer = np.abs(w) > stack.limit[tr]
     inner = ~outer
@@ -252,20 +222,19 @@ def _newton_terms(stack: _Stack, tr: np.ndarray, w: np.ndarray):
     absp = np.empty(len(w))
     s = np.empty(len(w))
     if inner.any():
-        p, dp, s[inner] = stack.forward(tr[inner], w[inner])
+        p, dp, s[inner] = _horner_rows(stack.fwd, tr[inner], w[inner])
         with np.errstate(divide="ignore", invalid="ignore"):
             nu[inner] = p / dp
         absp[inner] = np.abs(p)
     if outer.any():
-        for t in np.flatnonzero(np.bincount(tr[outer])).tolist():
-            at = outer & (tr == t)
-            wo = w[at]
-            v = 1.0 / wo
-            q, dq, s[at] = _horner(stack.reversed(t), v)
-            d = stack.d[t]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nu[at] = wo * q / (d * q - v * dq)
-            absp[at] = np.abs(q)
+        if stack.rev is None:
+            stack.rev = _horner_layout([c[::-1] for c in stack.cores])
+        to, wo = tr[outer], w[outer]
+        v = 1.0 / wo
+        q, dq, s[outer] = _horner_rows(stack.rev, to, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nu[outer] = wo * q / (stack.d[to] * q - v * dq)
+        absp[outer] = np.abs(q)
     return nu, absp, s
 
 
@@ -276,11 +245,12 @@ def _lockstep(cores) -> list:
 
     The cores are grouped by `_layout_key`, their Horner block length and
     kind, and each group sweeps in lockstep: one Horner call evaluates the
-    live points of every core of the group, while the degree, the
-    tolerance, the forward limit, the reversed layout and the pair sums
-    stay each core's own. Every elementwise step is the one a lone core
-    takes, and `_horner` is a pure function of each point, so each core's
-    zeros are bit-identical in any batch, alone included.
+    live points of every core of the group inside the forward limit, and
+    one more those past it, while the degree, the tolerance, the forward
+    limit and the pair sums stay each core's own. Every elementwise step is
+    the one a lone core takes, and `_horner` is a pure function of each
+    point and its vector, so each core's zeros are bit-identical in any
+    batch, alone included.
     """
     cores = [c / np.max(np.abs(c)) for c in cores]
     groups: dict[tuple[int, bool], list[int]] = {}
@@ -296,7 +266,7 @@ def _lockstep(cores) -> list:
 
 def _sweeps(stack: _Stack) -> list:
     """The lockstep iteration on one stack; see `_lockstep`."""
-    ds = stack.d
+    ds = stack.d.tolist()
     tols = [8.0 * (d + 1) * sys.float_info.epsilon for d in ds]
     # the points of every core, concatenated: core t owns w[lo[t]:lo[t + 1]]
     w = np.concatenate([_initial_guesses(c) for c in stack.cores])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,9 @@ __all__ = [
     "series_from_descriptor",
     "load_explicit_csv",
 ]
+
+#: ln of the largest double
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +65,11 @@ class Polynomial:
 
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or arrays."""
-        acc = _horner(_horner_layout([self.coeffs]),
-                      np.asarray(z, dtype=np.complex128))[0]
+        try:
+            z = np.asarray(z, dtype=np.complex128)
+        except (TypeError, ValueError):
+            raise DomainError(f"expected complex points, got {z!r}") from None
+        acc = _horner(_horner_layout([self.coeffs]), z)[0]
         return acc if acc.shape else complex(acc)
 
     def padded(self, formal_degree: int) -> "Polynomial":
@@ -170,11 +177,11 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
     is made and the result does not depend on any thread count.
 
     A layout of one vector takes z of any shape; a stack of T vectors takes
-    z of shape (T, m), row t evaluated on vector t. Every output is a pure
-    function of its point and its vector: each column of the einsum output
-    sums its k terms in order, but an output of one column takes another
-    inner loop with another summation order, so a lone point is evaluated
-    as a pair.
+    z of shape (T, m), row t evaluated on vector t (`_horner_rows` takes
+    ragged points instead). Every output is a pure function of its point
+    and its vector: each column of the einsum output sums its k terms in
+    order, but an output of one column takes another inner loop with
+    another summation order, so a lone point is evaluated as a pair.
     """
     shape = z.shape
     vals, ders, mags = layout.vals, layout.ders, layout.mags
@@ -211,6 +218,29 @@ def _horner(layout: _HornerLayout, z: np.ndarray):
     if lone:
         p, dp, s = p[:, :1], dp[:, :1], s[:, :1]
     return p.reshape(shape), dp.reshape(shape), s.reshape(shape)
+
+
+def _horner_rows(layout: _HornerLayout, tr: np.ndarray, z: np.ndarray):
+    """`_horner` at the points z, z[i] on vector tr[i], tr nondecreasing.
+
+    A layout of one vector takes z as it is: the scattered path gives it
+    the same bits, but its scatter into a padded table costs a low-degree
+    solve up to a fifth of its time. Otherwise each vector's points fill
+    one row of a zero-padded (T, m) table, the rows of vectors with no
+    point dropped, so the whole stack takes one `_horner` call.
+    """
+    if len(layout.vals) == 1:
+        return _horner(layout, z)
+    counts = np.bincount(tr, minlength=len(layout.vals))
+    rows = np.flatnonzero(counts)
+    if len(rows) < len(counts):
+        layout = _HornerLayout(layout.k, layout.live, layout.vals[rows],
+                               layout.ders[rows], layout.mags[rows])
+    row = (np.cumsum(counts > 0) - 1)[tr]
+    col = np.arange(len(tr)) - (np.cumsum(counts) - counts)[tr]
+    table = np.zeros((len(rows), int(counts.max())), dtype=np.complex128)
+    table[row, col] = z
+    return tuple(out[row, col] for out in _horner(layout, table))
 
 
 def _circle_values(coeffs: np.ndarray, nodes: int) -> np.ndarray:
@@ -558,6 +588,7 @@ def carlson_indices(t: float, limit: int) -> np.ndarray:
     whenever rounding would stall, so the sequence is strictly increasing and
     m_k/m_{k+1} -> 1-t. For t = 1 it is the factorials 1, 2, 6, 24, ...
     """
+    t, limit = float(_exact(t)), _integer(limit)
     if not 0 < t <= 1:
         raise DomainError("t must satisfy 0 < t <= 1")
     out = []
@@ -635,6 +666,8 @@ def parse_family(text: str) -> Series:
 
 def series_from_descriptor(d: dict) -> Series:
     """Inverse of Series.descriptor() for JSON round-trips."""
+    if not isinstance(d, dict):
+        raise DomainError(f"a series descriptor is a dict, got {d!r}")
     d = dict(d)
     return _construct(_family(d.pop("kind", None)), **d)
 

@@ -148,6 +148,7 @@ def choose_N(phi: TargetMeasure, k: int, d_prev: int, log_A: float) -> int:
     enough that ((r_1+1)/2)^N beats the old sup A against the worst-case
     ring margin loss of RING_MARGIN^m.
     """
+    k, d_prev, log_A = _integer(k), _integer(d_prev), float(_exact(log_A))
     if k < 1:
         raise DomainError("step counter k must be at least 1")
     if d_prev < 0:
@@ -170,6 +171,7 @@ def choose_M(phi: TargetMeasure, k: int, N: int, d_prev: int) -> int:
     r_m / M <= 1/k caps ring width; and k (N + d_prev) < m M caps the junk
     ratio. All four are decided in exact rational arithmetic.
     """
+    k, N, d_prev = _integer(k), _integer(N), _integer(d_prev)
     if k < 1 or N < 1 or d_prev < 0:
         raise DomainError("need k >= 1, N >= 1, d_prev >= 0")
     m = phi.m
@@ -261,6 +263,8 @@ def step(state: BuildState, phi: TargetMeasure) -> BuildState:
     trailing zero padding is what accounts the deferred mass at infinity.
     The new state's last record is the step, not yet audited.
     """
+    if not isinstance(phi, TargetMeasure):
+        raise DomainError(f"expected a TargetMeasure, got {phi!r}")
     k = state.k + 1
     log_A = log_disk_sup(state.P, 2.0 * float(phi.radii[-1]))
     N = choose_N(phi, k, state.d, log_A)

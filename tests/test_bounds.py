@@ -346,8 +346,10 @@ def test_entropy_bound_on_binomials():
     for n in range(1, 41):
         for k in range(n + 1):
             assert math.comb(n, k) <= math.exp(n * entropy(k / n)) * (1 + 1e-12)
-    with pytest.raises(DomainError):
-        entropy(1.5)
+    assert entropy("1/2") == entropy(0.5)
+    for bad in (1.5, -0.5, math.nan, "x", None):
+        with pytest.raises(DomainError):
+            entropy(bad)
 
 
 def test_jensen_identity_on_known_roots():
@@ -408,7 +410,7 @@ def test_weak_jensen_holds():
             assert lhs <= rhs + 1e-9
     with pytest.raises(DomainError):
         weak_jensen_check(P, Z, 1.0)
-    for T in (math.inf, math.nan):
+    for T in (math.inf, math.nan, "x", None):
         with pytest.raises(DomainError):
             weak_jensen_check(P, Z, T)
 

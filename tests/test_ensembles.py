@@ -49,6 +49,10 @@ def test_bernoulli_support():
         Ensemble("bernoulli", 0.0)
     with pytest.raises(DomainError):
         Ensemble("bernoulli", 1.5)
+    for kind, bad in (("bernoulli", "x"), ("bernoulli", "0.5"),
+                      ("log_heavy_tail", "x"), ("bernoulli", 0.5j)):
+        with pytest.raises(DomainError):
+            Ensemble(kind, bad)
 
 
 def test_second_moments():
@@ -181,16 +185,17 @@ def test_mc_rejects_worker_count_below_one(monkeypatch):
     {"weyl_orders": (1.5,)}, {"weyl_orders": (1, 0)},
     {"weyl_orders": (2 ** 63,)},
     {"trials": 10.5}, {"trials": "x"}, {"workers": 1.5}, {"workers": "x"},
-    {"n": 0}, {"seed": 1.5},
+    {"n": 0}, {"seed": 1.5}, {"t_grid": ["x"]}, {"t_grid": [1.0, None]},
 ])
 def test_mc_rejects_bad_arguments_before_any_pool(monkeypatch, bad):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-    args = {"n": 8, "trials": 10, "seed": 0, "workers": 2, **bad}
+    args = {"n": 8, "t_grid": [1.0], "trials": 10, "seed": 0, "workers": 2,
+            **bad}
     with pytest.raises(DomainError):
-        mc_expected_cdf(GAUSS, t_grid=[1.0], **args)
+        mc_expected_cdf(GAUSS, **args)
 
 
 @pytest.mark.parametrize("bad", [

@@ -210,7 +210,8 @@ def test_gauge_coverage_bound():
         gauge_coverage_bound(1.2, 3.0)
     with pytest.raises(DomainError):
         gauge_coverage_bound(1.0, 1.0)
-    for G, T in ((0.5, float("nan")), (float("nan"), 4.0)):
+    for G, T in ((0.5, float("nan")), (float("nan"), 4.0), ("x", 2),
+                 (0.5, "x"), (None, 4.0)):
         with pytest.raises(DomainError):
             gauge_coverage_bound(G, T)
 

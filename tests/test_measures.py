@@ -79,6 +79,18 @@ def test_radial_measure_validation():
         RadialMeasure(np.array([-1.0]), np.array([1.0]))
     with pytest.raises(DomainError):
         RadialMeasure(np.array([1.0, 2.0]), np.array([1.0]))
+    # NaN and inf weights, and text anywhere
+    for radii, weights in (([1.0], [np.nan]), ([1.0], [np.inf]),
+                           ([1.0, 2.0], [0.5, np.nan]), (["x"], [1.0]),
+                           ([1.0], ["x"])):
+        with pytest.raises(DomainError):
+            RadialMeasure(radii, weights)
+    for bad in ("x", -1.0, np.nan, None):
+        with pytest.raises(DomainError):
+            point_mass(bad)
+    for bad in ([], ["x"], [1.0, -2.0]):
+        with pytest.raises(DomainError):
+            uniform_on_radii(bad)
 
 
 def test_cdf_right_continuity():
@@ -88,6 +100,10 @@ def test_cdf_right_continuity():
     assert mu.cdf(1.5) == pytest.approx(0.5)
     assert mu.cdf(2.0) == pytest.approx(1.0)
     assert mu.cdf(np.inf) == pytest.approx(1.0)
+    # searchsorted puts NaN after every radius, so it would count them all
+    for bad in (np.nan, "x", -1.0):
+        with pytest.raises(DomainError):
+            mu.cdf(bad)
 
 
 def test_radial_projection_counts_infinity():
@@ -108,8 +124,9 @@ def test_counting_fn_brute_force():
     grid = np.array([0.5, 1.5])
     assert np.allclose(counting_fn(Z, grid),
                        [counting_fn(Z, 0.5), counting_fn(Z, 1.5)])
-    with pytest.raises(DomainError):
-        counting_fn(Z, -0.5)
+    for bad in (-0.5, "x", [0.5, "x"], None):
+        with pytest.raises(DomainError):
+            counting_fn(Z, bad)
 
 
 @pytest.mark.parametrize("t", [np.nan, [0.5, np.nan]])
@@ -224,6 +241,9 @@ def test_inverse_power_sum_preconditions():
         inverse_power_sum(np.array([0.0, 1.0]), 1)  # constant term zero
     with pytest.raises(DomainError):
         inverse_power_sum(np.array([1.0, 1.0]), 2)  # m exceeds degree data
+    for bad in (np.nan, np.inf, complex(1, np.nan)):
+        with pytest.raises(DomainError):
+            inverse_power_sum([1.0, bad, 2.0], 1)
 
 
 @pytest.mark.parametrize("m", ["x", np.nan, np.inf, 2.5, 0])
@@ -243,6 +263,9 @@ def test_compactify():
     assert compactify(np.inf) == 1.0
     arr = compactify(np.array([0.0, 3.0, np.inf]))
     assert np.allclose(arr, [0.0, 0.75, 1.0])
+    for bad in (-2.0, np.nan, [0.5, -1.0], "x"):
+        with pytest.raises(DomainError):
+            compactify(bad)
 
 
 def test_projection_round_trip_with_root_finder():

@@ -137,3 +137,19 @@ def test_private_module_names_are_referenced():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in used]
     assert unused == []
+
+
+def test_horner_layout_stays_inside_series():
+    # other modules evaluate through `_horner_rows` and build tables with
+    # `_horner_layout`; the layout's fields and the kernel are series' own
+    private = {"_HornerLayout", "_horner"}
+    named = []
+    for stem, tree in _sources().items():
+        if stem == "series":
+            continue
+        names = _loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+        named += [f"{stem}: {name}" for name in sorted(private & names)]
+    assert named == []

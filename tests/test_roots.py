@@ -15,7 +15,7 @@ import szego
 from szego import (ConvergenceError, DomainError, Geometric, Polynomial,
                    RandomSeries, TargetMeasure, find_zeros, initial_state,
                    parse_family, section, sorted_moduli, step)
-from szego import roots
+from szego import roots, series
 
 #: backward-error ratio the residual checks below accept, times their factor
 TOL = 1e-10
@@ -338,14 +338,14 @@ def test_a_solve_builds_the_reversed_layout_only_when_a_point_crosses(
 
 def _horner_calls(monkeypatch):
     """(layout, points) for each Horner call the solver makes."""
-    real = roots._horner
+    real = series._horner
     calls = []
 
     def counted(layout, z):
         calls.append((layout, z.copy()))
         return real(layout, z)
 
-    monkeypatch.setattr(roots, "_horner", counted)
+    monkeypatch.setattr(series, "_horner", counted)
     return calls
 
 
@@ -388,6 +388,43 @@ def test_wide_range_points_take_the_reversed_layout(monkeypatch):
                for layout, z in calls if layout is fwd)
 
 
+def test_wide_range_cores_cross_in_one_reversed_call(monkeypatch):
+    # 1 - c 1e170 z^2 + z^4 for several c: the cores share one layout key
+    # and all start past the forward limit, so their crossing points take
+    # one call on one reversed table per sweep, and each core keeps the
+    # zeros of its own solve
+    polys = [Polynomial(np.array([1.0, 0.0, -c * 1e170, 0.0, 1.0]), 4)
+             for c in (0.5, 1.0, 3.0, 7.0)]
+    solo = _solo(polys)
+    real_layout, real_rows = roots._horner_layout, roots._horner_rows
+    layouts, events = [], []
+
+    def layout(vectors):
+        layouts.append(real_layout(vectors))
+        return layouts[-1]
+
+    def rows(table, tr, z):
+        events[-1].append((table, tr.copy()))
+        return real_rows(table, tr, z)
+
+    monkeypatch.setattr(roots, "_horner_layout", layout)
+    monkeypatch.setattr(roots, "_horner_rows", rows)
+    real_terms = roots._newton_terms
+
+    def terms(stack, tr, w):
+        events.append([])
+        return real_terms(stack, tr, w)
+
+    monkeypatch.setattr(roots, "_newton_terms", terms)
+    got = roots._zero_sets(polys)
+    assert all(_same_bits(g, ref) for g, ref in zip(got, solo))
+    fwd, rev = layouts
+    assert rev.vals.shape[0] == len(polys)
+    outer = [[tr for table, tr in sweep if table is rev] for sweep in events]
+    assert all(len(calls) <= 1 for calls in outer)
+    assert max(len(np.unique(calls[0])) for calls in outer if calls) >= 2
+
+
 @pytest.mark.parametrize("d", [2, 4, 256])
 def test_forward_limit_keeps_the_backward_error(monkeypatch, d):
     # just inside the limit the forward layout stays finite and its ratio
@@ -400,8 +437,8 @@ def test_forward_limit_keeps_the_backward_error(monkeypatch, d):
     rev = roots._horner_layout([c[::-1]])
     edge = math.exp((math.log(sys.float_info.max) - 2 * math.log(d + 1)) / d)
     w = edge * (1 - 1e-12) * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-    p, _, s = roots._horner(fwd, w)
-    q, _, t = roots._horner(rev, 1.0 / w)
+    p, _, s = series._horner(fwd, w)
+    q, _, t = series._horner(rev, 1.0 / w)
     assert np.all(np.isfinite(p)) and np.all(np.isfinite(s))
     eps = np.finfo(float).eps
     assert np.all(np.abs(np.abs(p) / s - np.abs(q) / t) <= 8 * (d + 1) * eps)
@@ -411,10 +448,10 @@ def test_forward_limit_keeps_the_backward_error(monkeypatch, d):
     roots._newton_terms(stack, tr, w)
     # a lone core takes its points as they are, with no padded table
     assert [(layout, z.shape) for layout, z in calls] == [(stack.fwd, w.shape)]
-    assert stack.rev == [None]
+    assert stack.rev is None
     calls.clear()
     roots._newton_terms(stack, tr, w * (1 + 1e-9))
-    assert [layout for layout, _ in calls] == stack.rev
+    assert [layout for layout, _ in calls] == [stack.rev]
 
 
 def test_lacunary_high_degree_residuals():

@@ -14,7 +14,7 @@ from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
                    reversed_companion, section, series_from_descriptor, step)
 from szego import series
 from szego.series import (_circle_values, _horner, _horner_layout,
-                          _layout_key, carlson_indices)
+                          _horner_rows, _layout_key, carlson_indices)
 
 
 def test_polynomial_evaluation_matches_polyval():
@@ -29,6 +29,9 @@ def test_polynomial_evaluation_matches_polyval():
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
         z0 = complex(zs[0])
         assert isinstance(P(z0), complex)
+    for bad in ("x", ["x", 1.0], {1: 2}):
+        with pytest.raises(DomainError):
+            P(bad)
 
 
 def _horner_reference(coeffs, z):
@@ -256,6 +259,36 @@ def test_stacked_layouts_keep_each_vectors_bits(lengths, cplx):
             *(out[t, : len(w)] for out in outs))
 
 
+@pytest.mark.parametrize("cplx", [True, False])
+def test_ragged_points_keep_each_vectors_bits(cplx):
+    # points spread over the vectors of a stack, in runs of any length or
+    # none, keep the bits of a call on each vector's own one-vector layout;
+    # a one-vector layout takes its points as they are
+    rng = np.random.default_rng(14)
+    vectors = []
+    for n in (256, 257, 270, 288, 280):
+        c = rng.normal(size=n) + 1j * rng.normal(size=n) * cplx
+        c[-1] = 1.0
+        vectors.append(c)
+    stack = _horner_layout(vectors)
+    T = len(vectors)
+    cases = {"random": np.sort(rng.integers(0, T, 30)),
+             "no points on 0, 2, 4": np.repeat([1, 3], [6, 9]),
+             "one point per row": np.arange(T),
+             "one point": np.array([4])}
+    for name, tr in cases.items():
+        w = _points(rng, len(tr))
+        got = _horner_rows(stack, tr, w)
+        for t in np.unique(tr):
+            at = tr == t
+            assert _bits(*_horner(_horner_layout([vectors[t]]), w[at])) == \
+                _bits(*(out[at] for out in got)), (name, t)
+    lone = _horner_layout([vectors[2]])
+    w = _points(rng, 9)
+    assert _bits(*_horner_rows(lone, np.zeros(9, dtype=int), w)) == _bits(
+        *_horner(lone, w))
+
+
 def test_horner_on_trailing_zero_blocks():
     # the padding leaves the last blocks empty; Horner starts from the last
     # one all the same, so the powers of z still reach the degree
@@ -394,6 +427,10 @@ def test_carlson_indices_hand_values():
     assert list(carlson_indices(0.5, 64)) == [2, 4, 8, 16, 32, 64]
     assert list(carlson_indices(0.3, 40)) == [2, 3, 4, 6, 9, 13, 19, 27, 39]
     assert list(carlson_indices(1.0, 720)) == [1, 2, 6, 24, 120, 720]
+    assert list(carlson_indices("1/2", 64.0)) == list(carlson_indices(0.5, 64))
+    for t, limit in (("x", 10), (None, 10), (0.5, "x"), (0.5, 10.5)):
+        with pytest.raises(DomainError):
+            carlson_indices(t, limit)
 
 
 def test_carlson_indices_properties():
@@ -511,7 +548,8 @@ def test_parse_family_fraction_and_errors():
                   lambda: Explicit(["1/0"])):
         with pytest.raises(DomainError):
             build()
-    for bad in ({"kind": "lacunary", "ratio": 2}, {"kind": ["lacunary"]}):
+    for bad in ({"kind": "lacunary", "ratio": 2}, {"kind": ["lacunary"]},
+                5, "x", None, [("kind", "geometric")]):
         with pytest.raises(DomainError):
             series_from_descriptor(bad)
 

@@ -131,6 +131,10 @@ def test_choose_M_matches_oracle():
     for phi, k, N, d_prev in cases:
         assert choose_M(phi, k, N, d_prev) == _oracle_choose_M(
             phi, k, N, d_prev), (phi.descriptor(), k, N, d_prev)
+    phi = cases[0][0]
+    for args in (("x", 1, 0), (1, 1.5, 0), (1, 1, "x")):
+        with pytest.raises(DomainError):
+            choose_M(phi, *args)
 
 
 def test_choose_N_matches_oracle():
@@ -151,6 +155,10 @@ def test_choose_N_matches_oracle():
     for phi, k, d_prev, log_A in cases:
         assert choose_N(phi, k, d_prev, log_A) == _oracle_choose_N(
             phi, k, d_prev, log_A), (phi.descriptor(), k, d_prev, log_A)
+    phi = cases[0][0]
+    for args in ((1, 0, math.nan), (1, 0, "x"), ("x", 0, 0.0), (1, 0.5, 0.0)):
+        with pytest.raises(DomainError):
+            choose_N(phi, *args)
 
 
 def test_block_coeffs_expansion():
@@ -176,6 +184,9 @@ def test_single_step_pinned_parameters():
     # support outside {0, 12, 19, 26} is empty
     nz = set(np.nonzero(st.P.coeffs)[0].tolist())
     assert nz == {0, 12, 19, 26}
+    for bad in ("x", ["3/2", "2"], None):
+        with pytest.raises(DomainError):
+            step(st, bad)
 
 
 def test_verify_step_pinned():
