@@ -25,7 +25,8 @@ print(f"target rings {phi.descriptor()}: block shift N={rec.N}, "
 audit = verify_step(state)
 print(f"  {audit.ring_zeros} ring zeros, one per disk; "
       f"levy gap {audit.levy:.3f} (budget 1.0); "
-      f"worst off-ring factor {audit.min_factor_margin:.3f}")
+      f"ring factor margin {audit.min_factor_margin:.3f} "
+      f"(exact: 1 - (1 - 1/M)^M)")
 
 # A four-step run against a changing target list. The budgets shrink
 # like 1/k while the degrees grow quickly; float64 coefficient range is

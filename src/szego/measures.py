@@ -82,9 +82,7 @@ class RadialMeasure:
 
 def radial_projection(Z: ZeroSet) -> RadialMeasure:
     """Uniform probability on the zero moduli, infinity atoms included."""
-    n = Z.formal_degree
-    if n < 1:
-        raise DomainError("radial projection needs formal degree >= 1")
+    n = _formal_degree(Z, "radial projection")
     radii = np.abs(Z.finite_zeros)
     if Z.infinity_count:
         radii = np.concatenate([radii, [np.inf]])
@@ -120,6 +118,16 @@ def _check_radii(t) -> np.ndarray:
     return t
 
 
+def _formal_degree(Z: ZeroSet, what: str) -> int:
+    """Z's formal degree; raises DomainError unless Z is a ZeroSet of
+    formal degree at least 1."""
+    if not isinstance(Z, ZeroSet):
+        raise DomainError(f"{what} needs a ZeroSet, got {Z!r}")
+    if Z.formal_degree < 1:
+        raise DomainError(f"{what} needs formal degree >= 1")
+    return Z.formal_degree
+
+
 def counting_fn(Z: ZeroSet, t):
     """Fraction of the formal zero count inside |w| <= t.
 
@@ -127,9 +135,7 @@ def counting_fn(Z: ZeroSet, t):
     reaches 1.
     """
     t = _check_radii(t)
-    n = Z.formal_degree
-    if n < 1:
-        raise DomainError("counting function needs formal degree >= 1")
+    n = _formal_degree(Z, "counting function")
     moduli = np.sort(np.abs(Z.finite_zeros))
     out = np.searchsorted(moduli, t, side="right") / n
     out = out + np.where(np.isinf(t), Z.infinity_count / n, 0.0)
@@ -137,6 +143,8 @@ def counting_fn(Z: ZeroSet, t):
 
 
 def _check_probability(mu: RadialMeasure, name: str) -> None:
+    if not isinstance(mu, RadialMeasure):
+        raise DomainError(f"{name} is not a RadialMeasure: {mu!r}")
     if abs(mu.total_weight - 1.0) > 1e-9:
         raise DomainError(f"{name} is not a probability measure "
                           f"(total weight {mu.total_weight!r})")
@@ -203,9 +211,7 @@ def weyl_sum(Z: ZeroSet, m: int) -> complex:
     past m ~ 1e15 the terms are noise, but the sum keeps modulus at most 1.
     """
     m = _weyl_order(m)
-    n = Z.formal_degree
-    if n < 1:
-        raise DomainError("weyl sum needs formal degree >= 1")
+    n = _formal_degree(Z, "weyl sum")
     w = Z.finite_zeros
     theta = np.angle(w[np.abs(w) > 0])
     if len(theta) == 0:
@@ -223,7 +229,11 @@ def inverse_power_sum(coeffs, m: int) -> complex:
     m = _integer(m)
     if m < 1:
         raise DomainError("order m must be a positive integer")
-    a = np.asarray(list(coeffs), dtype=np.complex128)
+    try:
+        a = np.asarray(list(coeffs), dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise DomainError(
+            f"coefficients must be numbers, got {coeffs!r}") from None
     if not np.all(np.isfinite(a)):
         raise DomainError("coefficients must be finite (no NaN or inf)")
     if len(a) < m + 1:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
 from .series import (Polynomial, _horner_layout, _horner_rows, _layout_key,
-                     _LOG_MAX)
+                     _outer_radius, _LOG_MAX)
 
 __all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
 
@@ -21,6 +21,7 @@ __all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
 DROP_TOL = 1e-300
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+_LOG_EPS = math.log(sys.float_info.epsilon)
 _MAX_ITERS = 600
 _CHUNK = 128
 
@@ -157,6 +158,18 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
     float rounding of the start angles breaks the symmetry, at a cost:
     1 - 1.5 z^2 + z^5, 1 - 1.5 z^3 + z^5 and 1 - 1.5 z^2 + z^7 take 31 to
     35 sweeps.
+
+    A binomial top edge from i >= 1 to d, q = d - i >= 2, can split the
+    solve, as in MPSolve. Let rho be the Cauchy radius of the lower part
+    b_0..b_i and R = (|b_i|/|b_d|)^(1/q). When q ln(rho / R) <= ln eps,
+    |b_d w^d| <= eps |b_i| |w|^i on |w| <= rho, where every zero of the
+    lower part lies, so its zeros, solved to their own floor by
+    `_zero_sets` (which applies this rule again), already meet the stop
+    test of the whole core, and the first i points start there. A
+    universal section, the previous one plus z^N (1 - (z/r)^M), splits so:
+    the d = 4190 cycle core is a degree-501 solve and one sweep. A lower
+    solve that stalls, or a radius out of double range, leaves the hull
+    starts. Dense and flat-hull cores never have a binomial top edge.
     """
     d = len(core) - 1
     mags = np.abs(core)
@@ -181,7 +194,19 @@ def _initial_guesses(core: np.ndarray) -> np.ndarray:
         if b == a + 1 and j > i + 1:
             phase = np.angle(-core[i] / core[j])
             angles[i:j] = (phase + 2.0 * math.pi * np.arange(j - i)) / (j - i)
-    return radii * np.exp(1j * angles)
+    starts = radii * np.exp(1j * angles)
+    a, b = hull[-2], hull[-1]
+    i = ks[a]
+    if b == a + 1 and 1 <= i <= d - 2:
+        try:
+            rho = _outer_radius(mags[: i + 1], i)
+        except ConvergenceError:  # outside double range
+            rho = math.inf
+        if (d - i) * math.log(rho) - (ls[a] - ls[b]) <= _LOG_EPS:
+            (Z,) = _zero_sets([Polynomial(core[: i + 1], i)])
+            if not isinstance(Z, ConvergenceError):
+                starts[:i] = Z.finite_zeros
+    return starts
 
 
 class _Stack:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import numbers
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import ConvergenceError, DomainError
 
 __all__ = [
     "Polynomial",
@@ -234,8 +235,11 @@ def _horner_rows(layout: _HornerLayout, tr: np.ndarray, z: np.ndarray):
     counts = np.bincount(tr, minlength=len(layout.vals))
     rows = np.flatnonzero(counts)
     if len(rows) < len(counts):
-        layout = _HornerLayout(layout.k, layout.live, layout.vals[rows],
-                               layout.ders[rows], layout.mags[rows])
+        # taken on the block-major view, the subset keeps the block-major
+        # order of `_horner_layout`, on which the einsums run fastest
+        layout = _HornerLayout(layout.k, layout.live, *(
+            np.take(a.swapaxes(0, 1), rows, axis=1).swapaxes(0, 1)
+            for a in (layout.vals, layout.ders, layout.mags)))
     row = (np.cumsum(counts > 0) - 1)[tr]
     col = np.arange(len(tr)) - (np.cumsum(counts) - counts)[tr]
     table = np.zeros((len(rows), int(counts.max())), dtype=np.complex128)
@@ -252,6 +256,65 @@ def _circle_values(coeffs: np.ndarray, nodes: int) -> np.ndarray:
     folded = np.zeros(-(-len(coeffs) // nodes) * nodes, dtype=np.complex128)
     folded[:len(coeffs)] = coeffs
     return np.fft.fft(folded.reshape(-1, nodes).sum(axis=0))
+
+
+#: cap on Newton steps per radius; a certified start needs about 4
+_MAX_NEWTON = 100
+
+
+# one table per power of two, so the cache never holds more than ~60
+@functools.lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(k + 1) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only ln k! for k = 0..n at least, in power-of-two sized tables."""
+    return _log_factorial_table(1 << max(n, 1).bit_length())
+
+
+def _outer_radius(b: np.ndarray, m: int) -> float:
+    """Positive root x of b_n x^n = sum_{j<m} C(n-j-1, m-j-1) b_j x^j.
+
+    ``b`` holds coefficient magnitudes and 1 <= m <= n, or m = n = 0. The
+    root is +inf when b_n = 0 and 0 when no b_j with j < m is positive.
+    In u = ln x the root solves psi(u) = 0 with
+
+        psi(u) = ln sum_j exp(a_j - g_j u),
+        a_j = ln(C b_j / b_n),  g_j = n - j,
+
+    which is convex and strictly decreasing. Each term alone balances the
+    left side at u_j = a_j / g_j; the largest u_j is a certified start on
+    the left of the root, and plain Newton from it climbs monotonically
+    onto the root without overshooting. So every exponent a_j - g_j u stays
+    <= 0 and the sum s = e^psi >= 1: one unshifted ``exp`` per step gives
+    both psi and psi' without overflow or underflow of s. Stops once a step
+    falls below 1e-14 relative to max(1, |u|), leaving about 1e-13 in ln x;
+    a root outside double range raises ConvergenceError.
+    """
+    n = len(b) - 1
+    if b[n] == 0:
+        return math.inf
+    js = np.flatnonzero(b[:m])
+    if len(js) == 0:
+        return 0.0
+    lf = _log_factorials(n)
+    a = (np.log(b[js]) + lf[n - 1 - js] - lf[m - 1 - js] - lf[n - m]
+         - math.log(b[n]))
+    g = float(n) - js
+    u = float((a / g).max())
+    for _ in range(_MAX_NEWTON):
+        w = np.exp(a - g * u)
+        s = float(w.sum())
+        step = math.log(s) * s / float(w.dot(g))
+        u += step
+        if step <= 1e-14 * max(1.0, abs(u)):
+            break
+    if abs(u) > _LOG_MAX:
+        raise ConvergenceError("bound equation root exceeds double range")
+    return math.exp(u)
 
 
 class Series:

@@ -47,12 +47,6 @@ __all__ = [
 #: guaranteed lower bound for |1 - (z/r)^M| on the ring-disk boundaries
 RING_MARGIN = 3.0 - math.e
 
-#: points sampled on each ring-disk boundary when auditing the margin
-_BOUNDARY_POINTS = 64
-
-#: ring disks whose boundary samples are raised to the M-th power together
-_MARGIN_ROWS = 128
-
 
 def _as_fraction(x) -> Fraction:
     try:
@@ -191,7 +185,10 @@ class StepReport:
     """Step k toward target phi: block shift N, ring count M, section index d.
 
     log_A is the log disk sup the block had to dominate. The audit fields
-    min_factor_margin and levy stay nan until `verify_step` fills them in.
+    stay nan until `verify_step` fills them in: min_factor_margin, the
+    exact least modulus of a ring factor 1 - (z/r_j)^M on the ring-disk
+    boundaries, and levy, the measured Levy distance of the section's
+    radial projection to phi.
     """
 
     k: int
@@ -289,13 +286,22 @@ def verify_step(state: BuildState) -> StepReport:
     """Audit the most recent step by actually finding the section's zeros.
 
     The target is the one the step's record holds. Checks, in order: the
-    ring disks centered at r_j times each M-th root of unity (radius
-    r_j / M) are radially disjoint; each contains exactly one computed
-    zero; every ring factor keeps modulus at least RING_MARGIN on sampled
-    disk boundaries; the junk ratio condition holds; and the radial
+    ring annuli r_j (1 +- 1/M) do not overlap; the junk ratio condition
+    holds; each ring disk centered at r_j times an M-th root of unity
+    (radius r_j / M) contains exactly one computed zero; and the radial
     projection sits within 1/k of the target in Levy distance. Returns the
     record with min_factor_margin and levy filled in; raises
     VerificationError on any failure.
+
+    min_factor_margin is exact, not sampled: the least |1 - (z/r_l)^M| over
+    every ring l and every ring-disk boundary point z is
+    1 - (1 - 1/M)^M, taken as -expm1(M log1p(-1/M)). On the boundary of the
+    disk at r_j eta, z = r_j eta (1 + e^(i psi) / M) with eta^M = 1, so the
+    own-ring factor is |1 - (1 + e^(i psi) / M)^M|, least at psi = pi, the
+    boundary point nearest the origin. Since the annuli do not overlap,
+    |z / r_l| <= 1 - 1/M for every outer ring l and |z / r_l| >= 1 + 1/M
+    for every inner one, so no cross-ring factor is smaller. The value is
+    at least 1 - 1/e > RING_MARGIN for every M.
     """
     if not state.records:
         raise DomainError("nothing to verify before the first step")
@@ -333,60 +339,13 @@ def verify_step(state: BuildState) -> StepReport:
             raise VerificationError("a zero was claimed by two ring disks")
         claimed |= hit
 
-    min_margin = _factor_margin(phi, M, eta)
-    if min_margin < RING_MARGIN - 1e-12:
-        raise VerificationError(
-            f"ring factor margin {min_margin:.6f} fell below {RING_MARGIN:.6f}")
-
     rho = radial_projection(Z)
     lv = levy_distance(rho, phi.to_radial_measure())
     if lv > 1.0 / k:
         raise VerificationError(
             f"section measure is {lv:.4f} from the target, above 1/{k}")
-    return replace(rec, min_factor_margin=min_margin, levy=lv)
-
-
-def _factor_margin(phi: TargetMeasure, M: int, eta: np.ndarray) -> float:
-    """min |1 - (z / r_j)^M| over every r_j and the sampled boundary points z.
-
-    The ring disk centered at r eta, for each M-th root of unity eta, is
-    sampled at r eta + (r / M) exp(2 pi i l / _BOUNDARY_POINTS). The power
-    is taken by square-and-multiply, low bit first, with each complex
-    product written out in separately rounded real operations. For
-    3 <= M < 100 (`choose_M` never gives less than 3) these are the
-    products numpy's complex power takes, so the margin keeps its bits;
-    from M = 100 on numpy takes exp(M log x) instead, several times slower.
-    _MARGIN_ROWS disks at a time keep the work space small.
-    """
-    angles = np.exp(2j * np.pi * np.arange(_BOUNDARY_POINTS) / _BOUNDARY_POINTS)
-    out = math.inf
-    for r in phi.radii:
-        rf = float(r)
-        for start in range(0, M, _MARGIN_ROWS):
-            pts = rf * eta[start:start + _MARGIN_ROWS, None] + (rf / M) * angles
-            for rj in phi.radii:
-                x = pts / float(rj)
-                re, im = _power(x.real, x.imag, M)
-                out = min(out, float(np.min(np.hypot(1.0 - re, im))))
-    return out
-
-
-def _power(re: np.ndarray, im: np.ndarray, M: int):
-    """(re + i im)^M for an integer M >= 1, as a (real, imaginary) pair."""
-    acc = None
-    while True:
-        if M & 1:
-            acc = (re, im) if acc is None else _times(acc, (re, im))
-        M >>= 1
-        if not M:
-            return acc
-        re, im = _times((re, im), (re, im))
-
-
-def _times(a, b):
-    """The complex product a b of (real, imaginary) pairs, without fused steps."""
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br
+    return replace(rec, min_factor_margin=-math.expm1(M * math.log1p(-1 / M)),
+                   levy=lv)
 
 
 def build_universal(targets, verify: bool = True):

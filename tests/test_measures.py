@@ -257,6 +257,21 @@ def test_inverse_power_sum_takes_an_integral_float_order():
         [1, 2, 3, 4], 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: inverse_power_sum(["x", 1], 1),
+    lambda: inverse_power_sum(3, 1),
+    lambda: levy_distance(point_mass(1.0), "x"),
+    lambda: levy_distance(None, point_mass(1.0)),
+    lambda: weyl_sum("x", 1),
+    lambda: radial_projection("x"),
+    lambda: counting_fn("x", 1.0),
+], ids=["power_sum_text", "power_sum_scalar", "levy_text", "levy_none",
+        "weyl_text", "projection_text", "counting_text"])
+def test_wrongly_typed_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_compactify():
     assert compactify(0.0) == 0.0
     assert compactify(1.0) == 0.5

@@ -587,6 +587,137 @@ def test_cycle_section_solve_evaluates_at_most_2d_points(monkeypatch):
     assert sum(sizes) <= 2 * d
 
 
+def _cycle_state(steps):
+    state = initial_state()
+    for r in ["3", "4", "3", "6/5"][:steps]:
+        state = step(state, TargetMeasure.of(r))
+    return state
+
+
+def _nested_solves(monkeypatch, fail=False):
+    """The degrees passed to each `_zero_sets` call, outer call first; with
+    ``fail`` every nested call reports a stall instead of solving."""
+    real = roots._zero_sets
+    calls = []
+
+    def spy(polys):
+        calls.append([P.formal_degree for P in polys])
+        if fail and len(calls) > 1:
+            return [ConvergenceError("forced", residual=1.0)] * len(polys)
+        return real(polys)
+
+    monkeypatch.setattr(roots, "_zero_sets", spy)
+    return calls
+
+
+def _core_sweeps(monkeypatch):
+    """(degrees of the stack, points) of each `_newton_terms` call."""
+    real = roots._newton_terms
+    sweeps = []
+
+    def counted(stack, tr, w):
+        sweeps.append((stack.d.tolist(), len(w)))
+        return real(stack, tr, w)
+
+    monkeypatch.setattr(roots, "_newton_terms", counted)
+    return sweeps
+
+
+def _at_the_floor(P, Z):
+    """Whether every zero of P's deflated core meets the solver's stop test
+    |P(w)| <= 8 (d + 1) eps sum_k |b_k| |w|^k."""
+    _, _, g, core = roots._deflate(P)
+    assert g == 1
+    core = core / np.max(np.abs(core))
+    d = len(core) - 1
+    w = Z.finite_zeros[np.abs(Z.finite_zeros) > 0]
+    assert len(w) == d
+    _, absp, s = roots._newton_terms(roots._Stack([core]),
+                                     np.zeros(d, dtype=int), w)
+    return bool(np.all(absp <= 8 * (d + 1) * np.finfo(float).eps * s))
+
+
+@pytest.mark.parametrize("steps, lower", [(3, 53), (4, 501)])
+def test_cycle_sections_split_at_the_binomial_top_edge(monkeypatch, steps,
+                                                       lower):
+    # the lower part, the previous section plus z^N, is solved first; with
+    # its zeros and the ring binomial's starts, every point of the whole
+    # core passes in its first sweep, which then takes no pair sums
+    state = _cycle_state(steps)
+    calls = _nested_solves(monkeypatch)
+    sweeps = _core_sweeps(monkeypatch)
+    pairs = []
+    real_pairs = roots._pair_sums
+    monkeypatch.setattr(roots, "_pair_sums", lambda w, rows: (
+        pairs.append(len(w)), real_pairs(w, rows))[1])
+    Z = find_zeros(state.P)
+    d = state.d - Z.infinity_count
+    assert calls == [[state.d], [lower]]
+    assert [n for ds, n in sweeps if ds == [d]] == [d]
+    assert pairs and d not in pairs
+    assert _at_the_floor(state.P, Z)
+
+
+@pytest.mark.parametrize("how", ["nested_stall", "radius_out_of_range"])
+def test_a_failed_split_falls_back_to_the_hull_starts(monkeypatch, how):
+    state = _cycle_state(4)
+    if how == "nested_stall":
+        calls = _nested_solves(monkeypatch, fail=True)
+    else:
+        calls = _nested_solves(monkeypatch)
+
+        def out_of_range(b, m):
+            raise ConvergenceError("bound equation root exceeds double range")
+
+        monkeypatch.setattr(roots, "_outer_radius", out_of_range)
+    sweeps = _core_sweeps(monkeypatch)
+    Z = find_zeros(state.P)
+    assert calls == ([[4611], [501]] if how == "nested_stall" else [[4611]])
+    # the hull starts need the full iteration: more than one sweep
+    assert len([n for ds, n in sweeps if ds == [4190]]) > 1
+    assert _at_the_floor(state.P, Z)
+
+
+def _certified_split(core):
+    """Whether the split rule applies, recomputed from its statement: the
+    top hull edge is a binomial from i >= 1 to d with d - i >= 2, and
+    |b_d| rho^(d - i) <= eps |b_i| for the Cauchy radius rho of b_0..b_i."""
+    from szego.bounds import cauchy_bound
+
+    d = len(core) - 1
+    nz = np.flatnonzero(core)
+    i = int(nz[-2])
+    logs = np.log(np.abs(core[nz]))
+    slopes = (logs[-1] - logs[:-1]) / (d - nz[:-1])
+    # the edge into d starts at the point of least slope; a tie would put
+    # that point inside a longer edge
+    if not (1 <= i <= d - 2 and np.all(slopes[:-1] > slopes[-1])):
+        return False
+    rho = cauchy_bound(Polynomial(core[: i + 1], i))
+    return ((d - i) * math.log(rho) - (logs[-2] - logs[-1])
+            <= math.log(np.finfo(float).eps))
+
+
+def test_the_split_is_taken_only_where_it_is_certified(monkeypatch):
+    # 1 - 1.5 z^2 + z^5 has a binomial top edge, but its lower part's zeros
+    # (modulus 0.82) are no zeros of the whole; the sparse real cases split
+    # only where the certificate holds, which takes a lower part whose
+    # zeros lie far inside the top edge's circle (108 of the 3239 cases)
+    calls = _nested_solves(monkeypatch)
+    core = np.array([1, 0, -1.5, 0, 0, 1], dtype=complex) / 1.5
+    assert not _certified_split(core)
+    roots._initial_guesses(core)
+    assert calls == []
+    split = 0
+    for c in _sparse_real_cases():
+        core = (c / np.max(np.abs(c))).astype(complex)
+        calls.clear()
+        roots._initial_guesses(core)
+        assert bool(calls) == _certified_split(core), np.nonzero(c)[0]
+        split += bool(calls)
+    assert split == 108
+
+
 @pytest.mark.parametrize("family, n", [("geometric", 2048),
                                        ("rational:1,1|1,-1", 640)])
 def test_flat_edges_keep_few_sweeps(monkeypatch, family, n):

@@ -289,6 +289,32 @@ def test_ragged_points_keep_each_vectors_bits(cplx):
         *_horner(lone, w))
 
 
+@pytest.mark.parametrize("cplx", [True, False])
+def test_row_subset_keeps_the_stacks_memory_order(monkeypatch, cplx):
+    # `_horner_layout` stores a stack block-major; a subset taken as
+    # vals[rows] would be stack-major, on which the einsums run slower
+    rng = np.random.default_rng(15)
+    vectors = [rng.normal(size=257) + 1j * rng.normal(size=257) * cplx
+               for _ in range(5)]
+    stack = _horner_layout(vectors)
+    seen = []
+    real = series._horner
+    monkeypatch.setattr(series, "_horner",
+                        lambda layout, z: (seen.append(layout),
+                                           real(layout, z))[1])
+    tr = np.repeat([0, 2, 3], 4)
+    _horner_rows(stack, tr, _points(rng, len(tr)))
+    (sub,) = seen
+    for name in ("vals", "ders", "mags"):
+        full, part = getattr(stack, name), getattr(sub, name)
+        assert part.shape == (3,) + full.shape[1:]
+        assert np.array_equal(part, full[[0, 2, 3]])
+        assert full.strides[1] > full.strides[0]
+        assert part.strides[1] > part.strides[0]
+        assert np.array_equal(np.argsort(part.strides),
+                              np.argsort(full.strides))
+
+
 def test_horner_on_trailing_zero_blocks():
     # the padding leaves the last blocks empty; Horner starts from the last
     # one all the same, so the powers of z still reach the degree

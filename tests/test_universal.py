@@ -392,49 +392,84 @@ def test_ring_audit_memory_is_linear_in_the_degree(monkeypatch, audited_steps):
     assert peak < 32 * 2 ** 20
 
 
-def _boundary_points(phi, M):
-    """The ring-disk boundary samples of verify_step, one row per disk."""
+#: points sampled on each ring-disk boundary by the margin oracle
+_BOUNDARY_POINTS = 64
+
+
+def _power(re, im, M):
+    """(re + i im)^M by square-and-multiply, low bit first, each complex
+    product in separately rounded real operations."""
+    acc = None
+    while True:
+        if M & 1:
+            acc = (re, im) if acc is None else _times(acc, (re, im))
+        M >>= 1
+        if not M:
+            return acc
+        re, im = _times((re, im), (re, im))
+
+
+def _times(a, b):
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _sampled_margin(phi, M):
+    """min |1 - (z / r_j)^M| over every r_j and _BOUNDARY_POINTS samples z
+    on each ring-disk boundary, 128 disks at a time."""
     eta = np.exp(2j * np.pi * np.arange(M) / M)
-    n = universal._BOUNDARY_POINTS
+    n = _BOUNDARY_POINTS
     angles = np.exp(2j * np.pi * np.arange(n) / n)
-    return [float(r) * eta[:, None] + (float(r) / M) * angles
-            for r in phi.radii]
+    out = math.inf
+    for r in phi.radii:
+        rf = float(r)
+        for start in range(0, M, 128):
+            pts = rf * eta[start:start + 128, None] + (rf / M) * angles
+            for rj in phi.radii:
+                x = pts / float(rj)
+                re, im = _power(x.real, x.imag, M)
+                out = min(out, float(np.min(np.hypot(1.0 - re, im))))
+    return out
 
 
-@pytest.mark.parametrize("M", [3, 4, 7, 35, 99])
-def test_factor_margin_keeps_numpy_bits_below_100(M):
-    # below M = 100 numpy's complex power multiplies the same way, unfused
-    phi = TargetMeasure.of("3/2", "2")
-    eta = np.exp(2j * np.pi * np.arange(M) / M)
-    x = np.concatenate([pts.ravel() / float(rj)
-                        for pts in _boundary_points(phi, M)
-                        for rj in phi.radii])
-    re, im = universal._power(x.real, x.imag, M)
-    power = x ** M
-    assert np.array_equal(re, power.real) and np.array_equal(im, power.imag)
-    expect = float(np.min(np.abs(1.0 - power)))
-    assert universal._factor_margin(phi, M, eta) == expect
+#: the step of an audit case at which each ring count M first appears
+_MARGIN_CASES = {4: ("cycle", 1), 7: ("acceptance_9", 1), 35: ("cycle", 2),
+                 169: ("two_step", 2), 316: ("cycle", 3), 3689: ("cycle", 4)}
 
 
-@pytest.mark.parametrize("r, M", [("4", 35), ("3", 316), ("6/5", 3689)])
-def test_factor_margin_matches_mpmath(r, M):
-    # the M of cycle steps 2-4; mpmath raises the same float points to the
-    # M-th power exactly, at the 200 points numpy's power puts lowest
-    mpmath = pytest.importorskip("mpmath")
-    phi = TargetMeasure.of(r)
-    eta = np.exp(2j * np.pi * np.arange(M) / M)
-    got = universal._factor_margin(phi, M, eta)
-    x = _boundary_points(phi, M)[0].ravel() / float(phi.radii[0])
-    lowest = np.argsort(np.abs(1.0 - x ** M))[:200]
-    with mpmath.workdps(40):
-        exact = min(float(abs(1 - mpmath.mpc(complex(x[i])) ** M))
-                    for i in lowest)
-    assert abs(got - exact) <= 1e-13 * exact
+@pytest.mark.parametrize("M", sorted(_MARGIN_CASES))
+def test_ring_margin_matches_the_sampled_boundaries(monkeypatch,
+                                                    audited_steps, M):
+    # the sampled grid holds psi = pi, the own-ring minimum, and every
+    # cross-ring factor of a two-ring target stays above it
+    assert {s.records[-1].M for s, _, _ in audited_steps.values()} == set(
+        _MARGIN_CASES)
+    state, phi, Z = audited_steps[_MARGIN_CASES[M]]
+    assert state.records[-1].M == M
+    monkeypatch.setattr(universal, "find_zeros", lambda P: Z)
+    got = verify_step(state).min_factor_margin
+    assert abs(got - _sampled_margin(phi, M)) <= 1e-12 * got
+    assert got > RING_MARGIN
+
+
+def test_ring_margin_is_the_minimum_over_the_disk_boundary():
+    # |1 - (1 + e^(i psi) / M)^M| on a grid of 2^14 angles never dips below
+    # its value at psi = pi, where the grid attains it; the grid is
+    # symmetric under conjugation, so psi in [0, pi] covers it
+    psi = 2 * np.pi * np.arange(2 ** 13 + 1) / 2 ** 14
+    u = np.exp(1j * psi)
+    for Ms in np.array_split(np.arange(1, 2001), 100):
+        M = Ms[:, None].astype(float)
+        vals = np.abs(np.expm1(M * np.log1p(u / M)))
+        closed = 1.0 - (1.0 - 1.0 / Ms) ** Ms
+        assert np.all(vals.min(axis=1) >= closed - 1e-12)
+        assert np.all(np.abs(vals[:, -1] - closed) <= 1e-12)
 
 
 def test_verify_step_peak_memory_on_the_cycle(audited_steps):
-    # the margin powers work on a few ring disks at a time; the peak is the
-    # solver's pair-sum buffer
+    # the margin is taken in closed form and the zeros are tested one disk
+    # per zero, so the peak is the solver's: since the split at the binomial
+    # top edge, the Horner tables of its one full sweep
     state, phi, _ = audited_steps["cycle", 4]
     tracemalloc.start()
     try:
