@@ -452,6 +452,49 @@ def test_ring_margin_matches_the_sampled_boundaries(monkeypatch,
     assert got > RING_MARGIN
 
 
+def _boundary_points(phi, M):
+    """The oracle's ring-disk boundary samples, one row per disk."""
+    eta = np.exp(2j * np.pi * np.arange(M) / M)
+    angles = np.exp(2j * np.pi * np.arange(_BOUNDARY_POINTS) / _BOUNDARY_POINTS)
+    return [float(r) * eta[:, None] + (float(r) / M) * angles
+            for r in phi.radii]
+
+
+@pytest.mark.parametrize("M", [35])
+def test_factor_margin_keeps_numpy_bits_below_100(monkeypatch, audited_steps,
+                                                  M):
+    # below M = 100 numpy's complex power multiplies the same way as the
+    # oracle's square-and-multiply, unfused, and the reported margin is the
+    # least numpy-sampled factor
+    state, phi, Z = audited_steps[_MARGIN_CASES[M]]
+    x = np.concatenate([pts.ravel() / float(rj)
+                        for pts in _boundary_points(phi, M)
+                        for rj in phi.radii])
+    re, im = _power(x.real, x.imag, M)
+    power = x ** M
+    assert np.array_equal(re, power.real) and np.array_equal(im, power.imag)
+    monkeypatch.setattr(universal, "find_zeros", lambda P: Z)
+    got = verify_step(state).min_factor_margin
+    assert abs(got - float(np.min(np.abs(1.0 - power)))) <= 1e-12 * got
+
+
+@pytest.mark.parametrize("r, M", [("4", 35)])
+def test_factor_margin_matches_mpmath(monkeypatch, audited_steps, r, M):
+    # mpmath raises the same float points to the M-th power exactly, at the
+    # 200 points numpy's power puts lowest; the least is the closed form
+    mpmath = pytest.importorskip("mpmath")
+    state, phi, Z = audited_steps[_MARGIN_CASES[M]]
+    assert phi == TargetMeasure.of(r)
+    monkeypatch.setattr(universal, "find_zeros", lambda P: Z)
+    got = verify_step(state).min_factor_margin
+    x = _boundary_points(phi, M)[0].ravel() / float(phi.radii[0])
+    lowest = np.argsort(np.abs(1.0 - x ** M))[:200]
+    with mpmath.workdps(40):
+        exact = min(float(abs(1 - mpmath.mpc(complex(x[i])) ** M))
+                    for i in lowest)
+    assert abs(got - exact) <= 1e-13 * exact
+
+
 def test_ring_margin_is_the_minimum_over_the_disk_boundary():
     # |1 - (1 + e^(i psi) / M)^M| on a grid of 2^14 angles never dips below
     # its value at psi = pi, where the grid attains it; the grid is
