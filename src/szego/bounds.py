@@ -10,7 +10,8 @@ import numpy as np
 
 from .exceptions import DomainError, VerificationError
 from .measures import counting_fn
-from .series import (Polynomial, _circle_values, _exact, _integer,
+from .roots import sorted_moduli
+from .series import (Polynomial, _circle_values, _exact, _integer, _items,
                      _log_factorials, _outer_radius)
 
 __all__ = [
@@ -194,20 +195,23 @@ def viete_checks(P: Polynomial, Z) -> VieteReport:
     end coefficients are nonzero. For every k with b_k != 0, the product of
     the k smallest (resp. n-k largest) zero moduli is compared against the
     binomial bound; slacks are reported in nats and must be nonnegative.
+    The k smallest are summed from the bottom of `sorted_moduli`, only when
+    b_0 != 0, and the n-k largest from the top, only when b_n != 0: so no
+    sum meets a zero at the origin (log -inf) or at infinity (log +inf).
     """
     c = np.abs(P.coeffs)
     n = P.formal_degree
-    moduli = np.sort(np.abs(Z.finite_zeros))
     with np.errstate(divide="ignore"):
-        logm = np.log(moduli)
-    logm = np.concatenate([logm, np.full(Z.infinity_count, math.inf)])
-    # prefix[k] = sum of logs of the k smallest moduli
-    prefix = np.concatenate([[0.0], np.cumsum(logm)])
-    total = prefix[-1]
+        logm = np.log(sorted_moduli(Z))
+    # prefix[k] sums the k smallest log moduli, suffix[k] the n - k largest
+    if c[0] > 0:
+        prefix = np.concatenate([[0.0], np.cumsum(logm)])
+    if c[n] > 0:
+        suffix = np.concatenate([np.cumsum(logm[::-1])[::-1], [0.0]])
 
     skipped: list[tuple[int, str]] = []
     if c[0] > 0 and c[n] > 0:
-        lhs_log = float(total)
+        lhs_log = float(prefix[-1])
         rhs_log = math.log(c[0]) - math.log(c[n])
         rel = abs(math.expm1(lhs_log - rhs_log)) if math.isfinite(lhs_log) else math.inf
         product = (lhs_log, rhs_log, rel)
@@ -224,8 +228,7 @@ def viete_checks(P: Polynomial, Z) -> VieteReport:
         lc = _log_comb(n, k)
         if c[n] > 0:
             # n-k largest moduli against |b_k|/|b_n|
-            tail = total - prefix[k] if math.isfinite(total) else math.inf
-            large[k] = lc + tail - (math.log(c[k]) - math.log(c[n]))
+            large[k] = lc + suffix[k] - (math.log(c[k]) - math.log(c[n]))
         if c[0] > 0:
             small[k] = lc + math.log(c[0]) - math.log(c[k]) - prefix[k]
     return VieteReport(product[0], product[1], product[2], small, large, skipped)
@@ -258,7 +261,7 @@ def bounds_report(P: Polynomial, m_values=None) -> BoundsReport:
     n = P.formal_degree
     if m_values is None:
         m_values = range(1, min(n, 12) + 1)
-    m_values = [_integer(m) for m in m_values]
+    m_values = [_integer(m) for m in _items(m_values, "m values")]
     for m in m_values:
         if not 1 <= m <= n:
             raise DomainError(f"m={m} out of range [1, {n}]")

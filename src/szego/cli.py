@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -94,9 +95,7 @@ def _check_limits(args) -> None:
 
 
 def _cmd_zeros(args) -> str:
-    stream = parse_family(args.family)
-    P = section(stream, args.n)
-    Z = find_zeros(P)
+    Z = find_zeros(section(parse_family(args.family), args.n))
     if args.format == "csv":
         lines = ["re,im,multiplicity"]
         for z, grp in groupby(Z.finite_zeros):
@@ -116,9 +115,7 @@ def _cmd_zeros(args) -> str:
 def _cmd_measure(args) -> str:
     # checked before the solve, by the rule counting_fn applies
     ts = _check_radii(_numbers(args.t_grid)).tolist() if args.t_grid else []
-    stream = parse_family(args.family)
-    P = section(stream, args.n)
-    Z = find_zeros(P)
+    Z = find_zeros(section(parse_family(args.family), args.n))
     mu = radial_projection(Z)
     payload = {
         "radii": [float(r) for r in mu.radii],
@@ -133,9 +130,7 @@ def _cmd_measure(args) -> str:
 
 
 def _cmd_bounds(args) -> str:
-    stream = parse_family(args.family)
-    P = section(stream, args.n)
-    report = bounds_report(P)
+    report = bounds_report(section(parse_family(args.family), args.n))
     config = {"command": "bounds", "family": args.family, "n": args.n}
     return _json_doc(config, report.to_dict())
 
@@ -159,14 +154,8 @@ def _cmd_random(args) -> str:
     workers = _workers(args)
     report = mc_expected_cdf(E, args.n, ts, args.trials, args.seed,
                              weyl_orders=orders, workers=workers)
-    flags = check_conditions(E)
     payload = report.to_dict()
-    payload["conditions"] = {
-        "log_moment_bounded": flags.log_moment_bounded,
-        "uniformly_non_null": flags.uniformly_non_null,
-        "iid": flags.iid,
-        "szego_expected": flags.szego_expected,
-    }
+    payload["conditions"] = dataclasses.asdict(check_conditions(E))
     config = {"command": "random", "ensemble": E.descriptor(), "n": args.n,
               "trials": args.trials, "seed": args.seed,
               "workers": workers}

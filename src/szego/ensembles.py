@@ -14,15 +14,15 @@ import concurrent.futures
 import math
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .gauge import _check_gamma, _window_start
+from .gauge import _check_gamma, _tail_roots, _window_start
 from .measures import _check_radii, _weyl_order, counting_fn, weyl_sum
 from .roots import ZeroSet, _zero_sets
-from .series import Polynomial, _check_horizon, _exact, _integer
+from .series import Polynomial, _check_horizon, _exact, _integer, _items
 
 __all__ = [
     "BLOCK",
@@ -97,20 +97,6 @@ class Ensemble:
         # 1 - u >= 2^-53, so (1 - u)^(-1/alpha) overflows once alpha <= 53/1024
         if self.kind == "log_heavy_tail" and not 53 / 1024 < self.param < math.inf:
             raise DomainError("heavy tail exponent must be finite and exceed 53/1024")
-
-    @property
-    def iid(self) -> bool:
-        return self.kind != "bernoulli_inv_n"
-
-    @property
-    def has_log_moment(self) -> bool:
-        if self.kind == "log_heavy_tail":
-            return self.param > 1.0
-        return True
-
-    @property
-    def uniformly_non_null(self) -> bool:
-        return self.kind != "bernoulli_inv_n"
 
     def descriptor(self) -> str:
         if self.param is None:
@@ -224,14 +210,16 @@ class ConditionFlags:
 
 
 def check_conditions(E: Ensemble) -> ConditionFlags:
-    """Declared distributional hypotheses and the clustering verdict they imply."""
+    """The hypotheses an ensemble meets, from its kind and parameter, and
+    the clustering verdict they imply: every kind but ``bernoulli_inv_n``
+    is iid and uniformly non-null, every kind but ``log_heavy_tail`` with
+    alpha <= 1 has a finite log moment, and clustering needs both."""
     E = as_ensemble(E)
-    return ConditionFlags(
-        log_moment_bounded=E.has_log_moment,
-        uniformly_non_null=E.uniformly_non_null,
-        iid=E.iid,
-        szego_expected=E.has_log_moment and E.uniformly_non_null,
-    )
+    iid = E.kind != "bernoulli_inv_n"
+    log_moment = E.kind != "log_heavy_tail" or E.param > 1.0
+    return ConditionFlags(log_moment_bounded=log_moment,
+                          uniformly_non_null=iid, iid=iid,
+                          szego_expected=log_moment and iid)
 
 
 def _usable(coeffs: np.ndarray) -> bool:
@@ -314,21 +302,12 @@ class MCReport:
     weyl_abs_mean: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
-        d = {
-            "ensemble": self.ensemble,
-            "n": self.n,
-            "seed": self.seed,
-            "t_grid": list(self.t_grid),
-            "phi_hat": list(self.phi_hat),
-            "stderr": list(self.stderr),
-            "trials": self.trials,
-            "trials_used": self.trials_used,
-            "failures": self.failures,
-        }
-        if self.weyl_orders:
-            d["weyl_orders"] = list(self.weyl_orders)
-            d["weyl_mean_abs"] = list(self.weyl_mean_abs)
-            d["weyl_abs_mean"] = list(self.weyl_abs_mean)
+        """The fields as JSON values; the Weyl fields only with orders."""
+        d = {k: list(v) if isinstance(v, tuple) else v
+             for k, v in asdict(self).items()}
+        if not self.weyl_orders:
+            for key in ("weyl_orders", "weyl_mean_abs", "weyl_abs_mean"):
+                del d[key]
         return d
 
 
@@ -354,7 +333,8 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     t_grid = np.atleast_1d(_check_radii(t_grid))
     if t_grid.size == 0:
         raise DomainError("t grid needs at least one radius")
-    weyl_orders = tuple(_weyl_order(m) for m in weyl_orders)
+    weyl_orders = tuple(_weyl_order(m)
+                        for m in _items(weyl_orders, "weyl orders"))
     results = _trial_rows(E, n, seed, trials, t_grid, weyl_orders, workers)
     rows = [F for F, _ in results if F is not None]
     weyl_rows = [s for F, s in results if F is not None]
@@ -413,7 +393,7 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
     few standard errors.
     """
     E = as_ensemble(E)
-    if not E.iid:
+    if not check_conditions(E).iid:
         raise DomainError("reversal symmetry needs an iid ensemble")
     t = _exact(t)
     # a radius that rounds to 0.0 would leave 1/t undefined
@@ -455,10 +435,7 @@ def path_root_limsup(E: Ensemble, N: int, seed: int, trial: int = 0) -> float:
     N = _check_horizon(N)
     if N < 1000:
         raise DomainError("horizon N must be at least 1000")
-    logs = sample_log_abs(E, N, seed, trial)
-    ns = np.arange((N + 1) // 2, N + 1)
-    with np.errstate(over="ignore"):
-        return float(np.max(np.exp(logs[ns] / ns)))
+    return float(np.max(_tail_roots(sample_log_abs(E, N, seed, trial), N)))
 
 
 def dyadic_empty_window_probe(E: Ensemble, gamma: float, max_n: int,

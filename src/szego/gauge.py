@@ -11,12 +11,12 @@ saturates to inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .exceptions import DomainError
-from .series import Series, _check_horizon, _exact
+from .series import Series, _check_horizon, _exact, _items
 
 __all__ = [
     "DEFAULT_GAMMA_GRID",
@@ -126,15 +126,8 @@ class GaugeReport:
     window: tuple[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_grid": list(self.gamma_grid),
-            "L_raw": list(self.L_raw),
-            "L_hat": list(self.L_hat),
-            "G_hat": self.G_hat,
-            "Gamma_hat": self.Gamma_hat,
-            "horizon": self.horizon,
-            "window": list(self.window),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 def gauge_and_index(stream: Series, gamma_grid=None, N: int = 1024) -> GaugeReport:
@@ -150,7 +143,7 @@ def gauge_and_index(stream: Series, gamma_grid=None, N: int = 1024) -> GaugeRepo
     if gamma_grid is None:
         gamma_grid = DEFAULT_GAMMA_GRID
     N = _check_horizon(N)
-    grid = [_check_gamma(g) for g in gamma_grid]
+    grid = [_check_gamma(g) for g in _items(gamma_grid, "gamma grid")]
     if not grid:
         raise DomainError("gamma grid must not be empty")
     if sorted(set(grid)) != grid:
@@ -170,6 +163,13 @@ def gauge_and_index(stream: Series, gamma_grid=None, N: int = 1024) -> GaugeRepo
     )
 
 
+def _tail_roots(logs: np.ndarray, N: int) -> np.ndarray:
+    """|a_n|^(1/n) for n in [N/2, N] from ln|a_n|, inf past the float range."""
+    ns = np.arange((N + 1) // 2, N + 1)
+    with np.errstate(over="ignore"):
+        return np.exp(logs[ns] / ns)
+
+
 def coeff_root_range(stream: Series, N: int) -> tuple[float, float]:
     """(min, max) of |a_n|^(1/n) over the tail window n in [N/2, N].
 
@@ -179,10 +179,7 @@ def coeff_root_range(stream: Series, N: int) -> tuple[float, float]:
     N = _check_horizon(N)
     if N < 64:
         raise DomainError("horizon N must be at least 64")
-    logs = stream.log_abs(N)
-    ns = np.arange((N + 1) // 2, N + 1)
-    with np.errstate(over="ignore"):
-        vals = np.exp(logs[ns] / ns)
+    vals = _tail_roots(stream.log_abs(N), N)
     return float(np.min(vals)), float(np.max(vals))
 
 

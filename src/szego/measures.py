@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .roots import ZeroSet
-from .series import _integer
+from .roots import ZeroSet, sorted_moduli
+from .series import _complex_array, _integer, _items
 
 __all__ = [
     "RadialMeasure",
@@ -131,14 +131,12 @@ def _formal_degree(Z: ZeroSet, what: str) -> int:
 def counting_fn(Z: ZeroSet, t):
     """Fraction of the formal zero count inside |w| <= t.
 
-    Zeros at infinity are included only at t = inf, where the fraction
-    reaches 1.
+    Counted by bisection in `sorted_moduli`, whose inf markers put the
+    zeros at infinity inside only at t = inf, where the fraction is n/n = 1.
     """
     t = _check_radii(t)
     n = _formal_degree(Z, "counting function")
-    moduli = np.sort(np.abs(Z.finite_zeros))
-    out = np.searchsorted(moduli, t, side="right") / n
-    out = out + np.where(np.isinf(t), Z.infinity_count / n, 0.0)
+    out = np.searchsorted(sorted_moduli(Z), t, side="right") / n
     return out if out.shape else float(out)
 
 
@@ -229,11 +227,7 @@ def inverse_power_sum(coeffs, m: int) -> complex:
     m = _integer(m)
     if m < 1:
         raise DomainError("order m must be a positive integer")
-    try:
-        a = np.asarray(list(coeffs), dtype=np.complex128)
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"coefficients must be numbers, got {coeffs!r}") from None
+    a = _complex_array(_items(coeffs, "coefficients"), "coefficients")
     if not np.all(np.isfinite(a)):
         raise DomainError("coefficients must be finite (no NaN or inf)")
     if len(a) < m + 1:

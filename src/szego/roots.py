@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .series import (Polynomial, _horner_layout, _horner_rows, _layout_key,
-                     _outer_radius, _LOG_MAX)
+from .series import (Polynomial, _complex_array, _horner_layout,
+                     _horner_rows, _integer, _layout_key, _outer_radius,
+                     _LOG_MAX)
 
 __all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
 
@@ -39,13 +40,12 @@ class ZeroSet:
     formal_degree: int
 
     def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.finite_zeros, dtype=np.complex128))
+        z = np.atleast_1d(_complex_array(self.finite_zeros, "finite zeros"))
         object.__setattr__(self, "finite_zeros", z)
-        if len(z) + self.infinity_count != self.formal_degree:
-            raise DomainError(
-                f"{len(z)} finite zeros + {self.infinity_count} at infinity "
-                f"!= formal degree {self.formal_degree}"
-            )
+        at_inf = _integer(self.infinity_count)
+        if len(z) + at_inf != _integer(self.formal_degree):
+            raise DomainError(f"{len(z)} finite zeros + {at_inf} at infinity "
+                              f"!= formal degree {self.formal_degree}")
 
 
 def sorted_moduli(Z: ZeroSet) -> np.ndarray:
@@ -318,13 +318,11 @@ def _sweeps(stack: _Stack) -> list:
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = nu / (1.0 - nu * repel)
         bad = ~np.isfinite(corr)
-        if bad.any():
-            corr[bad] = 0.1 * (1.0 + np.abs(w[act[bad]]))
+        corr[bad] = 0.1 * (1.0 + np.abs(w[act[bad]]))
         cap = 0.5 * (1.0 + np.abs(w[act]))
         mag = np.abs(corr)
         over = mag > cap
-        if over.any():
-            corr[over] *= cap[over] / mag[over]
+        corr[over] *= cap[over] / mag[over]
         w[act] -= corr
     out = [w[lo[t]: lo[t + 1]] for t in range(len(ds))]
     if done.all():

@@ -6,6 +6,7 @@ import functools
 import inspect
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,10 +53,10 @@ class Polynomial:
     formal_degree: int
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
+        c = np.atleast_1d(_complex_array(self.coeffs, "coefficients"))
         object.__setattr__(self, "coeffs", c)
-        if c.ndim != 1:
-            raise DomainError("coefficient array must be one-dimensional")
+        if c.ndim != 1 or len(c) == 0:
+            raise DomainError("coefficients must be a nonempty vector")
         if self.formal_degree != len(c) - 1:
             raise DomainError(
                 f"formal_degree {self.formal_degree} does not match "
@@ -66,10 +67,7 @@ class Polynomial:
 
     def __call__(self, z):
         """Evaluate by Horner's scheme; accepts scalars or arrays."""
-        try:
-            z = np.asarray(z, dtype=np.complex128)
-        except (TypeError, ValueError):
-            raise DomainError(f"expected complex points, got {z!r}") from None
+        z = _complex_array(z, "points")
         acc = _horner(_horner_layout([self.coeffs]), z)[0]
         return acc if acc.shape else complex(acc)
 
@@ -226,25 +224,19 @@ def _horner_rows(layout: _HornerLayout, tr: np.ndarray, z: np.ndarray):
 
     A layout of one vector takes z as it is: the scattered path gives it
     the same bits, but its scatter into a padded table costs a low-degree
-    solve up to a fifth of its time. Otherwise each vector's points fill
-    one row of a zero-padded (T, m) table, the rows of vectors with no
-    point dropped, so the whole stack takes one `_horner` call.
+    solve up to a fifth of its time. Otherwise vector t's points fill row
+    t of a zero-padded (T, m) table, so the whole stack takes one
+    `_horner` call on its own layout. A vector with no point gets a row of
+    padding, as a shorter vector gets padding at its top; `_horner` is a
+    pure function of each point, so the padding changes no returned bit.
     """
     if len(layout.vals) == 1:
         return _horner(layout, z)
     counts = np.bincount(tr, minlength=len(layout.vals))
-    rows = np.flatnonzero(counts)
-    if len(rows) < len(counts):
-        # taken on the block-major view, the subset keeps the block-major
-        # order of `_horner_layout`, on which the einsums run fastest
-        layout = _HornerLayout(layout.k, layout.live, *(
-            np.take(a.swapaxes(0, 1), rows, axis=1).swapaxes(0, 1)
-            for a in (layout.vals, layout.ders, layout.mags)))
-    row = (np.cumsum(counts > 0) - 1)[tr]
     col = np.arange(len(tr)) - (np.cumsum(counts) - counts)[tr]
-    table = np.zeros((len(rows), int(counts.max())), dtype=np.complex128)
-    table[row, col] = z
-    return tuple(out[row, col] for out in _horner(layout, table))
+    table = np.zeros((len(counts), int(counts.max())), dtype=np.complex128)
+    table[tr, col] = z
+    return tuple(out[tr, col] for out in _horner(layout, table))
 
 
 def _circle_values(coeffs: np.ndarray, nodes: int) -> np.ndarray:
@@ -446,8 +438,8 @@ class Rational(Series):
     list_args = True
 
     def __init__(self, numerator, denominator):
-        num = [_complex(c) for c in numerator]
-        den = [_complex(c) for c in denominator]
+        num = [_complex(c) for c in _items(numerator, "numerator")]
+        den = [_complex(c) for c in _items(denominator, "denominator")]
         if not den or den[0] == 0:
             raise DomainError("denominator needs a nonzero constant term")
         if not num:
@@ -496,7 +488,7 @@ class ZeroOne(_IndicatorSeries):
     list_args = True
 
     def __init__(self, indices):
-        idx = sorted({_integer(i) for i in indices})
+        idx = sorted({_integer(i) for i in _items(indices, "indices")})
         if not idx or idx[0] < 0:
             raise DomainError("index set must be nonempty with nonnegative entries")
         self.index_set = tuple(idx)
@@ -561,7 +553,7 @@ class Explicit(Series):
     list_args = True
 
     def __init__(self, coeffs):
-        cs = [_complex(c) for c in coeffs]
+        cs = [_complex(c) for c in _items(coeffs, "coefficients")]
         if not cs:
             raise DomainError("explicit coefficient list must be nonempty")
         self.coeffs = tuple(cs)
@@ -629,6 +621,22 @@ def _integer(x) -> int:
     if v.denominator != 1:
         raise DomainError(f"expected an integer, got {x!r}")
     return int(v)
+
+
+def _complex_array(values, what: str) -> np.ndarray:
+    """``values`` as a complex128 array, or DomainError for a non-number."""
+    try:
+        return np.asarray(values, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be numbers, got {values!r}") from None
+
+
+def _items(values, what: str) -> list:
+    """The items of a list argument, or DomainError for a number."""
+    try:
+        return list(values)
+    except TypeError:
+        raise DomainError(f"{what} must be a list, got {values!r}") from None
 
 
 def _complex(x) -> complex:
@@ -737,6 +745,9 @@ def series_from_descriptor(d: dict) -> Series:
 
 def load_explicit_csv(path) -> Series:
     """Read an explicit coefficient list from CSV lines ``re,im``."""
+    # open() would take an int as a file descriptor, and close it
+    if not isinstance(path, (str, os.PathLike)):
+        raise DomainError(f"expected a file path, got {path!r}")
     coeffs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh):

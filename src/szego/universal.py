@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -23,9 +24,10 @@ import numpy as np
 
 from .exceptions import (CoefficientOverflowError, DomainError,
                          VerificationError)
-from .measures import RadialMeasure, levy_distance, radial_projection
+from .measures import (RadialMeasure, levy_distance, radial_projection,
+                       uniform_on_radii)
 from .roots import find_zeros
-from .series import Polynomial, _circle_values, _exact, _integer
+from .series import Polynomial, _circle_values, _exact, _integer, _items
 
 __all__ = [
     "RING_MARGIN",
@@ -48,14 +50,6 @@ __all__ = [
 RING_MARGIN = 3.0 - math.e
 
 
-def _as_fraction(x) -> Fraction:
-    try:
-        f = Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise DomainError(f"cannot interpret {x!r} as an exact radius") from None
-    return f.limit_denominator(10**12) if isinstance(x, float) else f
-
-
 @dataclass(frozen=True)
 class TargetMeasure:
     """Uniform atoms at exact radii r_1 < ... < r_m, each of weight 1/m."""
@@ -63,27 +57,30 @@ class TargetMeasure:
     radii: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not self.radii:
+        radii = _items(self.radii, "target radii")
+        if not radii:
             raise DomainError("target measure needs at least one radius")
-        if any(r <= 1 for r in self.radii):
+        if not all(isinstance(r, numbers.Real) for r in radii):
+            raise DomainError(f"target radii must be numbers: {radii!r}")
+        if any(r <= 1 for r in radii):
             raise DomainError("target radii must exceed 1")
-        if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
+        if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError("target radii must be strictly increasing")
 
     @classmethod
     def of(cls, *radii) -> TargetMeasure:
-        return cls(tuple(_as_fraction(r) for r in radii))
+        """Radii read exactly; one read through float, such as 1.1, is the
+        nearest fraction of denominator at most 10^12."""
+        return cls(tuple(
+            _exact(r) if isinstance(r, (str, numbers.Rational))
+            else _exact(r).limit_denominator(10**12) for r in radii))
 
     @property
     def m(self) -> int:
         return len(self.radii)
 
     def to_radial_measure(self) -> RadialMeasure:
-        w = 1.0 / self.m
-        return RadialMeasure(
-            np.array([float(r) for r in self.radii]),
-            np.full(self.m, w),
-        )
+        return uniform_on_radii([float(r) for r in self.radii])
 
     def descriptor(self) -> list[str]:
         return [str(r) for r in self.radii]
@@ -172,11 +169,9 @@ def choose_M(phi: TargetMeasure, k: int, N: int, d_prev: int) -> int:
     r1, rm = phi.radii[0], phi.radii[-1]
     bound1 = math.ceil(1 / tau(phi))
     # strict: 1/M < (r1 - 1) / (2 r1)
-    b2 = 2 * r1 / (r1 - 1)
-    bound2 = int(b2) + 1 if b2.denominator == 1 else math.ceil(b2)
+    bound2 = math.floor(2 * r1 / (r1 - 1)) + 1
     bound3 = math.ceil(k * rm)
-    b4 = Fraction(k * (N + d_prev), m)
-    bound4 = int(b4) + 1 if b4.denominator == 1 else math.ceil(b4)
+    bound4 = k * (N + d_prev) // m + 1
     return max(bound1, bound2, bound3, bound4, 1)
 
 
@@ -357,7 +352,7 @@ def build_universal(targets, verify: bool = True):
     """
     state = initial_state()
     reports: list[StepReport] = []
-    for phi in targets:
+    for phi in _items(targets, "targets"):
         if not isinstance(phi, TargetMeasure):
             phi = TargetMeasure.of(*phi)
         state = step(state, phi)
@@ -372,7 +367,7 @@ def cycle_targets(base, steps: int) -> list[TargetMeasure]:
     if steps < 1:
         raise DomainError("need at least one step")
     base = [phi if isinstance(phi, TargetMeasure) else TargetMeasure.of(*phi)
-            for phi in base]
+            for phi in _items(base, "base targets")]
     if not base:
         raise DomainError("need at least one base target")
     return [base[i % len(base)] for i in range(steps)]

@@ -10,9 +10,9 @@ import pytest
 
 from szego import (ConvergenceError, DomainError, Polynomial, VerificationError,
                    bounds, bounds_report, cauchy_bound, entropy, find_zeros,
-                   inner_cauchy_bound,
-                   inner_van_vleck_bound, jensen_identity, reversed_companion,
-                   van_vleck_bound, viete_checks, weak_jensen_check)
+                   inner_cauchy_bound, inner_van_vleck_bound, jensen_identity,
+                   parse_family, reversed_companion, section, van_vleck_bound,
+                   viete_checks, weak_jensen_check)
 
 
 def _poly_from_roots(roots):
@@ -447,6 +447,49 @@ def test_viete_with_infinity_zeros():
     # two smallest moduli: 1 * 2 against C(3,2) |b_0|/|b_2| = 6
     assert rep.ineq_small_slack[2] == pytest.approx(math.log(3.0), abs=1e-9)
     assert rep.min_slack() >= -1e-9
+
+
+def test_viete_slacks_at_a_zero_at_the_origin():
+    # P = z + z^2 + z^4: the n - k largest moduli never include the origin
+    # zero, so the slack of every nonzero b_k is finite
+    P = section(parse_family("lacunary:2"), 4)
+    rep = viete_checks(P, find_zeros(P))
+    assert rep.ineq_small_slack == {}
+    assert sorted(rep.ineq_large_slack) == [1, 2, 4]
+    assert rep.ineq_large_slack[1] == pytest.approx(math.log(4.0), abs=1e-12)
+    assert rep.ineq_large_slack[2] == pytest.approx(2.174, abs=1e-3)
+    assert rep.ineq_large_slack[4] == 0.0
+
+
+@pytest.mark.parametrize("family, n", [
+    ("lacunary:2", 4), ("zero_one:3,7,20", 20), ("zero_one:0,3,7", 10),
+    ("lacunary:2", 5), ("factorial_gaps", 30), ("zero_one:3,7,20", 30)])
+def test_viete_slacks_with_zeros_at_the_origin_or_infinity(family, n):
+    # the log modulus of a zero at 0 is -inf and of one at infinity +inf:
+    # neither enters a sum it does not belong to, and no running sum adds
+    # -inf to +inf (a numpy RuntimeWarning)
+    P = section(parse_family(family), n)
+    c = np.abs(P.coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = viete_checks(P, find_zeros(P))
+    ks = np.flatnonzero(c).tolist()
+    low, deg = ks[0], ks[-1]
+    # an independent oracle: the origin zeros, then numpy's roots of the core
+    moduli = [0.0] * low + sorted(np.abs(np.roots(P.coeffs[low:deg + 1][::-1])))
+
+    def log_sum(ms):
+        return math.fsum(math.log(m) for m in ms)
+
+    large = {k: math.log(math.comb(n, k)) + log_sum(moduli[k:])
+             - math.log(c[k] / c[n]) for k in ks} if c[n] else {}
+    small = {k: math.log(math.comb(n, k)) + math.log(c[0] / c[k])
+             - log_sum(moduli[:k]) for k in ks} if c[0] else {}
+    assert rep.ineq_large_slack == pytest.approx(large, abs=1e-8)
+    assert rep.ineq_small_slack == pytest.approx(small, abs=1e-8)
+    assert all(math.isfinite(v) and v >= -1e-9 for v in
+               list(rep.ineq_large_slack.values())
+               + list(rep.ineq_small_slack.values()))
 
 
 def test_bounds_report_structure():

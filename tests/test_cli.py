@@ -149,6 +149,25 @@ def test_universal_json(capsys):
     assert doc["final_section_index"] == 26
 
 
+def test_universal_no_verify_never_solves(capsys, monkeypatch):
+    # --no-verify skips the audit: no section is solved, and the steps are
+    # the unaudited records, whose audit fields print as NaN
+    calls = []
+    real = szego.universal.find_zeros
+    monkeypatch.setattr(szego.universal, "find_zeros",
+                        lambda P: (calls.append(P), real(P))[1])
+    rc, out = _run(capsys, ["universal", "--targets", '[["3/2","2"],["3"]]',
+                            "--no-verify"])
+    assert rc == 0
+    assert calls == []
+    assert '"verify": false' in out
+    assert out.count('"min_factor_margin": NaN') == 2
+    assert out.count('"levy": NaN') == 2
+    doc = json.loads(out)
+    assert doc["config"]["verify"] is False
+    assert [s["k"] for s in doc["steps"]] == [1, 2]
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "zeros.csv"
     rc, out = _run(capsys, ["zeros", "--family", "geometric", "--n", "3",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from szego import (DomainError, Ensemble, Polynomial, RandomSeries,
                    dyadic_empty_window_probe, find_zeros, gauge_and_index,
                    mc_expected_cdf, path_root_limsup, reversal_symmetry_check,
                    sample_coeffs, sample_log_abs)
+from szego.ensembles import _KINDS
 
 GAUSS = Ensemble("gaussian_complex")
 ALL = [GAUSS, Ensemble("gaussian_real"), Ensemble("uniform_disk"),
@@ -116,6 +118,53 @@ def test_condition_flags():
     f3 = check_conditions(Ensemble("log_heavy_tail", 0.5))
     assert not f3.log_moment_bounded and not f3.szego_expected
     assert check_conditions(Ensemble("log_heavy_tail", 2.0)).log_moment_bounded
+
+
+# (log_moment_bounded, uniformly_non_null, iid, szego_expected)
+_FLAG_TABLE = {
+    "gaussian_complex": (True, True, True, True),
+    "gaussian_real": (True, True, True, True),
+    "uniform_disk": (True, True, True, True),
+    "bernoulli(0.5)": (True, True, True, True),
+    "bernoulli(1)": (True, True, True, True),
+    "bernoulli_inv_n": (True, False, False, False),
+    "log_heavy_tail(2)": (True, True, True, True),
+    "log_heavy_tail(1)": (False, True, True, False),
+    "log_heavy_tail(0.5)": (False, True, True, False),
+}
+
+
+@pytest.mark.parametrize("descriptor", sorted(_FLAG_TABLE))
+def test_condition_flags_of_every_kind(descriptor):
+    assert {as_ensemble(d).kind for d in _FLAG_TABLE} == set(_KINDS)
+    flags = dataclasses.asdict(check_conditions(descriptor))
+    assert list(flags) == ["log_moment_bounded", "uniformly_non_null", "iid",
+                           "szego_expected"]
+    assert tuple(flags.values()) == _FLAG_TABLE[descriptor]
+    assert all(type(v) is bool for v in flags.values())
+
+
+def test_mc_report_dict_keys_and_types():
+    kw = dict(n=16, t_grid=[0.9, 1.1], trials=10, seed=3)
+    plain = mc_expected_cdf(GAUSS, **kw).to_dict()
+    keys = ["ensemble", "n", "seed", "t_grid", "phi_hat", "stderr", "trials",
+            "trials_used", "failures"]
+    assert list(plain) == keys
+    weyl = mc_expected_cdf(GAUSS, weyl_orders=(1, 3), **kw).to_dict()
+    assert list(weyl) == keys + ["weyl_orders", "weyl_mean_abs",
+                                 "weyl_abs_mean"]
+    assert weyl["weyl_orders"] == [1, 3]
+    for d in (plain, weyl):
+        for key, value in d.items():
+            if key == "ensemble":
+                assert value == "gaussian_complex"
+            elif isinstance(value, list):
+                want = int if key == "weyl_orders" else float
+                assert all(type(x) is want for x in value), key
+            else:
+                assert type(value) is int, key
+        assert [type(d[key]) for key in keys[3:6]] == [list] * 3
+        assert d["t_grid"] == [0.9, 1.1]
 
 
 def test_as_ensemble_parsing():

@@ -139,6 +139,19 @@ def test_gauge_report_geometric():
     assert rep.window == (64, 128)
 
 
+def test_gauge_report_dict_keys_and_types():
+    d = gauge_and_index(Lacunary(2), gamma_grid=[0.1, 0.5], N=256).to_dict()
+    assert list(d) == ["gamma_grid", "L_raw", "L_hat", "G_hat", "Gamma_hat",
+                       "horizon", "window"]
+    for key in ("gamma_grid", "L_raw", "L_hat"):
+        assert type(d[key]) is list and len(d[key]) == 2
+        assert all(type(x) is float for x in d[key])
+    assert d["gamma_grid"] == [0.1, 0.5]
+    assert [type(d["G_hat"]), type(d["Gamma_hat"])] == [float, float]
+    assert type(d["horizon"]) is int and d["horizon"] == 256
+    assert d["window"] == [128, 256] and type(d["window"]) is list
+
+
 def test_gauge_report_lacunary():
     rep = gauge_and_index(Lacunary(2), N=4096)
     assert rep.Gamma_hat == pytest.approx(0.5)

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from szego import (DomainError, Polynomial, RadialMeasure, ZeroSet, compactify,
-                   counting_fn, find_zeros,
+from szego import (DomainError, Lacunary, Polynomial, RadialMeasure, ZeroSet,
+                   compactify, counting_fn, find_zeros, section,
                    inverse_power_sum, levy_distance, point_mass,
                    radial_projection, uniform_on_radii, weyl_sum)
 
@@ -127,6 +127,19 @@ def test_counting_fn_brute_force():
     for bad in (-0.5, "x", [0.5, "x"], None):
         with pytest.raises(DomainError):
             counting_fn(Z, bad)
+
+
+def test_counting_fn_reaches_one_at_infinity_exactly():
+    # P = z + z^2 + z^4 at formal degree 5: one zero at the origin, three
+    # finite nonzero ones, and one at infinity, counted only at t = inf
+    Z = find_zeros(section(Lacunary(2), 5))
+    assert Z.infinity_count == 1 and np.sum(Z.finite_zeros == 0) == 1
+    assert counting_fn(Z, np.inf) == 1.0
+    assert counting_fn(Z, [0.0, 1e300, np.inf]).tolist() == [0.2, 0.8, 1.0]
+    for n in range(1, 300):
+        for a in sorted({0, 1, n // 3, n - 1, n}):
+            Z = ZeroSet(np.zeros(a, dtype=complex), n - a, n)
+            assert counting_fn(Z, np.inf) == 1.0, (n, a)
 
 
 @pytest.mark.parametrize("t", [np.nan, [0.5, np.nan]])

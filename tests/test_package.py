@@ -1,5 +1,6 @@
-"""The package's exported names, the README's list of family strings, and
-a dead-code check over the sources."""
+"""The package's exported names, the README's list of family strings, a
+dead-code check over the sources, and the error type of malformed
+arguments across the modules."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import inspect
 import re
 import types
 from pathlib import Path
+
+import pytest
 
 import szego
 from szego.ensembles import _KINDS
@@ -153,3 +156,28 @@ def test_horner_layout_stays_inside_series():
                 names.update(alias.name for alias in node.names)
         named += [f"{stem}: {name}" for name in sorted(private & names)]
     assert named == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: szego.Polynomial(["x"], 0),
+    lambda: szego.ZeroSet(["x"], 0, 1),
+    lambda: szego.ZeroSet([1], "a", 1),
+    lambda: szego.TargetMeasure(("x",)),
+    lambda: szego.bounds_report(szego.Polynomial([1, 1, 1], 2), 5),
+    lambda: szego.gauge_and_index(szego.Geometric(), 0.5),
+    lambda: szego.mc_expected_cdf("gaussian_complex", 8, [1.0], 10, 0,
+                                  weyl_orders=5),
+    lambda: szego.Explicit(5),
+    lambda: szego.ZeroOne(5),
+    lambda: szego.Rational(1, [1, -1]),
+    lambda: szego.TargetMeasure(5),
+    lambda: szego.build_universal(5),
+    lambda: szego.cycle_targets(5, 2),
+], ids=["polynomial coeffs", "zero set zeros", "zero set count",
+        "target radii", "bounds m values", "gamma grid", "weyl orders",
+        "explicit coeffs", "zero-one indices", "rational numerator",
+        "target radius list", "universal targets", "cycled targets"])
+def test_malformed_arguments_raise_domain_error(call):
+    # a text where a number is expected, or a number where a list is
+    with pytest.raises(szego.DomainError):
+        call()

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 from szego import (Carlson, DomainError, Explicit, FactorialGaps, Geometric,
+                   find_zeros,
                    InverseOneMinusZN, Lacunary, Polynomial, Rational,
                    RandomSeries, TargetMeasure, ZeroOne, carlson_coeff,
                    initial_state, load_explicit_csv, parse_family,
@@ -290,9 +292,9 @@ def test_ragged_points_keep_each_vectors_bits(cplx):
 
 
 @pytest.mark.parametrize("cplx", [True, False])
-def test_row_subset_keeps_the_stacks_memory_order(monkeypatch, cplx):
-    # `_horner_layout` stores a stack block-major; a subset taken as
-    # vals[rows] would be stack-major, on which the einsums run slower
+def test_vectors_without_points_keep_the_stacks_layout(monkeypatch, cplx):
+    # a vector with no point gets a padding row in the table, so the
+    # kernel runs on the stack's own layout, never on a row subset of it
     rng = np.random.default_rng(15)
     vectors = [rng.normal(size=257) + 1j * rng.normal(size=257) * cplx
                for _ in range(5)]
@@ -300,19 +302,17 @@ def test_row_subset_keeps_the_stacks_memory_order(monkeypatch, cplx):
     seen = []
     real = series._horner
     monkeypatch.setattr(series, "_horner",
-                        lambda layout, z: (seen.append(layout),
+                        lambda layout, z: (seen.append((layout, z.shape)),
                                            real(layout, z))[1])
     tr = np.repeat([0, 2, 3], 4)
-    _horner_rows(stack, tr, _points(rng, len(tr)))
-    (sub,) = seen
-    for name in ("vals", "ders", "mags"):
-        full, part = getattr(stack, name), getattr(sub, name)
-        assert part.shape == (3,) + full.shape[1:]
-        assert np.array_equal(part, full[[0, 2, 3]])
-        assert full.strides[1] > full.strides[0]
-        assert part.strides[1] > part.strides[0]
-        assert np.array_equal(np.argsort(part.strides),
-                              np.argsort(full.strides))
+    w = _points(rng, len(tr))
+    got = series._horner_rows(stack, tr, w)
+    assert len(seen) == 1 and seen[0][0] is stack
+    assert seen[0][1] == (5, 4)
+    for t in (0, 2, 3):
+        at = tr == t
+        assert _bits(*real(_horner_layout([vectors[t]]), w[at])) == _bits(
+            *(out[at] for out in got))
 
 
 def test_horner_on_trailing_zero_blocks():
@@ -589,6 +589,35 @@ def test_load_explicit_csv(tmp_path):
     bad.write_text("1,0\nnot,a number\n")
     with pytest.raises(DomainError):
         load_explicit_csv(bad)
+
+
+def test_load_explicit_csv_takes_a_str_path(tmp_path):
+    p = tmp_path / "coeffs.csv"
+    p.write_text("1,0\n2,0\n")
+    assert np.allclose(load_explicit_csv(str(p)).values(1), [1, 2])
+
+
+def test_load_explicit_csv_rejects_a_file_descriptor(tmp_path):
+    # open() would read the descriptor and close it on exit
+    p = tmp_path / "coeffs.csv"
+    p.write_text("1,0\n2,0\n")
+    fd = os.open(p, os.O_RDONLY)
+    try:
+        with pytest.raises(DomainError):
+            load_explicit_csv(fd)
+        os.fstat(fd)
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Polynomial([], -1),
+    lambda: find_zeros(Polynomial([], -1)),
+    lambda: Polynomial(np.array([], dtype=complex), -1)(1.0),
+], ids=["construct", "find_zeros", "evaluate"])
+def test_empty_polynomial_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_stream_equality_and_hash():
