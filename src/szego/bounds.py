@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 #: zeros this close to the unit circle make the Jensen quadrature near-singular
-UNIMODULAR_TOL = 1e-9
+_UNIMODULAR_TOL = 1e-9
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -39,76 +39,71 @@ def _log_comb(n: int, k: int) -> float:
     return float(lf[n] - lf[k] - lf[n - k])
 
 
-def _reciprocal(x: float) -> float:
+def _order(P: Polynomial, m) -> int:
+    """The zero count m of a van Vleck radius, checked to lie in [1, n]."""
+    m = _integer(m)
+    n = P.formal_degree
+    if not 1 <= m <= n:
+        raise DomainError(f"m must lie in [1, {n}]")
+    return m
+
+
+def _radius(P: Polynomial, m: int, inner: bool) -> float:
+    """The outer van Vleck radius of order m, or with ``inner`` the reciprocal
+    of that of the reversed coefficients (+inf for an outer radius 0); the
+    Cauchy radii are the case m = n."""
+    c = np.abs(P.coeffs)
+    if not inner:
+        return _outer_radius(c, m)
+    if c[0] == 0:
+        raise DomainError("constant coefficient is zero; deflate origin zeros first")
+    x = _outer_radius(c[::-1], m)
     return math.inf if x == 0 else 1.0 / x
 
 
 def cauchy_bound(P: Polynomial) -> float:
     """Radius C with every zero of P in |w| <= C.
 
-    Unique positive root of |b_n| x^n = sum_{k<n} |b_k| x^k; +inf when the
-    leading coefficient vanishes, 0 when no lower coefficient survives.
-    Solved by certified-start Newton in ln x, accurate to about 1e-13.
+    Unique positive root of |b_n| x^n = sum_{k<n} |b_k| x^k, the van Vleck
+    radius of order m = n; +inf when the leading coefficient vanishes, 0
+    when no lower coefficient survives. Solved by certified-start Newton in
+    ln x, accurate to about 1e-13.
     """
-    c = np.abs(P.coeffs)
-    if not np.any(c > 0):
+    if not np.any(P.coeffs):
         raise DomainError("zero polynomial has no Cauchy bound")
-    return _outer_radius(c, P.formal_degree)
+    return _radius(P, P.formal_degree, False)
 
 
 def inner_cauchy_bound(P: Polynomial) -> float:
     """Radius c with every zero of P in |w| >= c.
 
-    Unique positive root of |b_0| = sum_{k>=1} |b_k| y^k: the reciprocal of
-    the Cauchy bound of the reversed coefficients, solved the same way. A
-    constant polynomial has no finite zeros, so every radius works: returns
-    +inf.
+    Unique positive root of |b_0| = sum_{k>=1} |b_k| y^k: the inner van
+    Vleck radius of order m = n, the reciprocal of the Cauchy bound of the
+    reversed coefficients. A constant polynomial has no finite zeros, so
+    every radius works: returns +inf.
     """
-    c = np.abs(P.coeffs)
-    if c[0] == 0:
-        raise DomainError("constant coefficient is zero; deflate origin zeros first")
-    return _reciprocal(_outer_radius(c[::-1], P.formal_degree))
+    return _radius(P, P.formal_degree, True)
 
 
 def van_vleck_bound(P: Polynomial, m: int) -> float:
     """Radius V with at least m zeros of P in |w| <= V.
 
     Unique positive root of |b_n| x^n = sum_{j<m} C(n-j-1, m-j-1) |b_j| x^j;
-    m = n recovers the Cauchy bound. Solved by certified-start Newton in
-    ln x, accurate to about 1e-13.
+    m must lie in [1, n], and m = n recovers the Cauchy bound. Solved by
+    certified-start Newton in ln x, accurate to about 1e-13.
     """
-    m = _integer(m)
-    n = P.formal_degree
-    if not 1 <= m <= n:
-        raise DomainError(f"m must lie in [1, {n}]")
-    return _outer_radius(np.abs(P.coeffs), m)
+    return _radius(P, _order(P, m), False)
 
 
-def inner_van_vleck_bound(P: Polynomial, m: int, return_slack: bool = False):
+def inner_van_vleck_bound(P: Polynomial, m: int) -> float:
     """Radius v with at least m zeros of P in |w| >= v.
 
     Unique positive root of |b_0| = sum_{k=n-m+1}^{n} C(k-1, k-(n-m)-1) |b_k| y^k,
     the reciprocal of the van Vleck radius of the reversed coefficients,
-    solved the same way; +inf when every b_k in that range vanishes.
-    With ``return_slack`` also returns the log-slack of the audit inequality
-    ln|b_0| <= ln C(n, m-1) + max ln|b_k| + n ln max(1, v), which must be >= 0.
+    solved the same way; +inf when every b_k in that range vanishes. m must
+    lie in [1, n], and b_0 must be nonzero.
     """
-    m = _integer(m)
-    c = np.abs(P.coeffs)
-    n = P.formal_degree
-    if not 1 <= m <= n:
-        raise DomainError(f"m must lie in [1, {n}]")
-    if c[0] == 0:
-        raise DomainError("constant coefficient is zero; deflate origin zeros first")
-    v = _reciprocal(_outer_radius(c[::-1], m))
-    if not return_slack:
-        return v
-    max_bk = float(np.max(c[n - m + 1:]))
-    if max_bk == 0:
-        return v, math.inf
-    slack = (_log_comb(n, m - 1) + math.log(max_bk) + n * max(0.0, math.log(v))
-             - math.log(c[0]))
-    return v, slack
+    return _radius(P, _order(P, m), True)
 
 
 def entropy(x: float) -> float:
@@ -126,19 +121,21 @@ def jensen_identity(P: Polynomial, Z, quad_points: int = 4096):
 
     lhs is the sum of |ln|w|| over the zeros; rhs is the trapezoid quadrature
     of the circle average of ln(|P|^2 / (|b_0||b_n|)). Zeros within 1e-9 of
-    the unit circle degrade the quadrature and trigger a warning.
+    the unit circle degrade the quadrature and trigger a warning. b_0 and
+    b_n must be nonzero, and Z may hold no zero at 0 or at infinity: a b_0
+    or b_n at or below 1e-300 of the largest coefficient is solved as zero.
     """
     quad_points = _integer(quad_points)
     if quad_points < 1:
         raise DomainError("quad_points must be positive")
     c = P.coeffs
     n = P.formal_degree
-    if c[0] == 0 or c[n] == 0:
-        raise DomainError("identity needs nonzero first and last coefficients")
     moduli = np.abs(Z.finite_zeros)
-    with np.errstate(divide="ignore"):
-        lhs = float(np.sum(np.abs(np.log(moduli))))
-    if len(moduli) and float(np.min(np.abs(moduli - 1.0))) < UNIMODULAR_TOL:
+    if c[0] == 0 or c[n] == 0 or Z.infinity_count or not np.all(moduli):
+        raise DomainError("identity needs nonzero first and last coefficients "
+                          "and no zero at 0 or infinity")
+    lhs = float(np.sum(np.abs(np.log(moduli))))
+    if len(moduli) and float(np.min(np.abs(moduli - 1.0))) < _UNIMODULAR_TOL:
         warnings.warn(
             "zero within 1e-9 of the unit circle; quadrature accuracy degrades "
             "to about 1e-3", RuntimeWarning, stacklevel=2)
@@ -191,33 +188,35 @@ class VieteReport:
 def viete_checks(P: Polynomial, Z) -> VieteReport:
     """Verify the modulus-product identity and binomial product inequalities.
 
-    The identity |b_0|/|b_n| = prod |w| is checked in log space whenever both
-    end coefficients are nonzero. For every k with b_k != 0, the product of
-    the k smallest (resp. n-k largest) zero moduli is compared against the
-    binomial bound; slacks are reported in nats and must be nonnegative.
-    The k smallest are summed from the bottom of `sorted_moduli`, only when
-    b_0 != 0, and the n-k largest from the top, only when b_n != 0: so no
-    sum meets a zero at the origin (log -inf) or at infinity (log +inf).
+    For every k with b_k != 0, the product of the k smallest (resp. n-k
+    largest) zero moduli is compared against the binomial bound; slacks are
+    reported in nats and must be nonnegative. The k smallest are summed from
+    the bottom of `sorted_moduli` only when b_0 != 0 and Z has no zero at 0,
+    the n-k largest from the top only when b_n != 0 and Z has no zero at
+    infinity, where the solver puts a b_0 or b_n at or below 1e-300 of the
+    largest: no sum meets ln 0 or ln inf. The identity |b_0|/|b_n| = prod |w|
+    is checked in log space when both sums are taken.
     """
     c = np.abs(P.coeffs)
     n = P.formal_degree
     with np.errstate(divide="ignore"):
         logm = np.log(sorted_moduli(Z))
+    bottom = c[0] > 0 and np.all(Z.finite_zeros)
+    top = c[n] > 0 and Z.infinity_count == 0
     # prefix[k] sums the k smallest log moduli, suffix[k] the n - k largest
-    if c[0] > 0:
+    if bottom:
         prefix = np.concatenate([[0.0], np.cumsum(logm)])
-    if c[n] > 0:
+    if top:
         suffix = np.concatenate([np.cumsum(logm[::-1])[::-1], [0.0]])
 
     skipped: list[tuple[int, str]] = []
-    if c[0] > 0 and c[n] > 0:
+    if bottom and top:
         lhs_log = float(prefix[-1])
         rhs_log = math.log(c[0]) - math.log(c[n])
-        rel = abs(math.expm1(lhs_log - rhs_log)) if math.isfinite(lhs_log) else math.inf
-        product = (lhs_log, rhs_log, rel)
+        product = (lhs_log, rhs_log, abs(math.expm1(lhs_log - rhs_log)))
     else:
         product = (None, None, None)
-        skipped.append((-1, "product identity needs b_0 and b_n nonzero"))
+        skipped.append((-1, "product identity needs no zero at 0 or infinity"))
 
     small: dict[int, float] = {}
     large: dict[int, float] = {}
@@ -226,10 +225,10 @@ def viete_checks(P: Polynomial, Z) -> VieteReport:
             skipped.append((k, "coefficient is zero"))
             continue
         lc = _log_comb(n, k)
-        if c[n] > 0:
+        if top:
             # n-k largest moduli against |b_k|/|b_n|
             large[k] = lc + suffix[k] - (math.log(c[k]) - math.log(c[n]))
-        if c[0] > 0:
+        if bottom:
             small[k] = lc + math.log(c[0]) - math.log(c[k]) - prefix[k]
     return VieteReport(product[0], product[1], product[2], small, large, skipped)
 
@@ -255,16 +254,12 @@ class BoundsReport:
 def bounds_report(P: Polynomial, m_values=None) -> BoundsReport:
     """Assemble the four bound families for a polynomial.
 
-    ``m_values`` defaults to 1..min(n, 12). The inner radii are omitted
-    (None / empty) when the constant coefficient vanishes.
+    ``m_values`` defaults to 1..min(n, 12), and each m must lie in [1, n].
+    The inner radii are omitted (None / empty) when b_0 vanishes.
     """
-    n = P.formal_degree
     if m_values is None:
-        m_values = range(1, min(n, 12) + 1)
+        m_values = range(1, min(P.formal_degree, 12) + 1)
     m_values = [_integer(m) for m in _items(m_values, "m values")]
-    for m in m_values:
-        if not 1 <= m <= n:
-            raise DomainError(f"m={m} out of range [1, {n}]")
     c0_ok = abs(P.coeffs[0]) > 0
     return BoundsReport(
         cauchy=cauchy_bound(P),

@@ -54,8 +54,6 @@ class RadialMeasure:
             raise DomainError("radii and weights must be matching vectors")
         if not np.all((w > 0) & (w < np.inf)):
             raise DomainError("atom weights must be positive and finite")
-        order = np.argsort(r, kind="stable")
-        r, w = r[order], w[order]
         uniq, inverse = np.unique(r, return_inverse=True)
         merged = np.zeros(len(uniq))
         np.add.at(merged, inverse, w)

@@ -14,12 +14,12 @@ from .series import (Polynomial, _complex_array, _horner_layout,
                      _horner_rows, _integer, _layout_key, _outer_radius,
                      _LOG_MAX)
 
-__all__ = ["ZeroSet", "find_zeros", "sorted_moduli", "DROP_TOL"]
+__all__ = ["ZeroSet", "find_zeros", "sorted_moduli"]
 
 #: coefficients at or below this magnitude relative to the largest one are
 #: treated as exact zeros for degree bookkeeping; the rule is scale-invariant,
 #: like the zeros themselves
-DROP_TOL = 1e-300
+_DROP_TOL = 1e-300
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _LOG_EPS = math.log(sys.float_info.epsilon)
@@ -102,7 +102,7 @@ def _deflate(P: Polynomial):
     cmax = float(np.max(mags))
     if cmax == 0.0:
         raise DomainError("the zero polynomial has no zero set")
-    nz = np.nonzero(mags > DROP_TOL * cmax)[0]
+    nz = np.nonzero(mags > _DROP_TOL * cmax)[0]
     low, deg = int(nz[0]), int(nz[-1])
     core = c[low: deg + 1] / cmax
     g = int(np.gcd.reduce(np.nonzero(core)[0])) if deg > low else 1

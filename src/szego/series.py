@@ -744,23 +744,29 @@ def series_from_descriptor(d: dict) -> Series:
 
 
 def load_explicit_csv(path) -> Series:
-    """Read an explicit coefficient list from CSV lines ``re,im``."""
+    """Read an explicit coefficient list from CSV lines ``re,im`` at a
+    ``str`` or ``os.PathLike`` path; a file not readable as UTF-8 text, a
+    missing one or a directory raise DomainError."""
     # open() would take an int as a file descriptor, and close it
     if not isinstance(path, (str, os.PathLike)):
         raise DomainError(f"expected a file path, got {path!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read coefficients: {exc}") from None
     coeffs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                re_part = float(parts[0])
-                im_part = float(parts[1]) if len(parts) > 1 else 0.0
-            except ValueError:
-                if lineno == 0:
-                    continue  # tolerate a header row
-                raise DomainError(f"bad coefficient line {lineno + 1}: {line!r}")
-            coeffs.append(complex(re_part, im_part))
+    for lineno, line in enumerate(lines):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        try:
+            re_part = float(parts[0])
+            im_part = float(parts[1]) if len(parts) > 1 else 0.0
+        except ValueError:
+            if lineno == 0:
+                continue  # tolerate a header row
+            raise DomainError(f"bad coefficient line {lineno + 1}: {line!r}")
+        coeffs.append(complex(re_part, im_part))
     return Explicit(coeffs)

@@ -343,6 +343,13 @@ def verify_step(state: BuildState) -> StepReport:
                    levy=lv)
 
 
+def _target(phi) -> TargetMeasure:
+    """A target measure as given, or read from its list of radii."""
+    if isinstance(phi, TargetMeasure):
+        return phi
+    return TargetMeasure.of(*_items(phi, "target radii"))
+
+
 def build_universal(targets, verify: bool = True):
     """Run the construction over a target sequence.
 
@@ -353,9 +360,7 @@ def build_universal(targets, verify: bool = True):
     state = initial_state()
     reports: list[StepReport] = []
     for phi in _items(targets, "targets"):
-        if not isinstance(phi, TargetMeasure):
-            phi = TargetMeasure.of(*phi)
-        state = step(state, phi)
+        state = step(state, _target(phi))
         reports.append(verify_step(state) if verify
                        else state.records[-1])
     return state, reports
@@ -366,8 +371,7 @@ def cycle_targets(base, steps: int) -> list[TargetMeasure]:
     steps = _integer(steps)
     if steps < 1:
         raise DomainError("need at least one step")
-    base = [phi if isinstance(phi, TargetMeasure) else TargetMeasure.of(*phi)
-            for phi in _items(base, "base targets")]
+    base = [_target(phi) for phi in _items(base, "base targets")]
     if not base:
         raise DomainError("need at least one base target")
     return [base[i % len(base)] for i in range(steps)]
@@ -394,9 +398,6 @@ def parse_targets(text: str) -> list[TargetMeasure]:
             try:
                 entry = entry["radii"]
             except KeyError:
-                raise DomainError(
-                    "target objects need a 'radii' key") from None
-        if not isinstance(entry, list):
-            entry = [entry]
-        out.append(TargetMeasure.of(*entry))
+                raise DomainError("target objects need a 'radii' key") from None
+        out.append(_target(entry if isinstance(entry, list) else [entry]))
     return out

@@ -305,8 +305,7 @@ def test_radius_special_values():
     # no upper terms in the inner equation: every radius works
     R = Polynomial(np.array([1.0, 1.0, 0.0]), 2)
     assert inner_van_vleck_bound(R, 1) == math.inf
-    assert inner_van_vleck_bound(R, 1, return_slack=True) == (math.inf,
-                                                              math.inf)
+    assert _inner_van_vleck_slack(R, 1, inner_van_vleck_bound(R, 1)) >= -1e-9
     assert inner_cauchy_bound(Polynomial(np.array([3.0, 0.0, 0.0]), 2)) == \
         math.inf
     # a radius outside double range is reported, not rounded to inf or 0
@@ -315,6 +314,18 @@ def test_radius_special_values():
         cauchy_bound(S)
     with pytest.raises(ConvergenceError):
         inner_cauchy_bound(S)
+
+
+def _inner_van_vleck_slack(P, m, v):
+    # log-slack of ln|b_0| <= ln C(n, m-1) + max_{k>n-m} ln|b_k| + n ln max(1, v);
+    # with no upper terms the inequality holds for every radius
+    c = np.abs(P.coeffs)
+    n = P.formal_degree
+    max_bk = float(np.max(c[n - m + 1:]))
+    if max_bk == 0:
+        return math.inf
+    return (math.log(math.comb(n, m - 1)) + math.log(max_bk)
+            + n * max(0.0, math.log(v)) - math.log(c[0]))
 
 
 def test_inner_van_vleck_slack_is_nonnegative():
@@ -326,8 +337,8 @@ def test_inner_van_vleck_slack_is_nonnegative():
         c[-1] += 1.0
         P = Polynomial(c, deg)
         for m in range(1, deg + 1):
-            v, slack = inner_van_vleck_bound(P, m, return_slack=True)
-            assert slack >= -1e-9
+            v = inner_van_vleck_bound(P, m)
+            assert _inner_van_vleck_slack(P, m, v) >= -1e-9
 
 
 def test_binomial_column_identity():
@@ -380,6 +391,19 @@ def test_jensen_identity_preconditions():
     P = Polynomial(np.array([0.0, 1.0]), 1)
     with pytest.raises(DomainError):
         jensen_identity(P, find_zeros(P))
+
+
+def test_jensen_identity_rejects_the_solver_zeros_at_0_and_infinity():
+    # b_0 and b_n at 1e-310 of the largest coefficient are nonzero, but the
+    # solver takes them as zero: Z holds a zero at 0 and one at infinity,
+    # whose logs would make lhs infinite
+    P = Polynomial(np.array([1e-310, 2.0, 1.0, 1e-310]), 3)
+    Z = find_zeros(P)
+    assert Z.infinity_count == 1 and 0 in Z.finite_zeros
+    with pytest.raises(DomainError):
+        jensen_identity(P, Z)
+    with pytest.raises(DomainError):
+        weak_jensen_check(P, Z, 2.0)
 
 
 def test_quad_points_must_be_an_integer():
@@ -490,6 +514,24 @@ def test_viete_slacks_with_zeros_at_the_origin_or_infinity(family, n):
     assert all(math.isfinite(v) and v >= -1e-9 for v in
                list(rep.ineq_large_slack.values())
                + list(rep.ineq_small_slack.values()))
+
+
+@pytest.mark.parametrize("coeffs, n", [([1e-310, 1, 1, 0], 3),
+                                        ([1e-310, 1, 1], 2),
+                                        ([1, 1, 1e-310], 2)],
+                         ids=["origin and infinity", "origin", "infinity"])
+def test_viete_follows_the_solver_drop_rule(coeffs, n):
+    # a b_0 or b_n at 1e-310 of the largest coefficient is nonzero, but
+    # the solver puts a zero at 0 or at infinity for it: the sum from that
+    # end is not taken, nor the product, and no running sum adds -inf to
+    # +inf (a numpy RuntimeWarning)
+    P = Polynomial(np.array(coeffs, dtype=float), n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = viete_checks(P, find_zeros(P))
+    assert rep.product_rel_err is None
+    assert (rep.ineq_small_slack == {}) == (coeffs[0] != 1)
+    assert (rep.ineq_large_slack == {}) == (coeffs[-1] != 1)
 
 
 def test_bounds_report_structure():

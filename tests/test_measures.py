@@ -72,6 +72,22 @@ def test_radial_measure_sorts_and_merges():
     assert mu.infinity_mass == 0.0
 
 
+def test_radial_measure_merges_repeated_radii_in_input_order():
+    # each atom's weight is the sequential sum of its weights in the order
+    # given; the order decides the last bit: 1 + 2^-53 + 2^-53 is 1, while
+    # 2^-53 + 2^-53 + 1 is 1 + 2^-52
+    tiny = 2.0 ** -53
+    radii = [2.0, 0.5, 2.0, 3.0, 0.5, 2.0, 0.5]
+    weights = [1.0, tiny, tiny, 0.25, tiny, tiny, 1.0]
+    mu = RadialMeasure(np.array(radii), np.array(weights))
+    expected = {}
+    for r, w in zip(radii, weights):
+        expected[r] = expected.get(r, 0.0) + w
+    assert mu.radii.tolist() == sorted(expected)
+    assert mu.weights.tolist() == [expected[r] for r in sorted(expected)]
+    assert expected[2.0] == 1.0 and expected[0.5] == 1.0 + 2 * tiny
+
+
 def test_radial_measure_validation():
     with pytest.raises(DomainError):
         RadialMeasure(np.array([1.0]), np.array([0.0]))

@@ -1,12 +1,14 @@
 """The package's exported names, the README's list of family strings, a
-dead-code check over the sources, and the error type of malformed
-arguments across the modules."""
+dead-code check over the sources, the mutation catalogue's snippets, and
+the error type of malformed arguments across the modules."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import inspect
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -24,7 +26,7 @@ REMOVED = {
     "gaussian_complex", "gaussian_real", "uniform_disk", "bernoulli",
     "bernoulli_inv_n", "log_heavy_tail", "distribution_function",
     "window_root_liminf", "infinite_gap_diagnostic", "path_window_liminf",
-    "StepRecord",
+    "StepRecord", "DROP_TOL", "UNIMODULAR_TOL",
 }
 
 
@@ -158,6 +160,18 @@ def test_horner_layout_stays_inside_series():
     assert named == []
 
 
+def test_mutation_catalogue_matches_the_sources(monkeypatch):
+    # every snippet occurs exactly once, so a change that orphans a mutant
+    # must update it; every test module the catalogue names exists
+    spec = importlib.util.spec_from_file_location(
+        "mutants", ROOT / "tests" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "mutants", mutants)  # for @dataclass
+    spec.loader.exec_module(mutants)
+    assert mutants.catalogue_faults() == []
+    assert len(mutants.CATALOGUE) >= 12
+
+
 @pytest.mark.parametrize("call", [
     lambda: szego.Polynomial(["x"], 0),
     lambda: szego.ZeroSet(["x"], 0, 1),
@@ -173,11 +187,18 @@ def test_horner_layout_stays_inside_series():
     lambda: szego.TargetMeasure(5),
     lambda: szego.build_universal(5),
     lambda: szego.cycle_targets(5, 2),
+    lambda: szego.build_universal([5]),
+    lambda: szego.cycle_targets([5], 2),
+    lambda: szego.load_explicit_csv(ROOT / "tests" / "no such file.csv"),
+    lambda: szego.load_explicit_csv(ROOT / "tests"),
 ], ids=["polynomial coeffs", "zero set zeros", "zero set count",
         "target radii", "bounds m values", "gamma grid", "weyl orders",
         "explicit coeffs", "zero-one indices", "rational numerator",
-        "target radius list", "universal targets", "cycled targets"])
+        "target radius list", "universal targets", "cycled targets",
+        "universal target radii", "cycled target radii", "missing csv",
+        "csv directory"])
 def test_malformed_arguments_raise_domain_error(call):
-    # a text where a number is expected, or a number where a list is
+    # a text where a number is expected, a number where a list is, or a
+    # path that names no readable file
     with pytest.raises(szego.DomainError):
         call()

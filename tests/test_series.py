@@ -591,6 +591,13 @@ def test_load_explicit_csv(tmp_path):
         load_explicit_csv(bad)
 
 
+def test_load_explicit_csv_rejects_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("1,0\n# r\xe9el\n".encode("latin-1"))
+    with pytest.raises(DomainError):
+        load_explicit_csv(p)
+
+
 def test_load_explicit_csv_takes_a_str_path(tmp_path):
     p = tmp_path / "coeffs.csv"
     p.write_text("1,0\n2,0\n")
