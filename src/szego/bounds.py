@@ -190,19 +190,20 @@ def viete_checks(P: Polynomial, Z) -> VieteReport:
 
     For every k with b_k != 0, the product of the k smallest (resp. n-k
     largest) zero moduli is compared against the binomial bound; slacks are
-    reported in nats and must be nonnegative. The k smallest are summed from
-    the bottom of `sorted_moduli` only when b_0 != 0 and Z has no zero at 0,
-    the n-k largest from the top only when b_n != 0 and Z has no zero at
-    infinity, where the solver puts a b_0 or b_n at or below 1e-300 of the
-    largest: no sum meets ln 0 or ln inf. The identity |b_0|/|b_n| = prod |w|
-    is checked in log space when both sums are taken.
+    reported in nats and must be nonnegative. The solver puts a b_0 or b_n
+    at or below 1e-300 of the largest coefficient at 0 or infinity, so Z
+    gives those counts: the k smallest are summed only when b_0 != 0, Z has
+    no zero at 0 and k <= n - (zeros at infinity); the n-k largest only when
+    b_n != 0, Z has no zero at infinity and k >= (zeros at 0). No sum meets
+    ln 0 or ln inf. The identity |b_0|/|b_n| = prod |w| is checked in log
+    space when Z has neither.
     """
     c = np.abs(P.coeffs)
     n = P.formal_degree
     with np.errstate(divide="ignore"):
         logm = np.log(sorted_moduli(Z))
-    bottom = c[0] > 0 and np.all(Z.finite_zeros)
-    top = c[n] > 0 and Z.infinity_count == 0
+    at0, atinf = int(np.sum(logm == -np.inf)), Z.infinity_count
+    bottom, top = c[0] > 0 and at0 == 0, c[n] > 0 and atinf == 0
     # prefix[k] sums the k smallest log moduli, suffix[k] the n - k largest
     if bottom:
         prefix = np.concatenate([[0.0], np.cumsum(logm)])
@@ -225,10 +226,9 @@ def viete_checks(P: Polynomial, Z) -> VieteReport:
             skipped.append((k, "coefficient is zero"))
             continue
         lc = _log_comb(n, k)
-        if top:
-            # n-k largest moduli against |b_k|/|b_n|
+        if top and k >= at0:
             large[k] = lc + suffix[k] - (math.log(c[k]) - math.log(c[n]))
-        if bottom:
+        if bottom and k <= n - atinf:
             small[k] = lc + math.log(c[0]) - math.log(c[k]) - prefix[k]
     return VieteReport(product[0], product[1], product[2], small, large, skipped)
 

@@ -3,8 +3,7 @@ the test modules it names must fail on the broken copy.
 
 Run from anywhere, with numpy and pytest installed:
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 The runner copies ``src/`` and ``tests/``, with the README, the demos and
 ``pyproject.toml`` that some tests read, to a temporary directory. It
@@ -68,14 +67,23 @@ CATALOGUE = (
            ("test_bounds.py",),
            "no upper term in the inner equation means every radius works"),
     Mutant("Viete bottom guard", "src/szego/bounds.py",
-           "bottom = c[0] > 0 and np.all(Z.finite_zeros)",
-           "bottom = c[0] > 0",
+           "bottom, top = c[0] > 0 and at0 == 0,",
+           "bottom, top = c[0] > 0,",
            ("test_bounds.py",),
            "a zero at the origin put there for a tiny b_0 enters the sums"),
     Mutant("Viete top guard", "src/szego/bounds.py",
-           "top = c[n] > 0 and Z.infinity_count == 0", "top = c[n] > 0",
+           "top = c[0] > 0 and at0 == 0, c[n] > 0 and atinf == 0",
+           "top = c[0] > 0 and at0 == 0, c[n] > 0",
            ("test_bounds.py",),
            "a zero at infinity put there for a tiny b_n enters the sums"),
+    Mutant("Viete large sums past the origin zeros", "src/szego/bounds.py",
+           "if top and k >= at0:", "if top:",
+           ("test_bounds.py",),
+           "the n - k largest moduli take in a zero at the origin"),
+    Mutant("Viete small sums past the infinity zeros", "src/szego/bounds.py",
+           "if bottom and k <= n - atinf:", "if bottom:",
+           ("test_bounds.py",),
+           "the k smallest moduli take in a zero at infinity"),
     Mutant("Jensen zero-set check", "src/szego/bounds.py",
            " or Z.infinity_count or not np.all(moduli):", ":",
            ("test_bounds.py",),
@@ -142,8 +150,6 @@ def catalogue_faults(root: Path = ROOT) -> list[str]:
             faults.append(f"{mut.name}: snippet occurs {count} times")
         faults += [f"{mut.name}: no module tests/{m}" for m in mut.modules
                    if not (root / "tests" / m).is_file()]
-    if len({mut.name for mut in CATALOGUE}) != len(CATALOGUE):
-        faults.append("mutant names repeat")
     path, name = _CATALOGUE_TEST.split("::")
     if f"def {name}(" not in (root / path).read_text():
         faults.append(f"no test {_CATALOGUE_TEST} to deselect")
@@ -184,15 +190,11 @@ def _run(mut: Mutant, work: Path) -> tuple[str, str]:
     return outcome, failed[0] if failed else lines[-1]
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     faults = catalogue_faults()
     for fault in faults:
         print(f"catalogue: {fault}")
-    chosen = [m for m in CATALOGUE if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in CATALOGUE}
-    for name in sorted(unknown):
-        print(f"catalogue: no mutant named {name!r}")
-    if faults or unknown:
+    if faults:
         return 2
     outcomes = []
     with tempfile.TemporaryDirectory(prefix="szego-mutants-") as tmp:
@@ -203,12 +205,12 @@ def main(argv: list[str]) -> int:
                 shutil.copytree(ROOT / name, work / name, ignore=skip)
             else:
                 shutil.copy2(ROOT / name, work / name)
-        modules = sorted({m for mut in chosen for m in mut.modules})
+        modules = sorted({m for mut in CATALOGUE for m in mut.modules})
         code, lines = _pytest(work, modules)
         if code != 0:
             print(f"unmutated copy fails {', '.join(modules)}: {lines[-1]}")
             return 2
-        for mut in chosen:
+        for mut in CATALOGUE:
             start = time.perf_counter()
             outcome, detail = _run(mut, work)
             outcomes.append(outcome)
@@ -220,4 +222,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

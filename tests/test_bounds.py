@@ -524,7 +524,8 @@ def test_viete_follows_the_solver_drop_rule(coeffs, n):
     # a b_0 or b_n at 1e-310 of the largest coefficient is nonzero, but
     # the solver puts a zero at 0 or at infinity for it: the sum from that
     # end is not taken, nor the product, and no running sum adds -inf to
-    # +inf (a numpy RuntimeWarning)
+    # +inf (a numpy RuntimeWarning); the sums from the other end stop short
+    # of that zero, so every slack reported is finite and nonnegative
     P = Polynomial(np.array(coeffs, dtype=float), n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -532,6 +533,9 @@ def test_viete_follows_the_solver_drop_rule(coeffs, n):
     assert rep.product_rel_err is None
     assert (rep.ineq_small_slack == {}) == (coeffs[0] != 1)
     assert (rep.ineq_large_slack == {}) == (coeffs[-1] != 1)
+    assert all(math.isfinite(v) and v >= -1e-9 for v in
+               list(rep.ineq_large_slack.values())
+               + list(rep.ineq_small_slack.values()))
 
 
 def test_bounds_report_structure():
