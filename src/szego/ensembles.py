@@ -21,7 +21,7 @@ import numpy as np
 from .exceptions import ConvergenceError, DomainError
 from .gauge import _check_gamma, _tail_roots, _window_start
 from .measures import _check_radii, _weyl_order, counting_fn, weyl_sum
-from .roots import ZeroSet, _zero_sets
+from .roots import _zero_sets
 from .series import Polynomial, _check_horizon, _exact, _integer, _items
 
 __all__ = [
@@ -147,15 +147,13 @@ def _draw_block(E: Ensemble, seed: int, trial: int, block: int):
         probs = np.ones(BLOCK)
         np.divide(1.0, ks, out=probs, where=ks > 0)
         vals = (gen.random(BLOCK) < probs).astype(np.complex128)
-    elif kind == "log_heavy_tail":
+    else:  # log_heavy_tail
         u = gen.random(2 * BLOCK)
         u1 = 1.0 - u[:BLOCK]  # in (0, 1], avoids 0**negative
         logs = u1 ** (-1.0 / E.param)
         phase = np.exp(2j * np.pi * u[BLOCK:])
         vals = np.exp(np.minimum(logs, _LOG_SATURATION)) * phase
         return vals, logs
-    else:  # pragma: no cover
-        raise DomainError(f"unknown ensemble kind {kind!r}")
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(vals))
     return vals, logs
@@ -222,11 +220,6 @@ def check_conditions(E: Ensemble) -> ConditionFlags:
                           szego_expected=log_moment and iid)
 
 
-def _usable(coeffs: np.ndarray) -> bool:
-    """A sampled section can be solved: finite and not identically zero."""
-    return bool(np.any(coeffs)) and bool(np.all(np.isfinite(coeffs)))
-
-
 def _batches(n: int, trials: int, workers: int) -> list[range]:
     """Consecutive trial indices cut into batches of near-equal size: one
     per worker, or more so that no batch holds over _BATCH_COEFFS sampled
@@ -237,50 +230,35 @@ def _batches(n: int, trials: int, workers: int) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
-def _solve_trials(E: Ensemble, n: int, seed: int,
-                  trials: range) -> list[ZeroSet | None]:
-    """Zeros of each sampled section, None where one cannot be solved.
+def _batch_rows(args) -> list:
+    """(F on the grid, Weyl sums) of each trial of a batch that counts, in
+    trial order; a trial whose section is identically zero or not finite,
+    or whose solve does not converge, gives no row.
 
-    The usable sections are solved in lockstep, and each one's zeros are
-    bit-identical to its solo ``find_zeros``, so no result depends on the
+    The kept sections are solved in lockstep, and each one's zeros are
+    bit-identical to its solo ``find_zeros``, so no row depends on the
     batch a trial falls in.
     """
-    coeffs = [sample_coeffs(E, n, seed, trial) for trial in trials]
-    usable = [i for i, c in enumerate(coeffs) if _usable(c)]
-    out: list[ZeroSet | None] = [None] * len(coeffs)
-    solved = _zero_sets([Polynomial(coeffs[i], n) for i in usable])
-    for i, Z in zip(usable, solved):
-        if not isinstance(Z, ConvergenceError):
-            out[i] = Z
-    return out
-
-
-def _batch_cdf(args):
-    """(F on the grid, Weyl sums) of each trial of a batch, or (None, None)
-    where the trial fails."""
     E, n, seed, trials, t_grid, weyl_orders = args
-    out = []
-    for Z in _solve_trials(E, n, seed, trials):
-        if Z is None:
-            out.append((None, None))
-            continue
-        F = np.asarray(counting_fn(Z, t_grid), dtype=float)
-        out.append((F, [weyl_sum(Z, m) for m in weyl_orders]))
-    return out
+    coeffs = (sample_coeffs(E, n, seed, trial) for trial in trials)
+    kept = [Polynomial(c, n) for c in coeffs
+            if np.any(c) and np.all(np.isfinite(c))]
+    return [(counting_fn(Z, t_grid), [weyl_sum(Z, m) for m in weyl_orders])
+            for Z in _zero_sets(kept) if not isinstance(Z, ConvergenceError)]
 
 
 def _trial_rows(E: Ensemble, n: int, seed: int, trials: int, t_grid,
                 weyl_orders, workers: int) -> list:
-    """`_batch_cdf` of every trial, in trial order: the batches of
-    `_batches`, mapped over a process pool when workers > 1."""
+    """`_batch_rows` of every batch of `_batches`, in trial order, mapped
+    over a process pool when workers > 1."""
     jobs = [(E, n, seed, batch, t_grid, weyl_orders)
             for batch in _batches(n, trials, workers)]
     if workers > 1:
         # attribute access loads the pool machinery (multiprocessing) only here
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_batch_cdf, jobs))
+            parts = list(pool.map(_batch_rows, jobs))
     else:
-        parts = [_batch_cdf(j) for j in jobs]
+        parts = [_batch_rows(j) for j in jobs]
     return [r for part in parts for r in part]
 
 
@@ -335,33 +313,26 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
         raise DomainError("t grid needs at least one radius")
     weyl_orders = tuple(_weyl_order(m)
                         for m in _items(weyl_orders, "weyl orders"))
-    results = _trial_rows(E, n, seed, trials, t_grid, weyl_orders, workers)
-    rows = [F for F, _ in results if F is not None]
-    weyl_rows = [s for F, s in results if F is not None]
+    rows = _trial_rows(E, n, seed, trials, t_grid, weyl_orders, workers)
     used = len(rows)
-    failures = trials - used
     if used == 0:
         raise ConvergenceError("every trial failed", residual=float("nan"))
-    mat = np.vstack(rows)
+    mat = np.vstack([F for F, _ in rows])
     phi = mat.mean(axis=0)
     if used > 1:
         se = mat.std(axis=0, ddof=1) / math.sqrt(used)
     else:
         se = np.full(t_grid.shape, np.nan)
-    weyl_mean = tuple(
-        float(np.abs(np.mean([row[i] for row in weyl_rows])))
-        for i in range(len(weyl_orders))
-    )
-    weyl_abs = tuple(
-        float(np.mean([abs(row[i]) for row in weyl_rows]))
-        for i in range(len(weyl_orders))
-    )
+    # one column of Python complex values per order
+    sums = list(zip(*(s for _, s in rows)))
+    weyl_mean = tuple(float(np.abs(np.mean(col))) for col in sums)
+    weyl_abs = tuple(float(np.mean([abs(x) for x in col])) for col in sums)
     return MCReport(
         ensemble=E.descriptor(), n=int(n), seed=int(seed),
         t_grid=tuple(float(t) for t in t_grid),
         phi_hat=tuple(float(x) for x in phi),
         stderr=tuple(float(x) for x in se),
-        trials=int(trials), trials_used=used, failures=failures,
+        trials=int(trials), trials_used=used, failures=trials - used,
         weyl_orders=weyl_orders, weyl_mean_abs=weyl_mean,
         weyl_abs_mean=weyl_abs,
     )
@@ -406,8 +377,7 @@ def reversal_symmetry_check(E: Ensemble, n: int, t: float, trials: int,
     # band reaching down to 0 has nothing below it
     grid = np.array([t, np.nextafter(1.0 / t, 0.0), t + 1e-9,
                      np.nextafter(max(t - 1e-9, 0.0), 0.0)])
-    rows = [F for F, _ in _trial_rows(E, n, seed, trials, grid, (), 1)
-            if F is not None]
+    rows = [F for F, _ in _trial_rows(E, n, seed, trials, grid, (), 1)]
     used = len(rows)
     if used < 2:
         raise ConvergenceError("too few usable trials", residual=float("nan"))

@@ -37,8 +37,8 @@ def compactify(t):
 class RadialMeasure:
     """Nonnegative atoms on the compactified half line [0, inf].
 
-    Atoms are kept sorted by radius with exact duplicates merged, so at most
-    one atom sits at infinity.
+    There is at least one atom. Atoms are kept sorted by radius with exact
+    duplicates merged, so at most one atom sits at infinity.
     """
 
     radii: np.ndarray
@@ -52,6 +52,8 @@ class RadialMeasure:
             raise DomainError("atom weights must be numbers") from None
         if r.shape != w.shape or r.ndim != 1:
             raise DomainError("radii and weights must be matching vectors")
+        if len(r) == 0:
+            raise DomainError("a radial measure needs at least one atom")
         if not np.all((w > 0) & (w < np.inf)):
             raise DomainError("atom weights must be positive and finite")
         uniq, inverse = np.unique(r, return_inverse=True)
@@ -66,8 +68,7 @@ class RadialMeasure:
 
     @property
     def infinity_mass(self) -> float:
-        return float(self.weights[-1]) if len(self.radii) and math.isinf(
-            self.radii[-1]) else 0.0
+        return float(self.weights[-1]) if math.isinf(self.radii[-1]) else 0.0
 
     def cdf(self, t):
         """Mass at radii <= t; right-continuous in t."""
@@ -165,8 +166,6 @@ def _one_direction(jump_x: np.ndarray, jump_v: np.ndarray,
         iv = i[valid]
         cand = np.maximum(x[iv] - jump_x[valid], jump_v[valid] - F[iv])
         best[valid] = np.minimum(best[valid], cand)
-    if len(best) == 0:
-        return 0.0
     return max(0.0, float(np.max(best)))
 
 

@@ -31,8 +31,8 @@ _CHUNK = 128
 class ZeroSet:
     """Finite zeros plus an explicit multiplicity at infinity.
 
-    The finite multiset and the infinity count together account for exactly
-    ``formal_degree`` zeros.
+    The finite multiset and the nonnegative infinity count together account
+    for exactly ``formal_degree`` zeros; both counts are stored as ints.
     """
 
     finite_zeros: np.ndarray
@@ -41,11 +41,15 @@ class ZeroSet:
 
     def __post_init__(self):
         z = np.atleast_1d(_complex_array(self.finite_zeros, "finite zeros"))
-        object.__setattr__(self, "finite_zeros", z)
-        at_inf = _integer(self.infinity_count)
-        if len(z) + at_inf != _integer(self.formal_degree):
+        at_inf, n = _integer(self.infinity_count), _integer(self.formal_degree)
+        if at_inf < 0:
+            raise DomainError(f"negative infinity count {at_inf}")
+        if len(z) + at_inf != n:
             raise DomainError(f"{len(z)} finite zeros + {at_inf} at infinity "
-                              f"!= formal degree {self.formal_degree}")
+                              f"!= formal degree {n}")
+        object.__setattr__(self, "finite_zeros", z)
+        object.__setattr__(self, "infinity_count", at_inf)
+        object.__setattr__(self, "formal_degree", n)
 
 
 def sorted_moduli(Z: ZeroSet) -> np.ndarray:
@@ -301,8 +305,6 @@ def _sweeps(stack: _Stack) -> list:
     done = np.zeros(len(w), dtype=bool)
     for _ in range(_MAX_ITERS):
         act = np.nonzero(~done)[0]
-        if len(act) == 0:
-            break
         nu, absp, s = _newton_terms(stack, owner[act], w[act])
         ok = absp <= tol[act] * s
         done[act[ok]] = True

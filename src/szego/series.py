@@ -45,8 +45,8 @@ class Polynomial:
     """Dense coefficient vector with an explicit formal degree.
 
     ``coeffs[k]`` multiplies z^k. Trailing entries may be zero, so the actual
-    degree can be smaller than ``formal_degree``; the gap counts as zeros at
-    infinity downstream.
+    degree can be smaller than ``formal_degree``, stored as an int; the gap
+    counts as zeros at infinity downstream.
     """
 
     coeffs: np.ndarray
@@ -57,11 +57,11 @@ class Polynomial:
         object.__setattr__(self, "coeffs", c)
         if c.ndim != 1 or len(c) == 0:
             raise DomainError("coefficients must be a nonempty vector")
-        if self.formal_degree != len(c) - 1:
+        n = _integer(self.formal_degree)
+        if n != len(c) - 1:
             raise DomainError(
-                f"formal_degree {self.formal_degree} does not match "
-                f"{len(c)} coefficients"
-            )
+                f"formal_degree {n} does not match {len(c)} coefficients")
+        object.__setattr__(self, "formal_degree", n)
         if not np.all(np.isfinite(c)):
             raise DomainError("coefficients must be finite (no NaN or inf)")
 

@@ -269,8 +269,6 @@ def step(state: BuildState, phi: TargetMeasure) -> BuildState:
     coeffs = np.zeros(d_new + 1, dtype=np.complex128)
     coeffs[:len(state.P.coeffs)] = state.P.coeffs
     coeffs[:len(block)] += block
-    if not np.all(np.isfinite(coeffs)):
-        raise CoefficientOverflowError("combined coefficients overflowed")
     assert coeffs[N] == block[N]
     rec = StepReport(k=k, phi=phi, N=N, M=M, d=d_new, log_A=log_A)
     return BuildState(P=Polynomial(coeffs, d_new),

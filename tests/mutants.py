@@ -136,6 +136,69 @@ CATALOGUE = (
            "mags > _DROP_TOL * cmax", "mags > 0",
            ("test_roots.py",),
            "a coefficient 1e-300 below the largest is solved as nonzero"),
+    Mutant("forward limit 0", "src/szego/roots.py",
+           "np.array([math.exp((_LOG_MAX - 2.0 * math.log(d + 1)) / d)\n"
+           "                               for d in self.d.tolist()])",
+           "np.zeros(len(self.d))",
+           ("test_roots.py",),
+           "every point goes to the reversed table, even near the origin"),
+    Mutant("imaginary rows zeroed", "src/szego/series.py",
+           "np.concatenate([blocks.real, blocks.imag], axis=1)",
+           "np.concatenate([blocks.real, 0.0 * blocks.imag], axis=1)",
+           ("test_series.py",),
+           "complex coefficients lose their imaginary parts in Horner"),
+    Mutant("uniform starts", "src/szego/roots.py",
+           "angles = _GOLDEN_ANGLE * np.arange(d) + 0.4",
+           "angles = 2.0 * math.pi * np.arange(d) / d + 0.4",
+           ("test_roots.py",),
+           "dense flat edges stall or slow down without the golden spread"),
+    Mutant("stall isolation removed", "src/szego/roots.py",
+           "stalled = np.bincount(owner[~done], minlength=len(ds)) > 0",
+           "stalled = np.ones(len(ds), dtype=bool)",
+           ("test_roots.py",),
+           "one stalled core fails every core of its batch"),
+    Mutant("lone-vector shortcut removed", "src/szego/series.py",
+           "    if len(layout.vals) == 1:\n        return _horner(layout, z)\n",
+           "",
+           ("test_roots.py",),
+           "a one-vector layout pays for the scatter into a padded table"),
+    Mutant("batch finite filter", "src/szego/ensembles.py",
+           "if np.any(c) and np.all(np.isfinite(c))", "if np.any(c)",
+           ("test_ensembles.py",),
+           "a trial with a non-finite coefficient stops the whole run"),
+    Mutant("batch convergence filter", "src/szego/ensembles.py",
+           "for Z in _zero_sets(kept) if not isinstance(Z, ConvergenceError)]",
+           "for Z in _zero_sets(kept)]",
+           ("test_ensembles.py",),
+           "a stalled solve stops the whole run instead of counting"),
+    Mutant("negative infinity count", "src/szego/roots.py",
+           "if at_inf < 0:", "if False:",
+           ("test_roots.py", "test_package.py"),
+           "a negative count balances extra finite zeros"),
+    Mutant("formal degree read as given", "src/szego/series.py",
+           "n = _integer(self.formal_degree)", "n = self.formal_degree",
+           ("test_roots.py",),
+           "a float degree is stored and passed on to the zero set"),
+    Mutant("measure without atoms", "src/szego/measures.py",
+           "if len(r) == 0:", "if False:",
+           ("test_measures.py", "test_package.py"),
+           "an empty measure is accepted and its cdf raises IndexError"),
+    Mutant("annuli overlap audit", "src/szego/universal.py",
+           "if a + Fraction(a, M) > b - Fraction(b, M):", "if False:",
+           ("test_universal.py",),
+           "overlapping ring annuli pass the audit"),
+    Mutant("junk ratio audit", "src/szego/universal.py",
+           "if not k * (N + d_prev) < m * M:", "if False:",
+           ("test_universal.py",),
+           "a step with too many junk zeros passes the audit"),
+    Mutant("two-disk claim audit", "src/szego/universal.py",
+           "if np.any(claimed & hit):", "if False:",
+           ("test_universal.py",),
+           "one zero counts for a disk of two rings"),
+    Mutant("Levy audit bound", "src/szego/universal.py",
+           "if lv > 1.0 / k:", "if lv > 1.0:",
+           ("test_universal.py",),
+           "a section far from its target passes from step 2 on"),
 )
 
 

@@ -12,7 +12,7 @@ from szego import (ConvergenceError, DomainError, Polynomial, VerificationError,
                    bounds, bounds_report, cauchy_bound, entropy, find_zeros,
                    inner_cauchy_bound, inner_van_vleck_bound, jensen_identity,
                    parse_family, reversed_companion, section, van_vleck_bound,
-                   viete_checks, weak_jensen_check)
+                   viete_checks, weak_jensen_check, ZeroSet)
 
 
 def _poly_from_roots(roots):
@@ -437,6 +437,17 @@ def test_weak_jensen_holds():
     for T in (math.inf, math.nan, "x", None):
         with pytest.raises(DomainError):
             weak_jensen_check(P, Z, T)
+
+
+def test_weak_jensen_rejects_zeros_of_another_polynomial():
+    # (z - 1.1)(z - 1.2) puts little Jensen mass beyond the circle, while
+    # the zero set claims both zeros at 100
+    P = _poly_from_roots([1.1, 1.2])
+    Z = ZeroSet([100.0, 100.0], 0, 2)
+    with pytest.raises(VerificationError, match="weak Jensen"):
+        weak_jensen_check(P, Z, 2.0)
+    lhs, rhs = weak_jensen_check(P, find_zeros(P), 2.0)
+    assert lhs <= rhs
 
 
 def test_viete_product_and_inequalities():

@@ -475,6 +475,17 @@ def test_measure_rejects_a_nan_or_empty_t_grid(capsys, grid):
     _one_error_line(capsys, rc)
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "--family", "geometric", "--n", "8", "--t-grid", "abc"],
+    ["measure", "--family", "geometric", "--n", "8", "--t-grid", "0.5,abc"],
+    _RANDOM + ["--t-grid", "abc", "--workers", "2"],
+])
+def test_a_t_grid_of_text_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
+    assert "expected comma separated numbers" in _one_error_line(
+        capsys, main(argv))
+
+
 @pytest.mark.parametrize("option, value", [
     ("--t-grid", ",,"), ("--weyl-orders", ","),
 ])

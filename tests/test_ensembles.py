@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from szego import (DomainError, Ensemble, Polynomial, RandomSeries,
-                   SymmetryReport, as_ensemble, check_conditions, counting_fn,
-                   dyadic_empty_window_probe, find_zeros, gauge_and_index,
-                   mc_expected_cdf, path_root_limsup, reversal_symmetry_check,
-                   sample_coeffs, sample_log_abs)
+from szego import (ConvergenceError, DomainError, Ensemble, Polynomial,
+                   RandomSeries, SymmetryReport, as_ensemble, check_conditions,
+                   counting_fn, dyadic_empty_window_probe, find_zeros,
+                   gauge_and_index, mc_expected_cdf, path_root_limsup,
+                   reversal_symmetry_check, sample_coeffs, sample_log_abs,
+                   weyl_sum)
 from szego.ensembles import _KINDS
 
 GAUSS = Ensemble("gaussian_complex")
@@ -361,7 +362,7 @@ def test_random_path_horizons_reject_non_integers(monkeypatch, call, n, shift):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(ens, "_solve_trials", no_trial)
+    monkeypatch.setattr(ens, "_batch_rows", no_trial)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     with pytest.raises(DomainError):
         call(n + shift if shift == 0.5 else shift)
@@ -533,27 +534,73 @@ def test_reports_do_not_depend_on_the_batch_size(monkeypatch):
 
 
 def test_zero_sections_still_count_as_failures(monkeypatch):
-    # an all-zero section is left out of its batch and counted as a failure;
-    # the other trials of the batch keep their zeros
+    # an all-zero section gives no row and counts as a failure; the other
+    # trials of the batch keep the rows of their solo zeros, bit for bit
     import szego.ensembles as ens
 
+    grid, orders = np.array([0.9, 1.0, 1.1]), (1, 3)
     solo = [find_zeros(Polynomial(sample_coeffs(GAUSS, 16, 2, t), 16))
-            for t in range(12)]
+            for t in range(12) if t % 4 != 1]
+    want = [(counting_fn(Z, grid), [weyl_sum(Z, m) for m in orders])
+            for Z in solo]
+    _keep_trials(monkeypatch, lambda trial: trial % 4 != 1)
+    rep = mc_expected_cdf(GAUSS, 16, [1.0], trials=12, seed=2)
+    assert (rep.trials_used, rep.failures) == (9, 3)
+    got = ens._batch_rows((GAUSS, 16, 2, range(12), grid, orders))
+    assert len(got) == len(want)
+    for (F, sums), (F_ref, sums_ref) in zip(got, want):
+        assert F.tobytes() == F_ref.tobytes()
+        assert sums == sums_ref
+
+
+def _keep_trials(monkeypatch, keep):
+    """Zero the sampled section of every trial that ``keep`` rejects."""
+    import szego.ensembles as ens
+
     real = ens.sample_coeffs
 
     def zeroed(E, n, seed, trial=0):
         c = real(E, n, seed, trial)
-        return c * 0.0 if trial % 4 == 1 else c
+        return c if keep(trial) else c * 0.0
 
     monkeypatch.setattr(ens, "sample_coeffs", zeroed)
+
+
+def test_every_trial_failing_raises(monkeypatch):
+    _keep_trials(monkeypatch, lambda trial: False)
+    with pytest.raises(ConvergenceError, match="every trial failed"):
+        mc_expected_cdf(GAUSS, 16, [1.0], trials=10, seed=2)
+
+
+def test_one_usable_trial_has_no_stderr(monkeypatch):
+    Z = find_zeros(Polynomial(sample_coeffs(GAUSS, 16, 2, 3), 16))
+    _keep_trials(monkeypatch, lambda trial: trial == 3)
+    rep = mc_expected_cdf(GAUSS, 16, [0.9, 1.1], trials=10, seed=2,
+                          weyl_orders=(1,))
+    assert (rep.trials_used, rep.failures) == (1, 9)
+    assert rep.phi_hat == tuple(counting_fn(Z, [0.9, 1.1]).tolist())
+    assert all(math.isnan(x) for x in rep.stderr)
+    assert rep.weyl_abs_mean == (abs(weyl_sum(Z, 1)),)
+    with pytest.raises(ConvergenceError, match="too few usable trials"):
+        reversal_symmetry_check(GAUSS, 16, 0.9, trials=10, seed=2)
+
+
+def test_unconverged_solves_count_as_failures(monkeypatch):
+    # a core whose solve stalls gives no row; the rest of its batch counts
+    import szego.ensembles as ens
+
+    real = ens._zero_sets
+
+    def stalled(polys):
+        out = real(polys)
+        out[1] = ConvergenceError("stalled", residual=1.0)
+        return out
+
+    monkeypatch.setattr(ens, "_zero_sets", stalled)
     rep = mc_expected_cdf(GAUSS, 16, [1.0], trials=12, seed=2)
-    assert (rep.trials_used, rep.failures) == (9, 3)
-    got = ens._solve_trials(GAUSS, 16, 2, range(12))
-    for t, (Z, ref) in enumerate(zip(got, solo)):
-        if t % 4 == 1:
-            assert Z is None
-        else:
-            assert Z.finite_zeros.tobytes() == ref.finite_zeros.tobytes()
+    assert (rep.trials_used, rep.failures) == (11, 1)
+    sym = reversal_symmetry_check(GAUSS, 16, 0.9, trials=12, seed=2)
+    assert (sym.trials_used, sym.failures) == (11, 1)
 
 
 def test_mc_memory_does_not_grow_with_trials():

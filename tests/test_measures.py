@@ -228,6 +228,19 @@ def test_weyl_sum_stays_in_the_unit_disk_at_huge_orders(m):
     assert np.isfinite(s) and abs(s) <= 1.0
 
 
+def test_weyl_sum_is_zero_without_finite_nonzero_zeros():
+    Z = ZeroSet([0, 0], 1, 3)
+    assert weyl_sum(Z, 1) == 0j and type(weyl_sum(Z, 1)) is complex
+
+
+def test_radial_measure_needs_an_atom():
+    # an empty measure used to pass, and its cdf raised IndexError
+    with pytest.raises(DomainError, match="at least one atom"):
+        RadialMeasure([], [])
+    assert RadialMeasure([2.0], [1.0]).infinity_mass == 0.0
+    assert RadialMeasure([2.0, np.inf], [0.25, 0.75]).infinity_mass == 0.75
+
+
 def test_weyl_sum_roots_of_unity_cancel():
     # full sets of roots of unity average to zero for m not divisible by n
     n = 8

@@ -191,14 +191,43 @@ def test_mutation_catalogue_matches_the_sources(monkeypatch):
     lambda: szego.cycle_targets([5], 2),
     lambda: szego.load_explicit_csv(ROOT / "tests" / "no such file.csv"),
     lambda: szego.load_explicit_csv(ROOT / "tests"),
+    lambda: szego.ZeroSet([1, 2, 3], -1, 2),
+    lambda: szego.RadialMeasure([], []),
+    lambda: szego.cauchy_bound(szego.Polynomial([0, 0], 1)),
+    lambda: szego.jensen_identity(szego.Polynomial([2, 1], 1),
+                                  szego.ZeroSet([-2], 0, 1), quad_points=0),
+    lambda: szego.weak_jensen_check(szego.Polynomial([1], 0),
+                                    szego.ZeroSet([], 0, 0), 2.0),
+    lambda: szego.counting_fn(szego.ZeroSet([], 0, 0), 1.0),
+    lambda: szego.as_ensemble("?"),
+    lambda: szego.Ensemble("bernoulli"),
+    lambda: szego.mc_expected_cdf("gaussian_complex", 8, [], 10, 0),
+    lambda: szego.dyadic_empty_window_probe("gaussian_complex", 0.5, 1, 0),
+    lambda: szego.coeff_root_range(szego.Geometric(), 63),
+    lambda: szego.InverseOneMinusZN(0),
+    lambda: szego.Explicit([]),
+    lambda: szego.carlson_indices(2, 10),
+    lambda: szego.choose_N(szego.TargetMeasure.of(3), 0, 0, 0.0),
+    lambda: szego.choose_N(szego.TargetMeasure.of(3), 1, -1, 0.0),
+    lambda: szego.choose_M(szego.TargetMeasure.of(3), 0, 1, 0),
+    lambda: szego.choose_M(szego.TargetMeasure.of(3), 1, 1, -1),
+    lambda: szego.cycle_targets([[3]], 0),
+    lambda: szego.cycle_targets([], 2),
 ], ids=["polynomial coeffs", "zero set zeros", "zero set count",
         "target radii", "bounds m values", "gamma grid", "weyl orders",
         "explicit coeffs", "zero-one indices", "rational numerator",
         "target radius list", "universal targets", "cycled targets",
         "universal target radii", "cycled target radii", "missing csv",
-        "csv directory"])
+        "csv directory", "negative infinity count", "measure without atoms",
+        "cauchy bound of zero", "no quadrature points",
+        "weak jensen at degree 0", "counting at degree 0",
+        "ensemble descriptor", "ensemble parameter missing", "empty t grid",
+        "dyadic probe below 2", "root range below 64", "inverse N 0",
+        "empty explicit list", "carlson t above 1", "choose_N step 0",
+        "choose_N negative index", "choose_M step 0",
+        "choose_M negative index", "no cycled steps", "empty cycle base"])
 def test_malformed_arguments_raise_domain_error(call):
-    # a text where a number is expected, a number where a list is, or a
-    # path that names no readable file
+    # a text where a number is expected, a number where a list is, a value
+    # outside its range, or a path that names no readable file
     with pytest.raises(szego.DomainError):
         call()

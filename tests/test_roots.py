@@ -819,6 +819,32 @@ def test_zero_set_count_validation():
         ZeroSet(np.array([1.0 + 0j]), 1, 3)  # 1 + 1 != 3 + ... mismatch
 
 
+def test_negative_infinity_count_is_rejected():
+    # three finite zeros less one at infinity would sum to degree 2, and a
+    # negative count then breaks the moduli and the Viete sums downstream
+    from szego import ZeroSet
+
+    with pytest.raises(DomainError, match="infinity count"):
+        ZeroSet([1, 2, 3], -1, 2)
+
+
+def test_degrees_are_read_exactly_and_stored_as_ints():
+    from szego import ZeroSet
+
+    for degree in (1.0, "1", np.int64(1)):
+        P = Polynomial([1, 2], degree)
+        assert type(P.formal_degree) is int and P.formal_degree == 1
+        Z = find_zeros(P)
+        assert type(Z.formal_degree) is int and Z.formal_degree == 1
+    Z = ZeroSet([1], 1.0, "2")
+    assert type(Z.infinity_count) is int and Z.infinity_count == 1
+    assert type(Z.formal_degree) is int and Z.formal_degree == 2
+    for bad in (1.5, "x"):
+        # not "formal_degree 1.5 does not match 2 coefficients"
+        with pytest.raises(DomainError, match="expected a"):
+            Polynomial([1, 2], bad)
+
+
 def _double_loop_sums(w, rows):
     """Reference pair sums in Python complex arithmetic, each term listed."""
     out = []

@@ -401,6 +401,12 @@ def test_rational_reproduces_geometric():
     assert np.allclose(s.values(12), np.ones(13))
 
 
+def test_rational_reads_an_empty_numerator_as_zero():
+    s = Rational([], [1, -1])
+    assert s.numerator == (0j,)
+    assert not np.any(s.values(6))
+
+
 def test_rational_alternating_and_shifted():
     s = Rational([1], [1, 0, -1])  # 1/(1 - z^2)
     v = s.values(9)

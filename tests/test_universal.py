@@ -377,6 +377,54 @@ def test_ring_audit_matches_distance_matrix_on_perturbed_zeros(
     assert _audit(monkeypatch, state, bad) == expect
 
 
+def _fabricated(radii, k, N, M, zeros=None):
+    """A build state whose one record is step k toward the given radii,
+    with a section of index N + m M, and that section's zeros when given:
+    the finite ones, the rest at infinity."""
+    phi = TargetMeasure.of(*radii)
+    d = N + phi.m * M
+    rec = szego.StepReport(k=k, phi=phi, N=N, M=M, d=d, log_A=0.0)
+    state = szego.BuildState(P=_poly(np.ones(d + 1)), records=(rec,))
+    if zeros is None:
+        return state, None
+    zeros = np.asarray(zeros, dtype=np.complex128)
+    return state, ZeroSet(zeros, d - len(zeros), d)
+
+
+def test_verify_step_rejects_overlapping_annuli(monkeypatch):
+    # 3/2 (1 + 1/2) = 9/4 reaches past 8/5 (1 - 1/2) = 4/5
+    state, _ = _fabricated(["3/2", "8/5"], k=1, N=1, M=2)
+    assert _audit(monkeypatch, state, None) == "ring annuli overlap radially"
+
+
+def test_verify_step_rejects_the_junk_ratio(monkeypatch):
+    # k (N + d_prev) = 5 is not below m M = 2
+    state, _ = _fabricated(["3"], k=1, N=5, M=2)
+    assert _audit(monkeypatch, state, None) == "junk ratio condition failed"
+
+
+def test_verify_step_rejects_a_zero_in_two_ring_disks(monkeypatch):
+    # the annuli of 3/2 and 9/4 touch at 9/5 when M = 5, so a zero there
+    # sits in the first disk of both rings and every disk holds one zero
+    eta = np.exp(2j * np.pi * np.arange(1, 5) / 5)
+    zeros = np.concatenate([[1.8], 1.5 * eta, 2.25 * eta])
+    state, Z = _fabricated(["3/2", "9/4"], k=1, N=1, M=5, zeros=zeros)
+    assert _audit(monkeypatch, state, Z) == \
+        "a zero was claimed by two ring disks"
+
+
+def test_verify_step_rejects_a_section_far_from_its_target(monkeypatch):
+    # one zero per disk, each near its disk's edge: moduli 1.6 and 44
+    # against the target's 3 and 30 put the measures about 0.13 apart in
+    # Levy distance, above 1/k = 1/10
+    eta = np.exp(2j * np.pi * np.arange(2) / 2)
+    state, Z = _fabricated(["3", "30"], k=10, N=0, M=2,
+                           zeros=np.concatenate([1.6 * eta, 44 * eta]))
+    message = _audit(monkeypatch, state, Z)
+    assert message.startswith("section measure is 0.1") and \
+        message.endswith("from the target, above 1/10")
+
+
 def test_ring_audit_memory_is_linear_in_the_degree(monkeypatch, audited_steps):
     # d = 4611 zeros against M = 3689 centers: a distance matrix would take
     # over 200 MB, one distance per zero about 75 kB
