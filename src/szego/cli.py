@@ -15,9 +15,10 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import os
 import sys
 from itertools import groupby
+
+import numpy as np
 
 from . import __version__
 from .bounds import bounds_report
@@ -70,21 +71,6 @@ def _json_doc(config: dict, payload: dict) -> str:
     doc = {"version": __version__, "config": config}
     doc.update(payload)
     return json.dumps(doc, indent=2)
-
-
-def _workers(args) -> int:
-    """``--workers`` if given, else ``SZEGO_WORKERS``, else 1."""
-    if args.workers is not None:
-        return args.workers
-    raw = os.environ.get("SZEGO_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise DomainError(
-            f"SZEGO_WORKERS must be a positive integer, got {raw!r}")
-    return workers
 
 
 def _check_limits(args) -> None:
@@ -151,14 +137,13 @@ def _cmd_random(args) -> str:
     if orders and args.format == "csv":
         # the CSV table has one row per t and no column for the Weyl sums
         raise DomainError("--weyl-orders needs --format json")
-    workers = _workers(args)
     report = mc_expected_cdf(E, args.n, ts, args.trials, args.seed,
-                             weyl_orders=orders, workers=workers)
+                             weyl_orders=orders, workers=args.workers)
     payload = report.to_dict()
     payload["conditions"] = dataclasses.asdict(check_conditions(E))
     config = {"command": "random", "ensemble": E.descriptor(), "n": args.n,
               "trials": args.trials, "seed": args.seed,
-              "workers": workers}
+              "workers": args.workers}
     if args.format == "csv":
         lines = ["t,phi_hat,stderr"]
         for t, p, s in zip(report.t_grid, report.phi_hat, report.stderr):
@@ -175,7 +160,7 @@ def _cmd_universal(args) -> str:
     payload = {
         "steps": [r.to_dict() for r in reports],
         "final_section_index": state.d,
-        "final_degree": len(state.P.coeffs) - 1,
+        "final_degree": int(np.flatnonzero(state.P.coeffs)[-1]),
     }
     config = {"command": "universal", "targets": args.targets,
               "steps": len(targets), "verify": not args.no_verify}
@@ -226,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--t-grid", default=None)
     sp.add_argument("--weyl-orders", default=None)
-    sp.add_argument("--workers", type=int, default=None,
-                    help="worker processes (default: SZEGO_WORKERS, else 1)")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_random)
 

@@ -75,7 +75,7 @@ class RadialMeasure:
         t = _check_radii(t)
         cum = np.cumsum(self.weights)
         idx = np.searchsorted(self.radii, t, side="right")
-        out = np.where(idx > 0, cum[np.minimum(idx, len(cum)) - 1], 0.0)
+        out = np.where(idx > 0, cum[idx - 1], 0.0)
         return out if out.shape else float(out)
 
 
@@ -209,8 +209,6 @@ def weyl_sum(Z: ZeroSet, m: int) -> complex:
     n = _formal_degree(Z, "weyl sum")
     w = Z.finite_zeros
     theta = np.angle(w[np.abs(w) > 0])
-    if len(theta) == 0:
-        return 0j
     return complex(np.sum(np.exp(-1j * (m * theta))) / n)
 
 

@@ -88,6 +88,18 @@ CATALOGUE = (
            " or Z.infinity_count or not np.all(moduli):", ":",
            ("test_bounds.py",),
            "a zero at 0 or infinity makes the identity's lhs infinite"),
+    Mutant("Jensen nodes stuck at 4096", "src/szego/bounds.py",
+           "            nodes *= 2\n", "            break\n",
+           ("test_bounds.py",),
+           "zeros near the circle get the same nodes as zeros far from it"),
+    Mutant("Jensen cap warning removed", "src/szego/bounds.py",
+           "if bound > target:", "if False:",
+           ("test_bounds.py",),
+           "an rhs off by more than the target is returned without a word"),
+    Mutant("Jensen bound left out of the weak slack", "src/szego/bounds.py",
+           "lhs > rhs + bound / n + 1e-9", "lhs > rhs + 1e-9",
+           ("test_bounds.py",),
+           "the quadrature's own error reads as a violated inequality"),
     Mutant("CSV error mapping", "src/szego/series.py",
            "except (OSError, UnicodeDecodeError) as exc:",
            "except () as exc:",
@@ -162,6 +174,30 @@ CATALOGUE = (
            "",
            ("test_roots.py",),
            "a one-vector layout pays for the scatter into a padded table"),
+    Mutant("gauge level fold", "src/szego/gauge.py",
+           "best[j] = np.minimum(best[j], np.min(tops / n))",
+           "best[j] = np.min(tops / n)",
+           ("test_gauge.py",),
+           "each window level overwrites the minimum of the shorter ones"),
+    Mutant("stack alignment", "src/szego/series.py",
+           "row[: len(c)] = c if cplx else c.real",
+           "row[-len(c):] = c if cplx else c.real",
+           ("test_roots.py",),
+           "a shorter vector of a stack is shifted up to the longest one"),
+    Mutant("symmetry inside columns swapped", "src/szego/ensembles.py",
+           "inside, inside_inverse, above, below = np.array(rows).T",
+           "inside_inverse, inside, above, below = np.array(rows).T",
+           ("test_ensembles.py",),
+           "F(t) and F(1/t) trade places in the reversal check"),
+    Mutant("symmetry band columns swapped", "src/szego/ensembles.py",
+           "inside, inside_inverse, above, below = np.array(rows).T",
+           "inside, inside_inverse, below, above = np.array(rows).T",
+           ("test_ensembles.py",),
+           "the boundary band reads its lower edge as its upper one"),
+    Mutant("reversed layout rebuilt per call", "src/szego/roots.py",
+           "if stack.rev is None:", "if True:",
+           ("test_roots.py",),
+           "every crossing sweep builds the reversed table again"),
     Mutant("batch finite filter", "src/szego/ensembles.py",
            "if np.any(c) and np.all(np.isfinite(c))", "if np.any(c)",
            ("test_ensembles.py",),

@@ -116,12 +116,12 @@ def test_criterion_02_jensen_identity_and_inequality():
                 gap = float(np.min(np.abs(np.abs(Z.finite_zeros) - 1.0)))
                 if gap >= 1.5e-3:
                     break
-            lhs, rhs = jensen_identity(P, Z, quad_points=2 ** 14)
+            lhs, rhs = jensen_identity(P, Z)
             rel = abs(lhs - rhs) / (1.0 + abs(lhs))
             worst_rel = max(worst_rel, rel)
             c.check(rel <= 1e-6, f"identity error {rel:.2e} above 1e-6")
             for T in (1.1, 2.0, 10.0):
-                wl, wr = weak_jensen_check(P, Z, T, quad_points=2 ** 14)
+                wl, wr = weak_jensen_check(P, Z, T)
                 min_margin = min(min_margin, wr - wl)
                 c.check(wl <= wr + 1e-9,
                         f"tail inequality failed at T={T}")

@@ -149,6 +149,23 @@ def test_universal_json(capsys):
     assert doc["final_section_index"] == 26
 
 
+@pytest.mark.parametrize("targets, degree, index", [
+    ('[["3/2","2"],["3"]]', 227, 253),
+    ('[["3"],["4"],["3"],["6/5"]]', 4190, 4611),
+])
+def test_universal_final_degree_counts_the_finite_zeros(capsys, targets,
+                                                        degree, index):
+    # from step 2 on the running polynomial is padded past its top
+    # nonzero coefficient, so its degree falls below the section index
+    rc, out = _run(capsys, ["universal", "--targets", targets, "--no-verify"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["final_degree"], doc["final_section_index"]) == (degree, index)
+    state, _ = szego.build_universal(szego.parse_targets(targets),
+                                     verify=False)
+    assert len(szego.find_zeros(state.P).finite_zeros) == degree < state.d
+
+
 def test_universal_no_verify_never_solves(capsys, monkeypatch):
     # --no-verify skips the audit: no section is solved, and the steps are
     # the unaudited records, whose audit fields print as NaN
@@ -387,21 +404,17 @@ _RANDOM = ["random", "--ensemble", "gaussian_complex", "--n", "8",
            "--trials", "10"]
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_random_rejects_a_bad_szego_workers(capsys, monkeypatch, value):
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", "3"])
+def test_random_ignores_szego_workers(capsys, monkeypatch, value):
+    # --workers is the one route to the worker count
     monkeypatch.setenv("SZEGO_WORKERS", value)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
-    assert "SZEGO_WORKERS" in _one_error_line(capsys, main(_RANDOM))
-
-
-def test_szego_workers_is_read_by_random_only(capsys, monkeypatch):
-    monkeypatch.setenv("SZEGO_WORKERS", "abc")
-    assert _run(capsys, ["zeros", "--family", "geometric", "--n", "3"])[0] == 0
-    # an explicit --workers wins over the environment
-    rc, out = _run(capsys, _RANDOM + ["--workers", "1"])
+    rc, out = _run(capsys, _RANDOM)
     assert rc == 0
     assert json.loads(out)["config"]["workers"] == 1
-    monkeypatch.setenv("SZEGO_WORKERS", "3")
+
+
+def test_workers_option_reaches_mc_expected_cdf(capsys, monkeypatch):
     real = cli.mc_expected_cdf
     seen = []
 
@@ -410,7 +423,7 @@ def test_szego_workers_is_read_by_random_only(capsys, monkeypatch):
         return real(*args, workers=1, **kwargs)
 
     monkeypatch.setattr(cli, "mc_expected_cdf", spy)
-    rc, out = _run(capsys, _RANDOM)
+    rc, out = _run(capsys, _RANDOM + ["--workers", "3"])
     assert rc == 0
     assert seen == [3]
     assert json.loads(out)["config"]["workers"] == 3

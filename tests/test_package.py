@@ -169,7 +169,7 @@ def test_mutation_catalogue_matches_the_sources(monkeypatch):
     monkeypatch.setitem(sys.modules, "mutants", mutants)  # for @dataclass
     spec.loader.exec_module(mutants)
     assert mutants.catalogue_faults() == []
-    assert len(mutants.CATALOGUE) >= 12
+    assert len(mutants.CATALOGUE) >= 40
 
 
 @pytest.mark.parametrize("call", [
@@ -177,7 +177,6 @@ def test_mutation_catalogue_matches_the_sources(monkeypatch):
     lambda: szego.ZeroSet(["x"], 0, 1),
     lambda: szego.ZeroSet([1], "a", 1),
     lambda: szego.TargetMeasure(("x",)),
-    lambda: szego.bounds_report(szego.Polynomial([1, 1, 1], 2), 5),
     lambda: szego.gauge_and_index(szego.Geometric(), 0.5),
     lambda: szego.mc_expected_cdf("gaussian_complex", 8, [1.0], 10, 0,
                                   weyl_orders=5),
@@ -194,8 +193,6 @@ def test_mutation_catalogue_matches_the_sources(monkeypatch):
     lambda: szego.ZeroSet([1, 2, 3], -1, 2),
     lambda: szego.RadialMeasure([], []),
     lambda: szego.cauchy_bound(szego.Polynomial([0, 0], 1)),
-    lambda: szego.jensen_identity(szego.Polynomial([2, 1], 1),
-                                  szego.ZeroSet([-2], 0, 1), quad_points=0),
     lambda: szego.weak_jensen_check(szego.Polynomial([1], 0),
                                     szego.ZeroSet([], 0, 0), 2.0),
     lambda: szego.counting_fn(szego.ZeroSet([], 0, 0), 1.0),
@@ -214,12 +211,12 @@ def test_mutation_catalogue_matches_the_sources(monkeypatch):
     lambda: szego.cycle_targets([[3]], 0),
     lambda: szego.cycle_targets([], 2),
 ], ids=["polynomial coeffs", "zero set zeros", "zero set count",
-        "target radii", "bounds m values", "gamma grid", "weyl orders",
+        "target radii", "gamma grid", "weyl orders",
         "explicit coeffs", "zero-one indices", "rational numerator",
         "target radius list", "universal targets", "cycled targets",
         "universal target radii", "cycled target radii", "missing csv",
         "csv directory", "negative infinity count", "measure without atoms",
-        "cauchy bound of zero", "no quadrature points",
+        "cauchy bound of zero",
         "weak jensen at degree 0", "counting at degree 0",
         "ensemble descriptor", "ensemble parameter missing", "empty t grid",
         "dyadic probe below 2", "root range below 64", "inverse N 0",
