@@ -25,6 +25,16 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _LOG_EPS = math.log(sys.float_info.epsilon)
 _MAX_ITERS = 600
 _CHUNK = 128
+#: cores of this degree and above take the far-field pair sums: the least
+#: measured degree (1024, 1536, 2048, ...) at which they took at most 3/4
+#: of the triangle's time per solve, on geometric and Gaussian sections
+_FAR_DEGREE = 1536
+#: a block is far from a target more than this many block radii away
+_FAR_ETA = 4.0
+#: terms of a far expansion: eta^-p (eta + 1) / (eta - 1) <= eps
+_FAR_TERMS = math.ceil(
+    math.log((_FAR_ETA + 1) / ((_FAR_ETA - 1) * sys.float_info.epsilon))
+    / math.log(_FAR_ETA))
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +358,14 @@ def _sweeps(stack: _Stack) -> list:
 def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """sum_j 1/(w_i - w_j) for i in rows, j over all other roots.
 
-    Up to _CHUNK rows are one block against every point. More rows go
-    through ``_triangle_sums``, which forms each pair with an active end
-    once. A row whose sum comes out non-finite (two coincident points, in
-    one block or in two) is summed again with each exact zero difference
-    nudged to 1e-12.
+    Up to _CHUNK rows are one block against every point, on any core.
+    More rows of a core of degree N = len(w) >= _FAR_DEGREE go through
+    ``_far_sums``, which sums far blocks of points by their moments; more
+    rows of a smaller core go through ``_triangle_sums``, which forms each
+    pair with an active end once. The path depends on the core alone, so
+    a core's sums are the same in any batch. A row whose sum comes out
+    non-finite (two coincident points, in one block or in two) is summed
+    again with each exact zero difference nudged to 1e-12.
     """
     m, N = len(rows), len(w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -361,6 +374,8 @@ def _pair_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
             diff = np.subtract.outer(w[rows], w)
             diff[np.arange(m), rows] = np.inf
             out = np.reciprocal(diff, out=diff).sum(axis=1)
+        elif N >= _FAR_DEGREE:
+            out = _far_sums(w, rows)
         else:
             out = _triangle_sums(w, rows)
         for i in np.nonzero(~np.isfinite(out))[0]:
@@ -414,3 +429,115 @@ def _triangle_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     pos[order] = np.arange(N)
     return sums[pos[rows]]
 
+
+def _far_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_pair_sums`` with the blocks far from a target summed by their
+    moments: a one-level far field (Greengard & Rokhlin, J. Comput. Phys.
+    73, 1987).
+
+    Blocks. Let S = round(sqrt(N / 2)). The points are cut into shells
+    where their sorted log-moduli jump by more than pi / S, the half-width
+    of an angle block on the unit circle, so a block never spans two rings
+    far apart; a solve near one circle is one shell. Each shell of n points
+    is sorted by angle, ties by index, and cut into round(sqrt(n / 2))
+    blocks of consecutive points. Block b has the centroid c, the radius
+    R = max |w_j - c| and the scaled moments M_k = sum_j ((w_j - c) / R)^k
+    (R = 1 in M_k and t below for a block of coincident points).
+
+    Far blocks. Block b is near every target of block a when
+    |c_a - c_b| - R_a <= eta R_b, eta = _FAR_ETA. Otherwise
+    |z - c_b| > eta R_b at every target z of block a, and with
+    t = R_b / (z - c_b)
+
+        sum_j 1 / (z - w_j) = (t / R_b) sum_k M_k t^k,
+
+    evaluated by Horner in t over p = _FAR_TERMS terms. Each point's term
+    is a geometric series in u = (w_j - c) / (z - c), |u| < 1/eta, so
+    cutting it after p terms errs by at most
+    eta^-p (eta + 1) / (eta - 1) |1 / (z - w_j)|, and p is the least
+    count that makes this factor at most eps: the truncation is at most
+    eps * sum_j |1 / (z - w_j)| (p = 27 at eta = 4).
+
+    Near blocks, the target's own included, are summed directly, without
+    the self pair. On one circle a target has about eta + 1 near blocks of
+    sqrt(2 N) points and S far ones of p terms each, and S balances the
+    two: at N = 4096 the differences formed are under N^2 / 4.
+
+    Targets are taken in row blocks, and every block of differences and
+    terms is written into one buffer of _CHUNK * N entries allocated per
+    call. The order depends on the points and the set of rows only, so
+    shuffling ``rows`` only permutes the results, and no BLAS call is made.
+    """
+    m, N = len(rows), len(w)
+    # shells: runs of the sorted log-moduli with no gap above pi / S
+    lm = np.log(np.abs(w))
+    by_mod = np.argsort(lm, kind="stable")
+    jumps = np.diff(lm[by_mod]) > math.pi / round(math.sqrt(N / 2))
+    shell = np.empty(N, dtype=np.intp)
+    shell[by_mod] = np.concatenate([[0], np.cumsum(jumps)])
+    order = np.lexsort((np.angle(w), shell))
+    v = w[order]
+    pos = np.empty(N, dtype=np.intp)
+    pos[order] = np.arange(N)
+    # the targets, as places in v
+    tpos = np.sort(pos[rows])
+    z = v[tpos]
+    # round(sqrt(n / 2)) blocks of consecutive points in a shell of n
+    sizes = np.bincount(shell)
+    per = np.maximum(1, np.rint(np.sqrt(sizes / 2))).astype(np.intp)
+    of = np.repeat(np.arange(len(sizes)), per)
+    rank = np.arange(len(of)) - np.repeat(np.cumsum(per) - per, per)
+    edges = np.append(
+        (np.cumsum(sizes) - sizes)[of] + rank * sizes[of] // per[of], N)
+    S = len(of)
+    counts = np.diff(edges)
+    # the blocks as the rows of a table, padded with points of weight 0
+    at = edges[:-1, None] + np.arange(int(counts.max()))
+    live = at < edges[1:, None]
+    table = v[np.minimum(at, N - 1)]
+    c = np.where(live, table, 0.0).sum(axis=1) / counts
+    dev = np.where(live, table - c[:, None], 0.0)
+    R = np.abs(dev).max(axis=1)
+    scale = np.where(R > 0.0, R, 1.0)
+    # moments[k] = M_k / R, the 1 / R of the expansion taken in
+    u = dev / scale[:, None]
+    power = (live / scale[:, None]).astype(np.complex128)
+    moments = np.empty((_FAR_TERMS, S), dtype=np.complex128)
+    moments[0] = power.sum(axis=1)
+    for k in range(1, _FAR_TERMS):
+        power *= u
+        moments[k] = power.sum(axis=1)
+    near = np.abs(np.subtract.outer(c, c)) - R[:, None] <= _FAR_ETA * R
+    own = np.searchsorted(edges, tpos, side="right") - 1
+    sums = np.empty(m, dtype=np.complex128)
+    buf = np.empty(_CHUNK * N, dtype=np.complex128)
+    half = len(buf) // 2
+    step = max(1, half // (2 * S))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        t = buf[: (hi - lo) * S].reshape(hi - lo, S)
+        acc = buf[(hi - lo) * S: 2 * (hi - lo) * S].reshape(hi - lo, S)
+        np.subtract.outer(z[lo:hi], c, out=acc)
+        np.divide(scale, acc, out=t)
+        # a near block adds nothing here
+        t[near[own[lo:hi]]] = 0.0
+        acc[:] = moments[-1]
+        for k in range(_FAR_TERMS - 2, -1, -1):
+            acc *= t
+            acc += moments[k]
+        acc *= t
+        acc.sum(axis=1, out=sums[lo:hi])
+    first = np.searchsorted(tpos, edges)
+    for a in np.flatnonzero(first[1:] > first[:-1]).tolist():
+        lo, hi = first[a], first[a + 1]
+        cols = np.flatnonzero(np.repeat(near[a], counts))
+        # block a is near itself, so each of its targets meets itself here
+        mine = np.searchsorted(cols, tpos[lo:hi])
+        step = max(1, half // len(cols))
+        for i in range(0, hi - lo, step):
+            j = min(i + step, hi - lo)
+            diff = buf[half: half + (j - i) * len(cols)].reshape(j - i, -1)
+            np.subtract.outer(z[lo + i: lo + j], v[cols], out=diff)
+            diff[np.arange(j - i), mine[i:j]] = np.inf
+            sums[lo + i: lo + j] += np.reciprocal(diff, out=diff).sum(axis=1)
+    return sums[np.searchsorted(tpos, pos[rows])]

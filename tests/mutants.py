@@ -174,6 +174,29 @@ CATALOGUE = (
            "",
            ("test_roots.py",),
            "a one-vector layout pays for the scatter into a padded table"),
+    Mutant("one reversed call per crossing core", "src/szego/roots.py",
+           "q, dq, s[outer] = _horner_rows(stack.rev, to, v)",
+           "q, dq, s[outer] = map(np.concatenate, zip(*(\n"
+           "            _horner_rows(stack.rev, to[to == t], v[to == t])\n"
+           "            for t in np.unique(to).tolist())))",
+           ("test_roots.py",),
+           "every crossing core pays for its own reversed Horner call"),
+    Mutant("scatter columns reversed", "src/szego/series.py",
+           "table[tr, col] = z", "table[tr, col[::-1]] = z",
+           ("test_roots.py",),
+           "ragged points land in another point's column of the table"),
+    Mutant("far-field zone widened to 1.2 block radii", "src/szego/roots.py",
+           "- R[:, None] <= _FAR_ETA * R", "- R[:, None] <= 1.2 * R",
+           ("test_roots.py",),
+           "a block 1.2 radii away needs far more terms than p"),
+    Mutant("far-field terms halved", "src/szego/roots.py",
+           "    / math.log(_FAR_ETA))", "    / math.log(_FAR_ETA)) // 2",
+           ("test_roots.py",),
+           "half the terms leave a truncation of about eta^(-p/2)"),
+    Mutant("self pair kept in the near sums", "src/szego/roots.py",
+           "            diff[np.arange(j - i), mine[i:j]] = np.inf\n", "",
+           ("test_roots.py",),
+           "every row meets a zero difference and is summed again"),
     Mutant("gauge level fold", "src/szego/gauge.py",
            "best[j] = np.minimum(best[j], np.min(tops / n))",
            "best[j] = np.min(tops / n)",

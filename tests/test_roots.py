@@ -979,6 +979,129 @@ def test_pair_sums_memory_is_one_block_buffer():
     assert peak < 1.5 * roots._CHUNK * N * 16
 
 
+def _near_circle(N, seed):
+    """N points jittered about the N-th roots of unity, in random order, as
+    the points of a solve near the unit circle are."""
+    rng = np.random.default_rng(seed)
+    turns = (np.arange(N) + 0.3 * rng.random(N)) / N
+    w = np.exp(2j * np.pi * turns) * (1.0 + 0.01 * rng.normal(size=N))
+    return rng.permutation(w)
+
+
+def _pair_paths(monkeypatch):
+    """'far' or 'triangle' for each pair-sum call that takes either path."""
+    paths = []
+    for name, tag in (("_far_sums", "far"), ("_triangle_sums", "triangle")):
+        def spy(w, rows, real=getattr(roots, name), tag=tag):
+            paths.append(tag)
+            return real(w, rows)
+
+        monkeypatch.setattr(roots, name, spy)
+    return paths
+
+
+def _assert_matches_double_loop(w, rows, got, picked):
+    """got[picked] against the double loop, to 1e-13 of each row's scale."""
+    loop = _double_loop_sums(w, rows[picked])
+    for g, (expect, scale) in zip(got[picked], loop):
+        assert abs(g - expect) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_far_pair_sums_match_double_loop_near_the_circle(monkeypatch,
+                                                         factor):
+    # at the threshold degree and at twice it, with every row active and
+    # with a third of them; 100 rows of each are checked
+    N = factor * roots._FAR_DEGREE
+    w = _near_circle(N, factor)
+    rng = np.random.default_rng(factor)
+    paths = _pair_paths(monkeypatch)
+    for rows in (np.arange(N), np.sort(rng.choice(N, N // 3, replace=False))):
+        got = roots._pair_sums(w, rows)
+        _assert_matches_double_loop(w, rows, got,
+                                    rng.choice(len(rows), 100, replace=False))
+    assert paths == ["far", "far"]
+
+
+def test_the_far_path_starts_at_the_threshold_degree(monkeypatch):
+    paths = _pair_paths(monkeypatch)
+    for N in (roots._FAR_DEGREE - 1, roots._FAR_DEGREE):
+        roots._pair_sums(_near_circle(N, 0), np.arange(N))
+    assert paths == ["triangle", "far"]
+
+
+def test_far_pair_sums_on_two_circles_and_a_cluster():
+    # angle blocks mix the radii 0.5 and 2, and 20 points within 1e-6 of
+    # each other sit in one block; every cluster row is checked
+    N = roots._FAR_DEGREE
+    rng = np.random.default_rng(7)
+    inner = (N - 20) // 2
+    w = np.concatenate([
+        0.5 * np.exp(2j * np.pi * rng.random(inner)),
+        2.0 * np.exp(2j * np.pi * rng.random(N - 20 - inner)),
+        0.3 + 0.7j + 5e-7 * (rng.random(20) + 1j * rng.random(20)),
+    ])
+    order = rng.permutation(N)
+    w = w[order]
+    rows = np.arange(N)
+    got = roots._pair_sums(w, rows)
+    cluster = np.flatnonzero(order >= N - 20)
+    picked = np.concatenate([cluster, rng.choice(N, 150, replace=False)])
+    _assert_matches_double_loop(w, rows, got, picked)
+
+
+def test_far_pair_sums_recompute_exactly_the_coincident_rows(monkeypatch):
+    # a run of 150 copies of one point, more than a block holds, so the
+    # copies fill blocks of radius 0 and straddle block edges; some copies
+    # are done points. One more active point coincides with a done one.
+    N = roots._FAR_DEGREE
+    w = _near_circle(N, 3)
+    rng = np.random.default_rng(3)
+    copies, (a, b) = np.arange(150), (400, 401)
+    w[copies] = w[0]
+    w[b] = w[a]
+    done = np.concatenate([copies[::7], [b], rng.choice(np.arange(402, N), 500,
+                                                         replace=False)])
+    rows = np.setdiff1d(np.arange(N), done)
+    nudged = {int(r) for r in rows if np.count_nonzero(w == w[r]) > 1}
+    assert len(nudged) == 150 - len(copies[::7]) + 1
+    real = roots._nudged_sum
+    recomputed = []
+
+    def spy(w, i):
+        recomputed.append(int(i))
+        return real(w, i)
+
+    monkeypatch.setattr(roots, "_nudged_sum", spy)
+    got = roots._pair_sums(w, rows)
+    assert set(recomputed) == nudged and len(recomputed) == len(nudged)
+    picked = np.concatenate([np.flatnonzero(np.isin(rows, list(nudged)))[:30],
+                             rng.choice(len(rows), 100, replace=False)])
+    _assert_matches_double_loop(w, rows, got, picked)
+    # the order of the rows changes nothing but the order of the results
+    perm = rng.permutation(len(rows))
+    assert np.array_equal(roots._pair_sums(w, rows[perm]), got[perm])
+    assert np.array_equal(roots._pair_sums(w, rows[::-1]), got[::-1])
+
+
+def test_far_pair_sums_form_at_most_a_quarter_of_the_square(monkeypatch):
+    # machine-independent work gate; the triangle forms about N^2 / 2
+    N = 4096
+    assert N >= roots._FAR_DEGREE
+    w = _near_circle(N, 5)
+    formed = _count_differences(monkeypatch)
+    roots._pair_sums(w, np.arange(N))
+    assert 0 < sum(formed) <= N * N / 4
+
+
+def test_cores_below_the_threshold_keep_the_triangle_sums(monkeypatch):
+    # Monte Carlo solves n = 256 batches: their pair sums, and so their
+    # zeros, are those of the triangle path
+    paths = _pair_paths(monkeypatch)
+    roots._zero_sets(_trial_polys("gaussian_complex", 256))
+    assert "triangle" in paths and "far" not in paths
+
+
 def _zeros_in_fresh_process(expr):
     """finite_zeros of ``expr`` solved in a child with single-threaded BLAS."""
     src = os.path.dirname(os.path.dirname(szego.__file__))
@@ -1006,6 +1129,13 @@ def test_multi_block_zeros_do_not_depend_on_blas_threads():
     expr = "section(parse_family('rational:1,1|1,-1'), 640)"
     here = find_zeros(section(parse_family("rational:1,1|1,-1"), 640))
     assert len(here.finite_zeros) == 640 > 4 * roots._CHUNK
+    assert _zeros_in_fresh_process(expr) == here.finite_zeros.tobytes()
+
+
+def test_far_field_zeros_do_not_depend_on_blas_threads():
+    expr = "section(parse_family('geometric'), 2048)"
+    here = find_zeros(section(parse_family("geometric"), 2048))
+    assert len(here.finite_zeros) >= roots._FAR_DEGREE
     assert _zeros_in_fresh_process(expr) == here.finite_zeros.tobytes()
 
 
@@ -1062,6 +1192,22 @@ def test_batched_zeros_are_bit_equal_to_solo_solves(monkeypatch, ensemble,
         # some cores have points past the forward limit, so at least one
         # reversed layout of one more vector was built
         assert sum(map(len, sizes)) > 6 * len(cores)
+
+
+def test_far_and_triangle_cores_keep_their_solo_bits_in_one_batch(
+        monkeypatch):
+    # one stack: two cores at the threshold degree take the far path and
+    # one just below it takes the triangle
+    d = roots._FAR_DEGREE
+    polys = [section(RandomSeries("gaussian_complex", seed), n)
+             for seed, n in ((1, d), (2, d), (3, d - 8))]
+    cores = [roots._deflate(P)[3] for P in polys]
+    assert len({series._layout_key(c) for c in cores}) == 1
+    solo = _solo(polys)
+    paths = _pair_paths(monkeypatch)
+    got = roots._zero_sets(polys)
+    assert {"far", "triangle"} <= set(paths)
+    assert all(_same_bits(g, s) for g, s in zip(got, solo))
 
 
 def test_a_stalled_trial_fails_alone(monkeypatch):
