@@ -10,9 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DomainError
-from .series import (Polynomial, _complex_array, _horner_layout,
-                     _horner_rows, _integer, _layout_key, _outer_radius,
-                     _LOG_MAX)
+from .series import (Polynomial, _circle_values, _complex_array,
+                     _horner_layout, _horner_rows, _integer, _layout_key,
+                     _outer_radius, _LOG_MAX)
 
 __all__ = ["ZeroSet", "find_zeros", "sorted_moduli"]
 
@@ -35,6 +35,27 @@ _FAR_ETA = 4.0
 _FAR_TERMS = math.ceil(
     math.log((_FAR_ETA + 1) / ((_FAR_ETA - 1) * sys.float_info.epsilon))
     / math.log(_FAR_ETA))
+#: a core takes a circle table when its nonzero Horner blocks cover more
+#: than this many coefficients, as a dense core of this degree or more
+#: does: the least measured degree (768, 1024, 1536, ...) at which the
+#: table took at most 3/4 of Horner's time per solve, on geometric and
+#: Gaussian sections
+_TABLE_DEGREE = 1024
+#: a point w takes its core's circle table when d |ln|w|| / 2 <= this
+_TABLE_REACH = 1.0
+#: |x| <= rho on the table: |Re x| <= _TABLE_REACH, |Im x| <= pi / 4
+_TABLE_RHO = math.hypot(_TABLE_REACH, math.pi / 4)
+#: Taylor terms of the table: the least J with
+#: rho^(J+1) e^(rho + reach) / (J+1)! <= eps (J = 20 at reach 1)
+_TABLE_TERMS = next(
+    j for j in itertools.count(1)
+    if _TABLE_RHO ** (j + 1) * math.exp(_TABLE_RHO + _TABLE_REACH)
+    <= sys.float_info.epsilon * math.factorial(j + 1))
+#: pi = _PI_HI + _PI_LO to within 1e-26; _PI_HI has 33 bits, so t _PI_HI is
+#: exact for a node angle t pi, t = 2 q / M with |q| < 2^20
+_PI_HI = math.ldexp(round(math.ldexp(math.pi, 31)), -31)
+#: sin(fl(pi)) is pi - fl(pi) to within 1e-48
+_PI_LO = (math.pi - _PI_HI) + math.sin(math.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +96,10 @@ def find_zeros(P: Polynomial) -> ZeroSet:
     zero coefficients) are deflated exactly; the rest come from simultaneous
     iteration on the core of degree d, run to its rounding floor: they meet
     |P(w)| <= 8 (d + 1) eps * sum_k |b_k| |w|^k, twice the error bound of
-    the Horner kernel. The iteration makes one pass; a core not converged
-    after _MAX_ITERS sweeps raises ConvergenceError. This is `_zero_sets`
-    on a batch of one, so a section gets the same zeros, bit for bit, alone
-    or solved in a batch.
+    the Horner kernel and of the circle table. The iteration makes one
+    pass; a core not converged after _MAX_ITERS sweeps raises
+    ConvergenceError. This is `_zero_sets` on a batch of one, so a section
+    gets the same zeros, bit for bit, alone or solved in a batch.
 
     A deflated core whose nonzero coefficients sit at multiples of g > 1 is
     Q(z^g), with Q(u) = sum_j b_(g j) u^j of degree d / g; Q is solved
@@ -228,7 +249,10 @@ class _Stack:
 
     The forward layouts form one stacked table, and so do the reversed
     ones. The reversed table is built the first time a point of the stack
-    crosses the forward limit, which few stacks ever do.
+    crosses the forward limit, which few stacks ever do. A core whose
+    nonzero Horner blocks cover more than _TABLE_DEGREE coefficients also
+    gets its own `_CircleTable`; a sparse core keeps Horner alone, whose
+    work already scales with its nonzero blocks.
     """
 
     def __init__(self, cores):
@@ -239,27 +263,145 @@ class _Stack:
         # past this modulus the powers of a degree-d core may overflow
         self.limit = np.array([math.exp((_LOG_MAX - 2.0 * math.log(d + 1)) / d)
                                for d in self.d.tolist()])
+        self.tables = {t: _CircleTable(c) for t, c in enumerate(cores)
+                       if _stored(c) > _TABLE_DEGREE}
+
+
+def _stored(core: np.ndarray) -> int:
+    """How many coefficients the core's own Horner blocks that hold a
+    nonzero coefficient cover, up to b_d: d + 1 for a dense core."""
+    k = _layout_key(core)[0]
+    live = np.count_nonzero(np.bincount(np.flatnonzero(core) // k))
+    return int(live) * k - (-len(core)) % k
+
+
+class _CircleTable:
+    """A dense core's Taylor tables about the nodes of the unit circle:
+    P, P' and sum_k |b_k| |w|^k at a point near |w| = 1 in O(J) work,
+    not O(d), as in the evaluation step of a type-2 nonuniform FFT (Dutt
+    & Rokhlin, SIAM J. Sci. Comput. 14, 1993).
+
+    Table. Let c = d / 2, h_k = (k - c) / c in [-1, 1], J = _TABLE_TERMS
+    and M the least power of two >= 2 d. Row j of ``vals`` holds
+    V_j / j!, V_j = sum_k b_k h_k^j omega^k, at the M nodes
+    omega = exp(-2 pi i l / M), for j = 0..J+1, by one `_circle_values`
+    call each; ``mu`` holds mu_j / j!, mu_j = sum_k |b_k| h_k^j.
+    That is (J + 2) M <= 88 d complex values, less than the _CHUNK * d of
+    the pair sums' buffer.
+
+    Point. The table serves |ln|w|| <= a / c, a = _TABLE_REACH. Take the
+    nearest node omega and x = c ln(w / omega): |Re x| <= a,
+    |Im x| <= pi c / M <= pi / 4, so |x| <= rho = _TABLE_RHO. Since
+    w^k = omega^k e^x e^(h_k x),
+
+        P(w) = e^x S(x),  S(x) = sum_j x^j V_j / j!,
+        w P'(w) = c dP/dx = c e^x (S(x) + S'(x)),
+        sum_k |b_k| |w|^k = e^(Re x) sum_j (Re x)^j mu_j / j!,
+
+    each sum taken by Horner in x over j <= J + 1.
+
+    Error. Write s = sum_k s_k, s_k = |b_k| |w|^k = |b_k| e^(Re x (1 + h_k)),
+    so |b_k| e^(Re x) <= e^a s_k. In units of eps s:
+    - Truncation. Term k's tail past x^J is at most
+      rho^(J+1) e^rho / (J+1)! |b_k| e^(Re x), and J is the least count
+      that makes rho^(J+1) e^(rho + a) / (J+1)! <= eps: at most 1.
+    - Rounding of the table and of the sum in x. A power-of-two FFT errs
+      by about 2 log2(M) eps sum_k |b_k| |h_k|^j / j! per value, one
+      butterfly per level; the inputs b_k h_k^j / j! carry (j + 1) eps, and
+      Horner in x adds about 2 (J + 2) eps sum_j |x|^j |V_j| / j!. Times
+      |e^x|, each is at most its factor times
+      sum_k |b_k| e^(Re x + rho |h_k|) <= e^(rho + a) s, and
+      e^(rho + a) < 9.7 at a = 1: at most 9.7 (2 log2 M + 2 J + 8) < 800
+      for M <= 2^17 (n <= 2^16).
+    - The point. log and atan2 come back within an ulp: ln|w| within eps
+      (|w| is near 1), arg w within 2 eps; the node angle is subtracted
+      exactly through _PI_HI and _PI_LO, so x is off by at most
+      2.3 c eps + eps |x|. The table then evaluates P at w e^delta,
+      |delta| <= 2.3 eps (1 + 1 / c), which moves each b_k w^k by at most
+      k |delta| s_k (1 + d |delta|): at most 2.3 d + 5.
+    So P is off by at most (2.3 d + 806) eps s, within the Horner bound
+    4 (d + 1) eps s for d >= 475, that is for every core that takes the
+    table, and the stop test |P| <= 8 (d + 1) eps s keeps its meaning.
+    The sum itself is off by a few eps relative, plus d eps from the
+    modulus: the stop test moves by that relative amount. Every step is
+    elementwise, so each point's values do not depend on the others.
+    """
+
+    def __init__(self, core: np.ndarray):
+        d = len(core) - 1
+        self.c = d / 2
+        self.nodes = 1 << (2 * d - 1).bit_length()
+        h = (np.arange(d + 1) - self.c) / self.c
+        mags = np.abs(core)
+        self.vals = np.empty((_TABLE_TERMS + 2, self.nodes),
+                             dtype=np.complex128)
+        self.mu = np.empty(_TABLE_TERMS + 2)
+        # one row at a time, so no temporary outgrows a row
+        power = np.ones(d + 1)
+        for j in range(_TABLE_TERMS + 2):
+            if j:
+                power *= h / j
+            self.vals[j] = _circle_values(core * power, self.nodes)
+            self.mu[j] = (power * mags).sum()
+        reach = _TABLE_REACH / self.c
+        self.lo, self.hi = math.exp(-reach), math.exp(reach)
+
+    def evaluate(self, w: np.ndarray):
+        """P(w), P'(w) and sum_k |b_k| |w|^k at points w in the annulus."""
+        lw = np.log(w)
+        # the nearest node exp(-i pi t), t = 2 q / M, and x = c ln(w / node)
+        q = np.rint(lw.imag * (self.nodes / (-2.0 * math.pi)))
+        t = q * (2.0 / self.nodes)
+        xr = self.c * lw.real
+        x = xr + 1j * (self.c * ((lw.imag + t * _PI_HI) + t * _PI_LO))
+        at = q.astype(np.intp) % self.nodes
+        S, dS = self.vals[-1, at], np.zeros(len(w), dtype=np.complex128)
+        for row in self.vals[-2::-1]:
+            dS *= x
+            dS += S
+            S *= x
+            S += row[at]
+        sums = np.full(len(w), self.mu[-1])
+        for mu in self.mu[-2::-1]:
+            sums *= xr
+            sums += mu
+        ex = np.exp(x)
+        dS += S
+        dS *= ex * (self.c / w)
+        return ex * S, dS, np.exp(xr) * sums
 
 
 def _newton_terms(stack: _Stack, tr: np.ndarray, w: np.ndarray):
     """Newton step P/P', |P| and sum_k |b_k| |w|^k at each point w, on the
     core tr of the stack (tr nondecreasing).
 
-    The cores are normalized to max |b_k| = 1. A point is evaluated on the
-    forward table whenever its powers stay in the float range: with
+    The cores are normalized to max |b_k| = 1. A point of a core with a
+    `_CircleTable` within its annulus, d |ln|w|| / 2 <= _TABLE_REACH, is
+    evaluated there, core by core. Any other point is evaluated on the
+    forward Horner table whenever its powers stay in the float range: with
     ln|w| <= (ln DBL_MAX - 2 ln(d + 1)) / d, the sum and |w P'| stay below
-    (d + 1)^2 |w|^d <= DBL_MAX. So one Horner call serves every point of
-    nearly every sweep. Only points beyond that limit take the reversed
-    table at 1/w, in one more call: P(w) = w^d Q(1/w), so
+    (d + 1)^2 |w|^d <= DBL_MAX. So one Horner call serves every other
+    point of nearly every sweep. Only points beyond that limit take the
+    reversed table at 1/w, in one more call: P(w) = w^d Q(1/w), so
     P/P' = w Q / (d Q - v Q') with v = 1/w, and |P| and the sum both come
     divided by |w|^d, which leaves the backward-error test |P| <= tol * sum
-    unchanged.
+    unchanged. The annulus lies well inside the forward limit, and a point
+    at 0, inf or nan never enters it.
     """
-    outer = np.abs(w) > stack.limit[tr]
+    mod = np.abs(w)
+    outer = mod > stack.limit[tr]
     inner = ~outer
     nu = np.empty(len(w), dtype=np.complex128)
     absp = np.empty(len(w))
     s = np.empty(len(w))
+    for t, table in stack.tables.items():
+        at = np.flatnonzero((tr == t) & (table.lo <= mod) & (mod <= table.hi))
+        if len(at):
+            inner[at] = False
+            p, dp, s[at] = table.evaluate(w[at])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nu[at] = p / dp
+            absp[at] = np.abs(p)
     if inner.any():
         p, dp, s[inner] = _horner_rows(stack.fwd, tr[inner], w[inner])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -284,12 +426,13 @@ def _lockstep(cores) -> list:
 
     The cores are grouped by `_layout_key`, their Horner block length and
     kind, and each group sweeps in lockstep: one Horner call evaluates the
-    live points of every core of the group inside the forward limit, and
-    one more those past it, while the degree, the tolerance, the forward
-    limit and the pair sums stay each core's own. Every elementwise step is
-    the one a lone core takes, and `_horner` is a pure function of each
-    point and its vector, so each core's zeros are bit-identical in any
-    batch, alone included.
+    live points of every core of the group inside the forward limit that
+    its circle table does not serve, and one more those past it, while the
+    degree, the tolerance, the forward limit, the circle table and the
+    pair sums stay each core's own. Every elementwise step is the one a
+    lone core takes, and `_horner` and the circle tables are pure
+    functions of each point and its core, so each core's zeros are
+    bit-identical in any batch, alone included.
     """
     cores = [c / np.max(np.abs(c)) for c in cores]
     groups: dict[tuple[int, bool], list[int]] = {}
@@ -461,7 +604,12 @@ def _far_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     Near blocks, the target's own included, are summed directly, without
     the self pair. On one circle a target has about eta + 1 near blocks of
     sqrt(2 N) points and S far ones of p terms each, and S balances the
-    two: at N = 4096 the differences formed are under N^2 / 4.
+    two: at N = 4096 the differences formed are under N^2 / 4. Before any
+    pair is formed, the direct work, each block's targets times the points
+    of its near blocks, is counted; when it exceeds the m N - m^2 / 2
+    differences of ``_triangle_sums``, the triangle takes the call. That
+    happens on points spread over a thick annulus with no gap in modulus,
+    where every block is near most targets.
 
     Targets are taken in row blocks, and every block of differences and
     terms is written into one buffer of _CHUNK * N entries allocated per
@@ -498,6 +646,12 @@ def _far_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     c = np.where(live, table, 0.0).sum(axis=1) / counts
     dev = np.where(live, table - c[:, None], 0.0)
     R = np.abs(dev).max(axis=1)
+    near = np.abs(np.subtract.outer(c, c)) - R[:, None] <= _FAR_ETA * R
+    # the targets of block a are z[first[a]:first[a + 1]]
+    first = np.searchsorted(tpos, edges)
+    if (np.diff(first) * np.where(near, counts, 0).sum(axis=1)).sum() \
+            > m * N - m * m / 2:
+        return _triangle_sums(w, rows)
     scale = np.where(R > 0.0, R, 1.0)
     # moments[k] = M_k / R, the 1 / R of the expansion taken in
     u = dev / scale[:, None]
@@ -507,7 +661,6 @@ def _far_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for k in range(1, _FAR_TERMS):
         power *= u
         moments[k] = power.sum(axis=1)
-    near = np.abs(np.subtract.outer(c, c)) - R[:, None] <= _FAR_ETA * R
     own = np.searchsorted(edges, tpos, side="right") - 1
     sums = np.empty(m, dtype=np.complex128)
     buf = np.empty(_CHUNK * N, dtype=np.complex128)
@@ -527,7 +680,6 @@ def _far_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
             acc += moments[k]
         acc *= t
         acc.sum(axis=1, out=sums[lo:hi])
-    first = np.searchsorted(tpos, edges)
     for a in np.flatnonzero(first[1:] > first[:-1]).tolist():
         lo, hi = first[a], first[a + 1]
         cols = np.flatnonzero(np.repeat(near[a], counts))

@@ -197,6 +197,24 @@ CATALOGUE = (
            "            diff[np.arange(j - i), mine[i:j]] = np.inf\n", "",
            ("test_roots.py",),
            "every row meets a zero difference and is summed again"),
+    Mutant("far-field fallback to the triangle removed", "src/szego/roots.py",
+           "            > m * N - m * m / 2:", "            > 2 * m * N:",
+           ("test_roots.py",),
+           "a thick annulus keeps the far field, whose near work is larger"),
+    Mutant("circle-table terms cut by one", "src/szego/roots.py",
+           "_TABLE_TERMS = next(", "_TABLE_TERMS = -1 + next(",
+           ("test_roots.py",),
+           "the truncation bound of the Taylor sums is then above eps"),
+    Mutant("circle-table reach doubled", "src/szego/roots.py",
+           "reach = _TABLE_REACH / self.c",
+           "reach = 2 * _TABLE_REACH / self.c",
+           ("test_roots.py",),
+           "points past the reach its term count was chosen for take it"),
+    Mutant("centring factor dropped from the table's sum",
+           "src/szego/roots.py",
+           "return ex * S, dS, np.exp(xr) * sums", "return ex * S, dS, sums",
+           ("test_roots.py",),
+           "the sum is off by e^(Re x), up to e^(+-1), and the stop test too"),
     Mutant("gauge level fold", "src/szego/gauge.py",
            "best[j] = np.minimum(best[j], np.min(tops / n))",
            "best[j] = np.min(tops / n)",

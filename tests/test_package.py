@@ -169,7 +169,7 @@ def test_mutation_catalogue_matches_the_sources(monkeypatch):
     monkeypatch.setitem(sys.modules, "mutants", mutants)  # for @dataclass
     spec.loader.exec_module(mutants)
     assert mutants.catalogue_faults() == []
-    assert len(mutants.CATALOGUE) >= 45
+    assert len(mutants.CATALOGUE) >= 49
 
 
 @pytest.mark.parametrize("call", [

@@ -1234,3 +1234,188 @@ def test_a_stalled_trial_fails_alone(monkeypatch):
         else:
             assert isinstance(g, ConvergenceError)
             assert f"sweep budget {budget})" in str(g)
+
+
+def test_far_pair_sums_fall_back_to_the_triangle_on_a_thick_annulus(
+        monkeypatch):
+    # points uniform in 0.5 < |w| < 2 have no gap in modulus, so every
+    # angle block is about as wide as the annulus and near most targets
+    N = 2048
+    assert N >= roots._FAR_DEGREE
+    rng = np.random.default_rng(11)
+    w = np.sqrt(rng.uniform(0.25, 4.0, N)) * np.exp(2j * np.pi * rng.random(N))
+    rows = np.arange(N)
+    paths = _pair_paths(monkeypatch)
+    got = roots._pair_sums(w, rows)
+    assert paths == ["far", "triangle"]
+    _assert_matches_double_loop(w, rows, got,
+                                rng.choice(N, 100, replace=False))
+
+
+def _dense_core(P):
+    """P's deflated core, normalized as the solver normalizes it."""
+    _, _, g, core = roots._deflate(P)
+    assert g == 1
+    return core / np.max(np.abs(core))
+
+
+def _solver_points(monkeypatch, P):
+    """Every point the solver evaluates while solving P, all sweeps."""
+    real = roots._newton_terms
+    points = []
+
+    def spy(stack, tr, w):
+        points.append(w.copy())
+        return real(stack, tr, w)
+
+    monkeypatch.setattr(roots, "_newton_terms", spy)
+    find_zeros(P)
+    monkeypatch.setattr(roots, "_newton_terms", real)
+    return np.concatenate(points)
+
+
+def _tables_built(monkeypatch):
+    """The degree of each core a circle table is built for."""
+    built = []
+
+    class Counted(roots._CircleTable):
+        def __init__(self, core):
+            built.append(len(core) - 1)
+            super().__init__(core)
+
+    monkeypatch.setattr(roots, "_CircleTable", Counted)
+    return built
+
+
+@pytest.mark.parametrize("d", [1536, 3072, 8192])
+@pytest.mark.parametrize("family", ["geometric", "random:gaussian_complex,1",
+                                    "rational:1,1|1,-1"])
+def test_circle_table_matches_horner_on_solver_states(monkeypatch, family, d):
+    # points of a whole solve that lie in the table's annulus, and points
+    # on both of its edges at random angles and halfway between two nodes
+    P = section(parse_family(family), d)
+    core = _dense_core(P)
+    assert len(core) == d + 1
+    (table,) = roots._Stack([core]).tables.values()
+    w = _solver_points(monkeypatch, P)
+    w = w[(table.lo <= np.abs(w)) & (np.abs(w) <= table.hi)]
+    rng = np.random.default_rng(d)
+    angles = np.concatenate([2 * np.pi * rng.random(25),
+                             np.pi * (2 * rng.integers(0, table.nodes, 25)
+                                      + 1) / table.nodes])
+    w = np.concatenate([rng.choice(w, 200, replace=False),
+                        table.lo * np.exp(1j * angles),
+                        table.hi * np.exp(1j * angles)])
+    p, dp, s = table.evaluate(w)
+    hp, hdp, hs = series._horner(series._horner_layout([core]), w)
+    assert np.all(np.abs(p - hp) <= 1e-13 * hs)
+    # |P'(w)| <= sum_k k |b_k| |w|^(k-1) <= d s / |w|
+    assert np.all(np.abs(dp - hdp) <= 1e-13 * d * hs / np.abs(w))
+    # s against the direct sum of |b_k| e^(k ln|w|), each term within a few
+    # eps: Horner's own s comes from rounded powers of w and is off by up
+    # to about 1e-13 of s at d = 8192
+    lr = np.log(w).real
+    direct = np.concatenate([
+        (np.abs(core) * np.exp(np.outer(lr[i: i + 50], np.arange(d + 1))))
+        .sum(axis=1) for i in range(0, len(w), 50)])
+    assert np.all(np.abs(s - direct) <= 1e-13 * direct)
+
+
+def test_circle_table_terms_are_the_least_that_meet_their_bound():
+    eps = np.finfo(float).eps
+    rho, a = roots._TABLE_RHO, roots._TABLE_REACH
+    J = roots._TABLE_TERMS
+
+    def bound(j):
+        return rho ** (j + 1) * math.exp(rho + a) / math.factorial(j + 1)
+
+    assert bound(J) <= eps < bound(J - 1)
+    assert rho == math.hypot(a, math.pi / 4)
+    # the tail of e^(x h) past x^J, |h| <= 1, at the corners of the region
+    # of x, within eps of the term's size e^(Re x) e^(Re x h) >= e^(Re x - a)
+    for x in (a + 1j * math.pi / 4, -a + 1j * math.pi / 4):
+        for h in (-1.0, 1.0):
+            y = abs(x * h)
+            tail = sum(y ** j / math.factorial(j)
+                       for j in range(J + 1, J + 40))
+            assert tail * math.exp(a) <= eps * math.exp(x.real)
+    table = roots._CircleTable(np.ones(roots._TABLE_DEGREE + 1))
+    assert table.vals.shape[0] == len(table.mu) == J + 2
+
+
+def test_the_circle_table_starts_past_the_threshold_degree(monkeypatch):
+    built = _tables_built(monkeypatch)
+    for d in (roots._TABLE_DEGREE - 1, roots._TABLE_DEGREE):
+        P = section(RandomSeries("gaussian_complex", 1), d)
+        assert roots._stored(_dense_core(P)) == d + 1
+        find_zeros(P)
+    assert built == [roots._TABLE_DEGREE]
+
+
+@pytest.mark.parametrize("make, d", [
+    (lambda: _cycle_state(4).P, 4190),
+    (lambda: section(parse_family("lacunary:2"), 4200), 4095),
+])
+def test_sparse_large_cores_keep_horner(monkeypatch, make, d):
+    # the universal cycle's 9-term core and the 13-term lacunary core are
+    # far above the threshold degree, but their nonzero Horner blocks are
+    # few, so Horner already costs them little
+    P = make()
+    assert len(roots._deflate(P)[3]) == d + 1 > roots._TABLE_DEGREE
+    built = _tables_built(monkeypatch)
+    find_zeros(P)
+    assert all(n < roots._TABLE_DEGREE for n in built)
+
+
+def test_table_and_horner_cores_keep_their_solo_bits_in_one_batch(
+        monkeypatch):
+    # one stack: two cores take a circle table and one just below the
+    # threshold takes Horner alone
+    d = roots._TABLE_DEGREE
+    polys = [section(RandomSeries("gaussian_complex", seed), n)
+             for seed, n in ((4, d), (5, d + 20), (6, d - 1))]
+    cores = [_dense_core(P) for P in polys]
+    assert len({series._layout_key(c) for c in cores}) == 1
+    solo = _solo(polys)
+    built = _tables_built(monkeypatch)
+    got = roots._zero_sets(polys)
+    assert built == [d, d + 20]
+    assert all(_same_bits(g, s) for g, s in zip(got, solo))
+
+
+def test_points_off_the_annulus_keep_horner(monkeypatch):
+    # d |ln|w|| / 2 = 0.5 and 0.999 lie on the table; 1.5 and 3 past either
+    # edge, and w = 0, do not, and keep Horner's bits without a warning
+    d = 1536
+    core = _dense_core(section(RandomSeries("gaussian_complex", 2), d))
+    stack = roots._Stack([core])
+    turns = np.exp(2j * np.pi * np.random.default_rng(9).random(8))
+    on = np.exp(np.array([-0.5, 0.5, -0.999, 0.999]) * 2 / d) * turns[:4]
+    off = np.exp(np.array([-1.5, 1.5, -3.0, 3.0]) * 2 / d) * turns[4:]
+    w = np.concatenate([on, off, [0.0]])
+    seen = []
+    real = roots._CircleTable.evaluate
+
+    def spy(table, z):
+        seen.append(z.copy())
+        return real(table, z)
+
+    monkeypatch.setattr(roots._CircleTable, "evaluate", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nu, absp, s = roots._newton_terms(stack, np.zeros(len(w), dtype=int),
+                                          w)
+    assert len(seen) == 1 and np.array_equal(seen[0], on)
+    p, dp, hs = series._horner(stack.fwd, w[4:])
+    assert np.array_equal(nu[4:], p / dp)
+    assert np.array_equal(absp[4:], np.abs(p))
+    assert np.array_equal(s[4:], hs)
+
+
+@pytest.mark.parametrize("d", [roots._TABLE_DEGREE + 1, 1536, 4097, 8192])
+def test_circle_table_fits_in_the_pair_sum_buffer(d):
+    # M < 4 d nodes of J + 2 rows, against the _CHUNK * d entries that the
+    # pair sums of the same core hold
+    table = roots._CircleTable(np.exp(1j * np.arange(d + 1)))
+    assert 2 * d <= table.nodes < 4 * d
+    assert table.vals.nbytes + table.mu.nbytes <= roots._CHUNK * d * 16
