@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import numbers
+import os
 import re
 from dataclasses import asdict, dataclass
 
@@ -89,7 +90,8 @@ class Ensemble:
             raise DomainError(f"ensemble {self.kind} requires a parameter")
         if not needs_param and self.param is not None:
             raise DomainError(f"ensemble {self.kind} takes no parameter")
-        if needs_param and not isinstance(self.param, numbers.Real):
+        if needs_param and (isinstance(self.param, bool)
+                            or not isinstance(self.param, numbers.Real)):
             raise DomainError(f"ensemble {self.kind} parameter must be a real "
                               f"number, got {self.param!r}")
         if self.kind == "bernoulli" and not 0.0 < self.param <= 1.0:
@@ -101,7 +103,12 @@ class Ensemble:
     def descriptor(self) -> str:
         if self.param is None:
             return self.kind
-        return f"{self.kind}({self.param:g})"
+        p = float(self.param)
+        text = f"{p:g}"
+        # :g keeps six digits; a parameter it rounds prints in full
+        if float(text) != p:
+            text = repr(p)
+        return f"{self.kind}({text})"
 
 
 _ENSEMBLE_RE = re.compile(r"^([a-z_]+)(?:\(([^)]*)\))?$")
@@ -250,12 +257,14 @@ def _batch_rows(args) -> list:
 def _trial_rows(E: Ensemble, n: int, seed: int, trials: int, t_grid,
                 weyl_orders, workers: int) -> list:
     """`_batch_rows` of every batch of `_batches`, in trial order, mapped
-    over a process pool when workers > 1."""
+    over a process pool of at most one worker per batch and per CPU when
+    that is more than one."""
     jobs = [(E, n, seed, batch, t_grid, weyl_orders)
             for batch in _batches(n, trials, workers)]
-    if workers > 1:
+    size = min(workers, len(jobs), os.cpu_count() or 1)
+    if size > 1:
         # attribute access loads the pool machinery (multiprocessing) only here
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=size) as pool:
             parts = list(pool.map(_batch_rows, jobs))
     else:
         parts = [_batch_rows(j) for j in jobs]
@@ -297,11 +306,11 @@ def mc_expected_cdf(E: Ensemble, n: int, t_grid, trials: int, seed: int,
     solve does not converge, are counted as failures and excluded from the
     average. ``workers`` must be at least 1. The trials are solved in
     batches of consecutive indices, one per worker or more when a batch
-    would hold over _BATCH_COEFFS sampled coefficients, and the pool takes
-    one batch per task. Each trial's zeros are bit-identical to its solo
-    ``find_zeros`` in any batch, and trial outputs are reduced in trial
-    order regardless of completion order, so results are byte-identical
-    for any worker count.
+    would hold over _BATCH_COEFFS sampled coefficients, and the pool, of
+    at most one process per batch and per CPU, takes one batch per task.
+    Each trial's zeros are bit-identical to its solo ``find_zeros`` in any
+    batch, and trial outputs are reduced in trial order regardless of
+    completion order, so results are byte-identical for any worker count.
     """
     E = as_ensemble(E)
     n, trials, seed = _check_trials(n, trials, seed)

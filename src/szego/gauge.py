@@ -21,7 +21,6 @@ from .series import Series, _check_horizon, _exact, _items
 __all__ = [
     "DEFAULT_GAMMA_GRID",
     "GaugeReport",
-    "window_max",
     "window_liminf_from_logs",
     "gauge_and_index",
     "coeff_root_range",
@@ -47,17 +46,6 @@ def _check_gamma(gamma: float) -> float:
     if not 0.0 < gamma < 1.0:
         raise DomainError("gamma must lie strictly between 0 and 1")
     return gamma
-
-
-def window_max(stream: Series, n: int, gamma: float) -> float:
-    """max |a_k| over the trailing window k in [(1-gamma) n, n]."""
-    gamma = _check_gamma(gamma)
-    n = _check_horizon(n)
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    logs = stream.log_abs(n)
-    with np.errstate(over="ignore"):
-        return float(np.exp(np.max(logs[_window_start(gamma, n):n + 1])))
 
 
 def _window_liminfs(logs: np.ndarray, grid, N: int) -> list[float]:

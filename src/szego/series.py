@@ -6,7 +6,6 @@ import functools
 import inspect
 import math
 import numbers
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,6 @@ __all__ = [
     "Polynomial",
     "Series",
     "section",
-    "reversed_companion",
     "Geometric",
     "Lacunary",
     "InverseOneMinusZN",
@@ -29,11 +27,8 @@ __all__ = [
     "Carlson",
     "Explicit",
     "RandomSeries",
-    "carlson_coeff",
     "carlson_indices",
     "parse_family",
-    "series_from_descriptor",
-    "load_explicit_csv",
 ]
 
 #: ln of the largest double
@@ -677,24 +672,10 @@ def carlson_indices(t: float, limit: int) -> np.ndarray:
     return np.array(out, dtype=np.intp)
 
 
-def carlson_coeff(t: float, g: float, n: int) -> float:
-    """Single coefficient of the carlson family: 1 on the sequence, g^n off it."""
-    s = Carlson(t, g)
-    n = _check_horizon(n)
-    if n in carlson_indices(s.t, n):
-        return 1.0
-    return s.g ** n
-
-
 def section(stream: Series, n: int) -> Polynomial:
     """The degree-n formal section: coefficients a_0..a_n of the stream."""
     n = _check_horizon(n)
     return Polynomial(stream.values(n), n)
-
-
-def reversed_companion(P: Polynomial) -> Polynomial:
-    """Coefficient reversal z^n P(1/z); swaps zeros with reciprocals, 0 with infinity."""
-    return Polynomial(P.coeffs[::-1].copy(), P.formal_degree)
 
 
 _FAMILIES = {cls.kind: cls for cls in (
@@ -702,18 +683,18 @@ _FAMILIES = {cls.kind: cls for cls in (
     Carlson, Explicit, RandomSeries)}
 
 
-def _family(kind) -> type[Series]:
-    if not isinstance(kind, str) or kind not in _FAMILIES:
+def _family(kind: str) -> type[Series]:
+    if kind not in _FAMILIES:
         raise DomainError(f"unknown family {kind!r}")
     return _FAMILIES[kind]
 
 
-def _construct(cls: type[Series], *args, **kwargs) -> Series:
+def _construct(cls: type[Series], *args) -> Series:
     try:
-        inspect.signature(cls).bind(*args, **kwargs)
+        inspect.signature(cls).bind(*args)
     except TypeError as exc:
         raise DomainError(f"family {cls.kind!r}: {exc}") from None
-    return cls(*args, **kwargs)
+    return cls(*args)
 
 
 def parse_family(text: str) -> Series:
@@ -733,40 +714,3 @@ def parse_family(text: str) -> Series:
     else:
         args = [a for a in argtext.split(",") if a.strip()]
     return _construct(cls, *args)
-
-
-def series_from_descriptor(d: dict) -> Series:
-    """Inverse of Series.descriptor() for JSON round-trips."""
-    if not isinstance(d, dict):
-        raise DomainError(f"a series descriptor is a dict, got {d!r}")
-    d = dict(d)
-    return _construct(_family(d.pop("kind", None)), **d)
-
-
-def load_explicit_csv(path) -> Series:
-    """Read an explicit coefficient list from CSV lines ``re,im`` at a
-    ``str`` or ``os.PathLike`` path; a file not readable as UTF-8 text, a
-    missing one or a directory raise DomainError."""
-    # open() would take an int as a file descriptor, and close it
-    if not isinstance(path, (str, os.PathLike)):
-        raise DomainError(f"expected a file path, got {path!r}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read coefficients: {exc}") from None
-    coeffs = []
-    for lineno, line in enumerate(lines):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        try:
-            re_part = float(parts[0])
-            im_part = float(parts[1]) if len(parts) > 1 else 0.0
-        except ValueError:
-            if lineno == 0:
-                continue  # tolerate a header row
-            raise DomainError(f"bad coefficient line {lineno + 1}: {line!r}")
-        coeffs.append(complex(re_part, im_part))
-    return Explicit(coeffs)

@@ -100,11 +100,6 @@ CATALOGUE = (
            "lhs > rhs + bound / n + 1e-9", "lhs > rhs + 1e-9",
            ("test_bounds.py",),
            "the quadrature's own error reads as a violated inequality"),
-    Mutant("CSV error mapping", "src/szego/series.py",
-           "except (OSError, UnicodeDecodeError) as exc:",
-           "except () as exc:",
-           ("test_series.py", "test_package.py"),
-           "a missing, directory or non-UTF-8 file raises a raw error"),
     Mutant("target reader", "src/szego/universal.py",
            'return TargetMeasure.of(*_items(phi, "target radii"))',
            "return TargetMeasure.of(*phi)",
@@ -239,6 +234,21 @@ CATALOGUE = (
            "if stack.rev is None:", "if True:",
            ("test_roots.py",),
            "every crossing sweep builds the reversed table again"),
+    Mutant("ensemble descriptor rounded to six digits",
+           "src/szego/ensembles.py",
+           "if float(text) != p:", "if False:",
+           ("test_ensembles.py",),
+           "log_heavy_tail(1.0000001) prints as alpha = 1 and reads back so"),
+    Mutant("bool ensemble parameter", "src/szego/ensembles.py",
+           "(isinstance(self.param, bool)\n                            or ",
+           "(",
+           ("test_package.py",),
+           "bernoulli(True) passes as the probability 1"),
+    Mutant("pool sized by the worker count", "src/szego/ensembles.py",
+           "ProcessPoolExecutor(max_workers=size)",
+           "ProcessPoolExecutor(max_workers=workers)",
+           ("test_ensembles.py",),
+           "--workers 100000 asks the fork pool for 100000 processes"),
     Mutant("batch finite filter", "src/szego/ensembles.py",
            "if np.any(c) and np.all(np.isfinite(c))", "if np.any(c)",
            ("test_ensembles.py",),

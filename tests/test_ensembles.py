@@ -179,6 +179,36 @@ def test_as_ensemble_parsing():
         as_ensemble("gaussian_complex(3)")
 
 
+@pytest.mark.parametrize("E", [
+    Ensemble("bernoulli", 0.1234567), Ensemble("bernoulli", 1 / 3),
+    Ensemble("bernoulli", np.float64(0.7777777)),
+    Ensemble("bernoulli", np.float32(0.1)),
+    Ensemble("log_heavy_tail", 1.0000001),
+    Ensemble("log_heavy_tail", 123456789.0), Ensemble("bernoulli", 1e-5),
+], ids=repr)
+def test_descriptor_reads_back_as_the_same_ensemble(E):
+    assert as_ensemble(E.descriptor()) == E
+    assert RandomSeries(E.descriptor(), 4) == RandomSeries(E, 4)
+    assert np.array_equal(sample_coeffs(as_ensemble(E.descriptor()), 64, 4),
+                          sample_coeffs(E, 64, 4))
+
+
+def test_descriptor_keeps_the_short_text_that_reads_back():
+    assert Ensemble("bernoulli", 0.5).descriptor() == "bernoulli(0.5)"
+    assert Ensemble("log_heavy_tail", 2.0).descriptor() == "log_heavy_tail(2)"
+    assert Ensemble("bernoulli", 1e-5).descriptor() == "bernoulli(1e-05)"
+    assert Ensemble("bernoulli", 0.1234567).descriptor() == \
+        "bernoulli(0.1234567)"
+    assert Ensemble("bernoulli", Fraction(1, 3)).descriptor() == \
+        "bernoulli(0.3333333333333333)"
+    # six digits would read back as alpha = 1, whose log moment diverges
+    E = Ensemble("log_heavy_tail", 1.0000001)
+    assert E.descriptor() == "log_heavy_tail(1.0000001)"
+    assert check_conditions(E.descriptor()).szego_expected
+    assert RandomSeries("bernoulli(0.1234567)", 0) != \
+        RandomSeries("bernoulli(0.123457)", 0)
+
+
 def test_mc_expected_cdf_basic():
     rep = mc_expected_cdf(GAUSS, 32, [0.5, 0.9, 1.1, 2.0],
                           trials=40, seed=21)
@@ -229,6 +259,46 @@ def test_mc_rejects_worker_count_below_one(monkeypatch):
         with pytest.raises(DomainError):
             mc_expected_cdf(GAUSS, 8, [1.0], trials=10, seed=0,
                             workers=workers)
+
+
+def test_pool_holds_at_most_one_worker_per_batch_and_cpu(monkeypatch):
+    import szego.ensembles as ens
+
+    sizes = []
+
+    class RecordingPool:
+        # runs each batch in this process, so no worker is ever started
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(ens.os, "cpu_count", lambda: 4)
+    kw = dict(n=8, t_grid=[0.9, 1.1], seed=5)
+    serial = mc_expected_cdf(GAUSS, trials=10, workers=1, **kw)
+    assert sizes == []
+    pooled = mc_expected_cdf(GAUSS, trials=10, workers=10 ** 6, **kw)
+    assert sizes == [4]
+    assert pooled.phi_hat == serial.phi_hat
+    assert pooled.stderr == serial.stderr
+    # ten trials make ten batches at most, whatever the CPU count
+    monkeypatch.setattr(ens.os, "cpu_count", lambda: 10 ** 4)
+    mc_expected_cdf(GAUSS, trials=10, workers=10 ** 6, **kw)
+    assert sizes == [4, 10]
+    # one CPU, or a count the platform cannot tell, solves in this process
+    for cpus in (1, None):
+        monkeypatch.setattr(ens.os, "cpu_count", lambda: cpus)
+        mc_expected_cdf(GAUSS, trials=10, workers=10 ** 6, **kw)
+    assert sizes == [4, 10]
 
 
 @pytest.mark.parametrize("bad", [

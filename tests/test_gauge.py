@@ -10,8 +10,9 @@ import pytest
 
 from szego import gauge as gauge_module
 from szego import (DEFAULT_GAMMA_GRID, Carlson, DomainError, Explicit, FactorialGaps, Geometric,
-                   Lacunary, RandomSeries, ZeroOne, coeff_root_range, gauge_and_index,
-                   gauge_coverage_bound, window_liminf_from_logs, window_max)
+                   Lacunary, RandomSeries, coeff_root_range, gauge_and_index,
+                   gauge_coverage_bound, window_liminf_from_logs)
+from szego.gauge import _check_gamma, _window_start
 
 
 def _brute_window_liminf(logs, gamma, N):
@@ -23,27 +24,28 @@ def _brute_window_liminf(logs, gamma, N):
     return float(np.exp(best))
 
 
-def test_window_max_examples():
-    assert window_max(Geometric(), 10, 0.5) == 1.0
-    # window {7} of the sparse family: coefficient g^7
-    assert window_max(Carlson(0.5, 0.5), 7, 0.1) == pytest.approx(0.5 ** 7)
-    assert window_max(Lacunary(2), 10, 0.5) == 1.0  # 8 lies in [5, 10]
-    assert window_max(Lacunary(2), 11, 0.2) == 0.0  # [9, 11] has no power of 2
-    with pytest.raises(DomainError):
-        window_max(Geometric(), 10, 0.0)
-    with pytest.raises(DomainError):
-        window_max(Geometric(), 0, 0.5)
-    assert window_max(Lacunary(2), 10.0, 0.5) == 1.0
-    for bad in (10.5, "x"):
+def test_window_start_examples():
+    # the window [(1-gamma) n, n] opens at the ceiling of its left end
+    assert _window_start(0.5, 10) == 5
+    assert _window_start(0.1, 7) == 7  # the window {7}: ceil(6.3)
+    assert _window_start(0.2, 11) == 9  # [9, 11] holds no power of 2
+    assert _window_start(0.5, 10.0) == 5
+    assert _window_start(0.99, 10) == 1
+    assert list(_window_start(0.5, np.array([10, 11, 12]))) == [5, 6, 6]
+    for bad in (0.0, 1.0, -0.5, "x"):
         with pytest.raises(DomainError):
-            window_max(Geometric(), bad, 0.5)
+            _check_gamma(bad)
 
 
 def test_window_start_integer_boundary():
-    # (1 - 0.3) * 20 lands a hair above 14.0 in floats; index 14 must
+    # (1 - 0.7) * 10 lands a hair above 3.0 in floats; index 3 must
     # still open the window
-    s = ZeroOne([0, 14])
-    assert window_max(s, 20, 0.3) == 1.0
+    assert (1 - 0.7) * 10 > 3
+    assert _window_start(0.7, 10) == 3
+    assert list(_window_start(0.7, np.array([20, 30]))) == [6, 9]
+    # a product that is an integer in floats is not moved either way
+    assert _window_start(0.3, 20) == 14
+    assert _window_start(0.5, 20) == 10
 
 
 def test_window_liminf_matches_brute_force():
@@ -244,6 +246,8 @@ def test_infinite_gap_diagnostic():
 
 
 def test_explicit_stream_window():
-    s = Explicit([1.0, 0.0, 0.0, 4.0])
-    assert window_max(s, 3, 0.5) == 4.0
-    assert window_max(s, 3, 0.1) == 4.0
+    # the windows ending at 3 are [2, 3] and {3}; both hold the 4
+    logs = Explicit([1.0, 0.0, 0.0, 4.0]).log_abs(3)
+    assert _window_start(0.5, 3) == 2
+    assert _window_start(0.1, 3) == 3
+    assert logs[2] == -math.inf and logs[3] == pytest.approx(math.log(4.0))
